@@ -29,8 +29,8 @@ from .spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
 from .forms import (FormParams, SaddleSystem, assemble_a, assemble_b,
                     assemble_c, assemble_ghost_penalty, assemble_j,
                     assemble_rhs, pressure_mean_vector, build_saddle_system)
-from .solver import (Solution, SingularSystemError, solve_saddle,
-                     solve_direct, condition_estimate)
+from .solver import (Solution, SaddleFactor, SingularSystemError,
+                     solve_saddle, solve_direct, condition_estimate)
 from .postprocess import recover_pressure
 from .harness import (ExactCase, StudyConfig, ResultRow, exact_example1,
                       exact_example2, solve_level, run_convergence,
@@ -51,8 +51,8 @@ __all__ = [
     "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
     "pressure_mean_vector", "build_saddle_system",
-    "Solution", "SingularSystemError", "solve_saddle", "solve_direct",
-    "condition_estimate",
+    "Solution", "SaddleFactor", "SingularSystemError", "solve_saddle",
+    "solve_direct", "condition_estimate",
     "recover_pressure",
     "ExactCase", "StudyConfig", "ResultRow", "exact_example1",
     "exact_example2", "solve_level", "run_convergence",

@@ -32,7 +32,6 @@ __all__ = [
     "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
     "pressure_mean_vector", "build_saddle_system", "ghost_penalty_field_energy",
-    "dump_matrix_market",
 ]
 
 
@@ -423,6 +422,14 @@ def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
     Layout [[A, B^T, C^T, 0], [B, 0, 0, m], [C, 0, J, 0], [0, m^T, 0, 0]]
     with m the pressure mean vector; the transposed blocks reuse the stored
     values, so the result is exactly symmetric.
+
+    Without the mean row and the s column the (u, p, lambda) block has one
+    null vector, (0, Pi_Q chi_{Omega_h}, 1): the pressure-space projection
+    of the fluid indicator with a constant multiplier, for which the
+    pressure and the interface flux terms cancel.  The mean row fixes its
+    amplitude.  The solver factors that block with the first multiplier dof
+    pinned, where the null vector is 1, and never factors the dense row
+    (see `solver.SaddleFactor`).
     """
     n_u, n_p, n_m = A.shape[0], B.shape[0], C.shape[0]
     if (A.shape != (n_u, n_u) or B.shape != (n_p, n_u)
@@ -437,13 +444,3 @@ def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
     rhs = np.zeros(M.shape[0])
     rhs[:n_u] = rhs_u
     return SaddleSystem(M, rhs, n_u, n_p, n_m)
-
-
-def dump_matrix_market(path, system: SaddleSystem):
-    """Write the matrix and right-hand side in Matrix Market format."""
-    from scipy.io import mmwrite
-    path = str(path)
-    if path.endswith(".mtx"):
-        path = path[:-4]
-    mmwrite(path + ".mtx", sp.coo_matrix(system.matrix))
-    mmwrite(path + "_rhs.mtx", sp.coo_matrix(system.rhs.reshape(-1, 1)))

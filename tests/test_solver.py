@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from cutstokes.forms import build_saddle_system
 from cutstokes.harness import StudyConfig, solve_level
-from cutstokes.solver import (SingularSystemError, condition_estimate,
-                              solve_direct, solve_saddle)
+from cutstokes.solver import (SaddleFactor, SingularSystemError,
+                              condition_estimate, solve_direct, solve_saddle)
 
 
 def test_identity():
@@ -82,3 +84,91 @@ def test_saddle_residual_reported():
     x = np.concatenate([sol.u, sol.p, sol.lam, [sol.s]])
     r = st.system.rhs - st.system.matrix @ x
     assert np.linalg.norm(r) <= (sol.residual + 1e-15) * np.linalg.norm(st.system.rhs)
+
+
+@pytest.fixture(scope="module")
+def ex1_level0():
+    return solve_level(StudyConfig(example=1, levels=1), 0)[1]
+
+
+def _relerr(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_saddle_factor_matches_direct(ex1_level0):
+    system = ex1_level0.system
+    factor = SaddleFactor(system)
+    rng = np.random.default_rng(15)
+    b = rng.standard_normal(system.matrix.shape[0])   # u, p, lambda parts, beta != 0
+    for rhs in (system.rhs, b):
+        assert _relerr(factor.solve(rhs), solve_direct(system.matrix, rhs)) <= 1e-10
+    whole = spla.splu(sp.csc_matrix(system.matrix))
+    assert 0 < factor.lu_nnz < whole.nnz
+    assert ex1_level0.sol.lu_nnz == factor.lu_nnz
+
+
+def test_saddle_factor_null_vector(ex1_level0):
+    system = ex1_level0.system
+    n_u, n_p = system.n_u, system.n_p
+    factor = SaddleFactor(system)
+    z = factor.z
+    K = system.matrix[:-1, :-1]
+    assert factor.pin == n_u + n_p and z[factor.pin] == 1.0
+    assert np.linalg.norm(K @ z) <= 1e-12 * np.linalg.norm(abs(K) @ abs(z))
+    assert np.abs(z[:n_u]).max() <= 1e-10 * np.abs(z).max()
+    assert np.abs(z[n_u + n_p:] - 1.0).max() <= 1e-10
+    # z_p is the pressure projection of the fluid indicator, so the mean row
+    # integrates it to the fluid area (up to the interface rule, which sets
+    # z, against the volume rule); it is not constant and changes sign
+    mean = system.matrix[n_u:n_u + n_p, -1].toarray().ravel()
+    area = ex1_level0.quad.area_inside
+    assert abs(mean @ z[n_u:n_u + n_p] - area) <= 1e-3 * area
+    assert z[n_u:n_u + n_p].min() < 0.0 < z[n_u:n_u + n_p].max()
+
+
+def _bordered(A, B, C, J, mean):
+    csr = [sp.csr_matrix(np.array(X, dtype=float)) for X in (A, B, C, J)]
+    return build_saddle_system(*csr, np.array(mean, dtype=float),
+                               np.ones(len(A)))
+
+
+@pytest.mark.parametrize("blocks, dof", [
+    # the pinned block keeps a null space: zero pressure and multiplier rows
+    (([[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]],
+      [[0, 0], [0, 0]], [1, 1]), 4),
+    # K is regular, so no null vector has a 1 at the pinned dof
+    (([[1, 0], [0, 1]], [[1, 0]], [[0, 1]], [[0]], [1]), 3),
+    # the null vector (0, -1, 1) is orthogonal to a zero mean row
+    (([[1]], [[1]], [[1]], [[0]], [0]), 2),
+])
+def test_saddle_factor_rejects_bad_pin(blocks, dof):
+    system = _bordered(*blocks)
+    with pytest.raises(SingularSystemError, match=f"multiplier dof {dof}"):
+        SaddleFactor(system)
+
+
+def test_condition_estimate_saddle_path(ex1_level0):
+    system = ex1_level0.system
+    generic = condition_estimate(system.matrix)
+    saddle = condition_estimate(system)
+    assert abs(saddle - generic) <= 1e-9 * generic
+    assert condition_estimate(system, factor=SaddleFactor(system)) == saddle
+
+
+def test_condest_factors_saddle_once_per_level(monkeypatch):
+    shapes = []
+    splu = spla.splu
+
+    def counting(M, *args, **kw):
+        shapes.append(M.shape[0])
+        return splu(M, *args, **kw)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    cfg = StudyConfig(example=1, levels=2, with_condest=True)
+    for lvl, kappa in ((0, 447949.41925), (1, 1240119.59953)):
+        shapes.clear()
+        row, st = solve_level(cfg, lvl)
+        n = st.system.matrix.shape[0]
+        assert [s for s in shapes if s >= n - 1] == [n - 1]
+        assert abs(row.cond_estimate - kappa) <= 1e-9 * kappa
+        assert st.sol.factor is None
