@@ -12,9 +12,11 @@ Typical use goes through the study drivers:
     from cutstokes import StudyConfig, run_convergence
     rows = run_convergence(StudyConfig(example=1, levels=3))
 
-or, for a custom geometry, through the level pipeline in `harness.solve_level`
-whose stages (mesh -> level set -> deformation -> quadrature -> spaces ->
-forms -> solve -> postprocess) are all importable from their modules.
+or, for a custom geometry, through the level pipeline: `build_geometry`
+(mesh -> level set -> classification -> deformation -> quadrature) and
+`assemble_level` (spaces -> forms -> saddle system), which `solve_level`
+follows with the solve and the pressure post-process.  Every stage is also
+importable from its module.
 """
 
 from .meshing import (MacroMesh, AlfeldMesh, ElementSets,
@@ -33,8 +35,9 @@ from .solver import (Solution, SaddleFactor, SingularSystemError,
                      solve_saddle, solve_direct, condition_estimate)
 from .postprocess import recover_pressure
 from .harness import (ExactCase, StudyConfig, ResultRow, exact_example1,
-                      exact_example2, solve_level, run_convergence,
-                      run_interface_sweep, compute_eoc, fit_rate)
+                      exact_example2, build_geometry, assemble_level,
+                      solve_level, run_convergence, run_interface_sweep,
+                      compute_eoc, fit_rate)
 
 __version__ = "0.1.0"
 
@@ -55,7 +58,7 @@ __all__ = [
     "solve_direct", "condition_estimate",
     "recover_pressure",
     "ExactCase", "StudyConfig", "ResultRow", "exact_example1",
-    "exact_example2", "solve_level", "run_convergence",
-    "run_interface_sweep", "compute_eoc", "fit_rate",
+    "exact_example2", "build_geometry", "assemble_level", "solve_level",
+    "run_convergence", "run_interface_sweep", "compute_eoc", "fit_rate",
     "__version__",
 ]

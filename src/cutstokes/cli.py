@@ -15,15 +15,12 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import IsoDeformation, build_deformation, build_quadratures, interpolate_p1
-from .harness import (StudyConfig, compute_eoc, read_config, run_convergence,
-                      run_interface_sweep, solve_level, write_geometry,
+from .harness import (StudyConfig, build_geometry, compute_eoc, read_config,
+                      run_convergence, run_interface_sweep, write_geometry,
                       _EXAMPLES)
-from .meshing import alfeld_split, build_background_mesh, classify_elements
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -105,21 +102,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dump_geom(args) -> int:
     cfg = _resolve(args)
-    exact = _EXAMPLES[cfg.example]()
-    h = cfg.h0 / 2 ** args.level
-    am = alfeld_split(build_background_mesh(cfg.box, h))
-    phi1 = interpolate_p1(exact.levelset, am)
-    sets = classify_elements(am, phi1)
-    if cfg.geom == "ho":
-        defo = build_deformation(exact.levelset, phi1, am, sets, cfg.k,
-                                 allow_unresolved=exact.allow_unresolved)
-    else:
-        defo = IsoDeformation.identity(am, cfg.k)
-    quad = build_quadratures(am, sets, phi1, defo)
+    quad = build_geometry(cfg, _EXAMPLES[cfg.example](), cfg.h0 / 2 ** args.level)
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
     prefix = os.path.join(outdir, f"geom_ex{cfg.example}_{cfg.geom}_lvl{args.level}")
-    write_geometry(prefix, SimpleNamespace(quad=quad, sets=sets))
+    write_geometry(prefix, quad)
     print(f"wrote {prefix}_mesh.vtk and {prefix}_interface.data")
     return 0
 

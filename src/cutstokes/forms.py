@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .geometry import CutQuadrature, GeometryError
 from .reference import reference_element, triangle_rule
 from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
-                     scalar_tables, velocity_tables, velocity_tables_affine)
+                     scalar_tables, velocity_tables)
 
 __all__ = [
     "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
@@ -41,8 +41,7 @@ class FormParams:
 
     `gamma_n` is the Nitsche penalty, `gamma_gp` the ghost-penalty weight and
     `gamma_lambda` the multiplier stabilization weight; `k` and `k_lambda`
-    are the velocity and multiplier degrees.  The optional quadrature orders
-    override the defaults (2k+2 volume, 4k patch) when the rules are built.
+    are the velocity and multiplier degrees.
     """
 
     gamma_n: float = 40.0
@@ -50,8 +49,6 @@ class FormParams:
     gamma_lambda: float = 0.1
     k: int = 2
     k_lambda: int = 1
-    volume_order: int | None = None
-    patch_order: int | None = None
 
     def __post_init__(self):
         if self.gamma_n <= 0:
@@ -130,7 +127,7 @@ def assemble_a(params: FormParams, quad: CutQuadrature,
             key = mp.A[e].tobytes()
             loc = cache.get(key)
             if loc is None:
-                _, grad, _ = velocity_tables_affine(mp.A[e], vs.ref, pts)
+                _, grad, _ = velocity_tables(vs, e, pts)
                 loc = _sym(np.einsum("q,qics,qjcs->ij",
                                      wts * mp.detA[e], grad, grad))
                 cache[key] = loc
@@ -375,7 +372,7 @@ def assemble_rhs(quad: CutQuadrature, vs: VelocitySpace, f) -> np.ndarray:
             key = mp.A[e].tobytes()
             val = cache.get(key)
             if val is None:
-                val = velocity_tables_affine(mp.A[e], vs.ref, xh)[0]
+                val = velocity_tables(vs, e, xh, derivs=False)[0]
                 cache[key] = val
             J = np.full(xh.shape[0], mp.detA[e])
         else:

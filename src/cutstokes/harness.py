@@ -18,8 +18,8 @@ import numpy as np
 from .forms import (FormParams, assemble_a, assemble_b, assemble_c,
                     assemble_ghost_penalty, assemble_j, assemble_rhs,
                     build_saddle_system, pressure_mean_vector)
-from .geometry import (IsoDeformation, LevelSet, build_deformation,
-                       build_quadratures, interpolate_p1)
+from .geometry import (CutQuadrature, IsoDeformation, LevelSet,
+                       build_deformation, build_quadratures, interpolate_p1)
 from .meshing import alfeld_split, build_background_mesh, classify_elements
 from .postprocess import recover_pressure
 from .solver import SEED, condition_estimate, solve_saddle
@@ -28,10 +28,10 @@ from .spaces import (ContinuousPressureSpace, MultiplierSpace, PressureSpace,
 
 __all__ = [
     "ExactCase", "StudyConfig", "ResultRow", "LevelState",
-    "exact_example1", "exact_example2", "solve_level", "run_convergence",
-    "run_interface_sweep", "compute_eoc", "fit_rate",
-    "write_data", "write_config", "read_config", "write_manifest",
-    "write_vtk", "write_geometry",
+    "exact_example1", "exact_example2", "build_geometry", "assemble_level",
+    "solve_level", "run_convergence", "run_interface_sweep", "compute_eoc",
+    "fit_rate", "write_data", "write_config", "read_config", "write_vtk",
+    "write_geometry",
 ]
 
 
@@ -199,9 +199,7 @@ class StudyConfig:
     def form_params(self) -> FormParams:
         return FormParams(gamma_n=self.gamma_n, gamma_gp=self.gamma_gp,
                           gamma_lambda=self.gamma_lambda, k=self.k,
-                          k_lambda=self.k_lambda,
-                          volume_order=self.volume_order or None,
-                          patch_order=self.patch_order or None)
+                          k_lambda=self.k_lambda)
 
 
 @dataclass
@@ -227,16 +225,15 @@ class ResultRow:
 
 @dataclass
 class LevelState:
-    """Everything built while solving one refinement level."""
+    """Everything built while solving one refinement level; the mesh, the
+    element sets and the P1 level set are `quad.am`, `quad.sets` and
+    `quad.phi_p1`."""
 
     cfg: StudyConfig
     exact: ExactCase
     lvl: int
     h: float
-    am: object
-    sets: object
-    phi1: object
-    quad: object
+    quad: CutQuadrature
     params: FormParams
     vs: VelocitySpace
     ps: PressureSpace
@@ -248,15 +245,11 @@ class LevelState:
     pstar: ScalarField
 
 
-def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
-    """Build, solve and post-process one level; returns (ResultRow, LevelState)."""
-    if exact is None:
-        exact = _EXAMPLES[cfg.example]()
-    t0 = time.perf_counter()
-    h = cfg.h0 / 2 ** lvl
-
-    mm = build_background_mesh(cfg.box, h)
-    am = alfeld_split(mm)
+def build_geometry(cfg: StudyConfig, exact: ExactCase, h: float) -> CutQuadrature:
+    """Cut geometry of one level with mesh size h: background mesh, Alfeld
+    split, P1 level set, classification, isoparametric deformation (the
+    identity for geom="p1") and the quadrature rules."""
+    am = alfeld_split(build_background_mesh(cfg.box, h))
     phi1 = interpolate_p1(exact.levelset, am)
     sets = classify_elements(am, phi1)
     if cfg.geom == "ho":
@@ -264,44 +257,59 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
                                  allow_unresolved=exact.allow_unresolved)
     else:
         defo = IsoDeformation.identity(am, cfg.k)
-    quad = build_quadratures(am, sets, phi1, defo,
+    return build_quadratures(am, sets, phi1, defo,
                              order=cfg.volume_order or None,
                              patch_order=cfg.patch_order or None)
-    mp = quad.mapping
 
+
+def assemble_level(cfg: StudyConfig, quad: CutQuadrature, f=None):
+    """Velocity, pressure and multiplier spaces on `quad` and the saddle
+    system with velocity block A + GP; the velocity load is (f, v), or zero
+    when f is None.  Returns (vs, ps, ms, system)."""
+    am, sets, mp = quad.am, quad.sets, quad.mapping
     vs = VelocitySpace(am, sets, mp, cfg.k)
     ps = PressureSpace(am, sets, mp, cfg.k - 1)
     ms = MultiplierSpace(am, sets, mp, cfg.k_lambda)
-    qs = ContinuousPressureSpace(am, sets, mp, cfg.k - 1)
     params = cfg.form_params()
-
-    A = assemble_a(params, quad, vs)
-    G = assemble_ghost_penalty(params, quad, vs)
+    A = assemble_a(params, quad, vs) + assemble_ghost_penalty(params, quad, vs)
     B = assemble_b(quad, vs, ps)
     C = assemble_c(quad, vs, ms)
     J = assemble_j(params, quad, ms)
     m = pressure_mean_vector(quad, ps)
-    rhs = assemble_rhs(quad, vs, exact.f)
-    system = build_saddle_system(A + G, B, C, J, m, rhs)
+    rhs = np.zeros(vs.n_dofs) if f is None else assemble_rhs(quad, vs, f)
+    return vs, ps, ms, build_saddle_system(A, B, C, J, m, rhs)
+
+
+def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
+    """Build, solve and post-process one level; returns (ResultRow, LevelState)."""
+    if exact is None:
+        exact = _EXAMPLES[cfg.example]()
+    t0 = time.perf_counter()
+    h = cfg.h0 / 2 ** lvl
+    quad = build_geometry(cfg, exact, h)
+    vs, ps, ms, system = assemble_level(cfg, quad, exact.f)
     sol = solve_saddle(system)
     cond = float("nan")
     if cfg.with_condest:
         cond = condition_estimate(system, seed=cfg.seed, factor=sol.factor)
     sol.factor = None          # frees the LU before post-processing
 
+    params = cfg.form_params()
+    qs = ContinuousPressureSpace(quad.am, quad.sets, quad.mapping, cfg.k - 1)
     uh = VelocityField(vs, sol.u)
     pc = recover_pressure(params, quad, qs, uh, exact.f, cfg.curl_sign)
     pstar = ScalarField(qs, pc)
     wall = time.perf_counter() - t0
 
-    state = LevelState(cfg, exact, lvl, h, am, sets, phi1, quad, params,
-                       vs, ps, ms, qs, system, sol, uh, pstar)
+    state = LevelState(cfg, exact, lvl, h, quad, params, vs, ps, ms, qs,
+                       system, sol, uh, pstar)
     err = compute_errors(state)
+    kept = quad.mapping.deformation.kept_nodes
     row = ResultRow(lvl=lvl, h=h, l2u=err["l2u"], h1u=err["h1u"],
                     l2p_star=err["l2p_star"], l2div=err["l2div"],
                     cond_estimate=cond, wall_time=wall,
                     h1p_star=err["h1p_star"], max_phi=err["max_phi"],
-                    kept_nodes=tuple(int(i) for i in defo.kept_nodes))
+                    kept_nodes=tuple(int(i) for i in kept))
     return row, state
 
 
@@ -310,10 +318,10 @@ def compute_errors(state: LevelState) -> dict:
     divergence over the whole active mesh, |phi| along the discrete
     interface.  The exact pressure is compared after removing its discrete
     mean, matching the zero-mean normalization of the recovered one."""
-    cfg, exact = state.cfg, state.exact
+    cfg, exact, quad = state.cfg, state.exact, state.quad
     order = cfg.error_order or (2 * cfg.k + 4)
-    equad = build_quadratures(state.am, state.sets, state.phi1,
-                              state.quad.mapping.deformation, order=order,
+    equad = build_quadratures(quad.am, quad.sets, quad.phi_p1,
+                              quad.mapping.deformation, order=order,
                               patch_order=cfg.patch_order or None)
     mp = equad.mapping
 
@@ -367,7 +375,7 @@ def run_convergence(cfg: StudyConfig):
         os.makedirs(cfg.out, exist_ok=True)
         write_data(os.path.join(cfg.out, f"{_study_tag(cfg)}.data"), rows,
                    with_condest=cfg.with_condest)
-        write_manifest(os.path.join(cfg.out, f"{_study_tag(cfg)}.manifest"), cfg)
+        write_config(os.path.join(cfg.out, f"{_study_tag(cfg)}.manifest"), cfg)
     return rows
 
 
@@ -391,30 +399,7 @@ def _sweep_one(args) -> tuple[int, float, float]:
     cfg, i, h, n = args
     x0 = -0.2 + 0.4 * i / n
     exact = replace(exact_example1(), levelset=_shifted_quartic(x0))
-    scfg = replace(cfg, example=1, h0=h, levels=1, with_condest=False)
-    mm = build_background_mesh(scfg.box, h)
-    am = alfeld_split(mm)
-    phi1 = interpolate_p1(exact.levelset, am)
-    sets = classify_elements(am, phi1)
-    if scfg.geom == "ho":
-        defo = build_deformation(exact.levelset, phi1, am, sets, scfg.k,
-                                 allow_unresolved=exact.allow_unresolved)
-    else:
-        defo = IsoDeformation.identity(am, scfg.k)
-    quad = build_quadratures(am, sets, phi1, defo,
-                             order=scfg.volume_order or None,
-                             patch_order=scfg.patch_order or None)
-    mp = quad.mapping
-    vs = VelocitySpace(am, sets, mp, scfg.k)
-    ps = PressureSpace(am, sets, mp, scfg.k - 1)
-    ms = MultiplierSpace(am, sets, mp, scfg.k_lambda)
-    params = scfg.form_params()
-    A = assemble_a(params, quad, vs) + assemble_ghost_penalty(params, quad, vs)
-    B = assemble_b(quad, vs, ps)
-    C = assemble_c(quad, vs, ms)
-    J = assemble_j(params, quad, ms)
-    m = pressure_mean_vector(quad, ps)
-    system = build_saddle_system(A, B, C, J, m, np.zeros(vs.n_dofs))
+    system = assemble_level(cfg, build_geometry(cfg, exact, h))[3]
     kappa = condition_estimate(system, tol=1e-6, seed=cfg.seed)
     return i, x0, kappa
 
@@ -437,7 +422,7 @@ def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
         lines = ["# i x kappa"]
         lines += [f"{i} {_fmt(x0)} {_fmt(k)}" for i, x0, k in out]
         _write_text(os.path.join(cfg.out, "sweep.data"), lines)
-        write_manifest(os.path.join(cfg.out, "sweep.manifest"), cfg)
+        write_config(os.path.join(cfg.out, "sweep.manifest"), cfg)
     return out
 
 
@@ -531,11 +516,6 @@ def _parse_field(ftype: str, val: str):
     return val
 
 
-def write_manifest(path: str, cfg: StudyConfig) -> None:
-    """Echo the fully resolved configuration next to the data files."""
-    write_config(path, cfg)
-
-
 def _lattice(k: int):
     """Reference lattice points of order k and the triangles connecting
     them, for piecewise-linear export of degree-k fields."""
@@ -555,13 +535,25 @@ def _lattice(k: int):
     return np.array(pts), np.array(tris, dtype=np.int64)
 
 
+def _vtk_mesh(title: str, P: np.ndarray, T: np.ndarray) -> list:
+    """Legacy ASCII VTK header, points and triangle cells."""
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {P.shape[0]} double"]
+    lines += [f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in P]
+    lines.append(f"CELLS {T.shape[0]} {4 * T.shape[0]}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in T]
+    lines.append(f"CELL_TYPES {T.shape[0]}")
+    lines += ["5"] * T.shape[0]
+    return lines
+
+
 def write_vtk(path: str, state: LevelState) -> None:
     """Legacy ASCII VTK dump of u_h and p* on the active mesh, each child
     sampled on its degree-k lattice (points are duplicated across cells)."""
     k = state.cfg.k
     xhat, tloc = _lattice(k)
     mp = state.quad.mapping
-    elems = state.sets.active_children
+    elems = state.quad.sets.active_children
 
     pts, cells, uvals, pvals = [], [], [], []
     off = 0
@@ -576,17 +568,10 @@ def write_vtk(path: str, state: LevelState) -> None:
         cells.append(tloc + off)
         off += x.shape[0]
     P = np.vstack(pts)
-    T = np.vstack(cells)
     U = np.vstack(uvals)
     Q = np.concatenate(pvals)
 
-    lines = ["# vtk DataFile Version 3.0", "cutstokes fields", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {P.shape[0]} double"]
-    lines += [f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in P]
-    lines.append(f"CELLS {T.shape[0]} {4 * T.shape[0]}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in T]
-    lines.append(f"CELL_TYPES {T.shape[0]}")
-    lines += ["5"] * T.shape[0]
+    lines = _vtk_mesh("cutstokes fields", P, np.vstack(cells))
     lines.append(f"POINT_DATA {P.shape[0]}")
     lines.append("VECTORS velocity double")
     lines += [f"{_fmt(a)} {_fmt(b)} 0.0" for a, b in U]
@@ -596,39 +581,24 @@ def write_vtk(path: str, state: LevelState) -> None:
     _write_text(path, lines)
 
 
-def write_geometry(path_prefix: str, state: LevelState) -> None:
+def write_geometry(path_prefix: str, quad: CutQuadrature) -> None:
     """Geometry diagnostics: active mesh with its inside/cut classification
     as a VTK file, and the interface quadrature as an x y nx ny w table."""
-    mp = state.quad.mapping
-    cls = state.sets.child_class
-    elems = state.sets.active_children
+    elems = quad.sets.active_children
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    P = np.vstack([quad.mapping.phys(int(e), corners) for e in elems])
+    T = np.arange(P.shape[0]).reshape(-1, 3)
 
-    pts, cells, cdata = [], [], []
-    for e in elems:
-        e = int(e)
-        off = 3 * len(cells)
-        pts.append(mp.phys(e, corners))
-        cells.append([off, off + 1, off + 2])
-        cdata.append(int(cls[e]))
-    P = np.vstack(pts)
-
-    lines = ["# vtk DataFile Version 3.0", "cutstokes geometry", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {P.shape[0]} double"]
-    lines += [f"{_fmt(x)} {_fmt(y)} 0.0" for x, y in P]
-    lines.append(f"CELLS {len(cells)} {4 * len(cells)}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in cells]
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines += ["5"] * len(cells)
-    lines.append(f"CELL_DATA {len(cells)}")
+    lines = _vtk_mesh("cutstokes geometry", P, T)
+    lines.append(f"CELL_DATA {T.shape[0]}")
     lines.append("SCALARS classification int 1")
     lines.append("LOOKUP_TABLE default")
-    lines += [str(c) for c in cdata]
+    lines += [str(c) for c in quad.sets.child_class[elems]]
     _write_text(path_prefix + "_mesh.vtk", lines)
 
     rows = ["# x y nx ny w"]
-    for e in sorted(state.quad.interface):
-        r = state.quad.interface[e]
+    for e in sorted(quad.interface):
+        r = quad.interface[e]
         for q in range(r.xphys.shape[0]):
             rows.append(" ".join(_fmt(v) for v in
                         (r.xphys[q, 0], r.xphys[q, 1],

@@ -10,7 +10,6 @@ macro element sets used for stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -310,10 +309,6 @@ class ElementSets:
     alfeld_interior: np.ndarray
     gp_facets: np.ndarray
     active_boundary_facets: np.ndarray
-
-    @property
-    def band_elements(self) -> np.ndarray:
-        return self.alfeld_cut
 
 
 def classify_elements(am: AlfeldMesh, phi) -> ElementSets:

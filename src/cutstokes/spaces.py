@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, IsoDeformation, MappingData
+from .geometry import GeometryError, MappingData
 from .meshing import AlfeldMesh, ElementSets
 from .reference import ReferenceElement, reference_element, reference_nodes, segment_rule
 
@@ -151,25 +151,6 @@ def velocity_tables(vs: VelocitySpace, e: int, xhat: np.ndarray,
               + np.einsum("qms,qmci->qmcis", dpsi, FW) / Jq)
         grad = np.einsum("qmcis,qsj->qmcij", up, Finv).reshape(nq, 2 * n_k, 2, 2)
     return (val.reshape(nq, 2 * n_k, 2), grad, div.reshape(nq, 2 * n_k))
-
-
-def velocity_tables_affine(A: np.ndarray, ref: ReferenceElement, xhat: np.ndarray):
-    """Velocity tables for an undeformed element with constant Jacobian `A`."""
-    xhat = np.atleast_2d(xhat)
-    psi = ref.eval(xhat)
-    dpsi = ref.grad(xhat)
-    nq, n_k = psi.shape
-    J = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    B = _adjugate(A[None])[0]
-    W = B.T                                       # W[c, :] = B @ e_c
-    FW = np.einsum("ik,ck->ci", A, W)             # (2, 2)
-    val = psi[:, :, None, None] * FW[None, None] / J
-    div = np.einsum("qmi,ci->qmc", dpsi, W) / J
-    Ainv = B / J
-    up = np.einsum("qms,ci->qmcis", dpsi, FW) / J
-    grad = np.einsum("qmcis,sj->qmcij", up, Ainv)
-    return (val.reshape(nq, 2 * n_k, 2), grad.reshape(nq, 2 * n_k, 2, 2),
-            div.reshape(nq, 2 * n_k))
 
 
 class PressureSpace:

@@ -1,14 +1,16 @@
 import filecmp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cutstokes.cli import main as cli_main
-from cutstokes.harness import (ResultRow, StudyConfig, compute_eoc,
+from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, compute_eoc,
                                exact_example1, exact_example2, fit_rate,
-                               read_config, run_convergence, write_config,
-                               write_data)
+                               read_config, run_convergence, solve_level,
+                               write_config, write_data)
+from cutstokes.solver import condition_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,27 @@ def test_cli_dump_geom(tmp_path):
     # weights positive, normals unit to the printed precision
     assert (body[:, 4] > 0).all()
     assert np.abs(np.hypot(body[:, 2], body[:, 3]) - 1).max() <= 1e-9
+
+
+def test_cli_dump_geom_uses_volume_order(tmp_path):
+    # the order-10 segment rule has 6 points; h0=0.3 cuts 78 children
+    cfgpath = str(tmp_path / "geom.cfg")
+    write_config(cfgpath, StudyConfig(volume_order=10))
+    out = str(tmp_path / "geom")
+    rc = cli_main(["dump-geom", "--config", cfgpath, "--out", out])
+    assert rc == 0
+    path = os.path.join(out, "geom_ex1_ho_lvl0_interface.data")
+    lines = open(path).read().strip().split("\n")
+    assert len(lines) - 1 == 6 * 78 == 468
+
+
+def test_sweep_shift_matches_solve_level_system():
+    # shift index 1 of 2 is x0 = 0, the unshifted quartic of example 1
+    cfg = StudyConfig()
+    _, x0, kappa = _sweep_one((cfg, 1, 0.3, 2))
+    assert x0 == 0.0
+    _, state = solve_level(replace(cfg, h0=0.3), 0)
+    assert kappa == condition_estimate(state.system, tol=1e-6, seed=cfg.seed)
 
 
 def test_cli_sweep(tmp_path):

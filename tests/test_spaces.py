@@ -7,7 +7,7 @@ from cutstokes.geometry import (GeometryError, IsoDeformation, MappingData,
 from cutstokes.reference import reference_nodes, segment_rule
 from cutstokes.spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
                               ContinuousPressureSpace, velocity_tables,
-                              velocity_tables_affine, scalar_tables, eval_velocity,
+                              scalar_tables, eval_velocity,
                               interpolate_velocity, interpolate_scalar, VelocityField,
                               ScalarField, FLUX_RULE_ORDER)
 from tests.conftest import quartic_levelset
@@ -102,18 +102,6 @@ def test_gradient_matches_finite_differences(case):
             vm, _, _ = eval_velocity(vs, e, c, xm[None, :])
             fd[:, j] = (vp[0] - vm[0]) / (2 * step)
         assert np.abs(g[0] - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-5
-
-
-def test_affine_fast_path_matches_generic(case):
-    am, phi, sets, defo, quad, vs = case
-    rng = np.random.default_rng(3)
-    pts = rng.random((4, 2)) * 0.4
-    for e in sets.alfeld_interior[:4]:
-        val, grad, div = velocity_tables(vs, int(e), pts)
-        va, ga, da = velocity_tables_affine(quad.mapping.A[int(e)], vs.ref, pts)
-        assert np.abs(val - va).max() < 1e-13
-        assert np.abs(grad - ga).max() < 1e-12
-        assert np.abs(div - da).max() < 1e-12
 
 
 def test_normal_continuity_across_facets(case):
