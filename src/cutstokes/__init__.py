@@ -13,15 +13,15 @@ Typical use goes through the study drivers:
     rows = run_convergence(StudyConfig(example=1, levels=3))
 
 or, for a custom geometry, through the level pipeline: `build_geometry`
-(mesh -> level set -> classification -> deformation -> quadrature) and
-`assemble_level` (spaces -> forms -> saddle system), which `solve_level`
-follows with the solve and the pressure post-process.  Every stage is also
-importable from its module.
+(structured mesh of size h -> level set -> classification -> deformation
+-> quadrature) and `assemble_level` (spaces -> forms -> saddle system),
+which `solve_level` follows with the solve and the pressure post-process.
+Every stage is also importable from its module.
 """
 
 from .meshing import (MacroMesh, AlfeldMesh, ElementSets,
-                      build_background_mesh, refine_uniform, alfeld_split,
-                      classify_elements, EmptyActiveDomainError)
+                      build_background_mesh, alfeld_split, classify_elements,
+                      EmptyActiveDomainError)
 from .geometry import (LevelSet, DiscreteLevelSet, IsoDeformation,
                        CutQuadrature, GeometryError, interpolate_p1,
                        build_deformation, build_quadratures, cut_subdivide)
@@ -43,8 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MacroMesh", "AlfeldMesh", "ElementSets", "build_background_mesh",
-    "refine_uniform", "alfeld_split", "classify_elements",
-    "EmptyActiveDomainError",
+    "alfeld_split", "classify_elements", "EmptyActiveDomainError",
     "LevelSet", "DiscreteLevelSet", "IsoDeformation", "CutQuadrature",
     "GeometryError", "interpolate_p1", "build_deformation",
     "build_quadratures", "cut_subdivide",

@@ -23,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CutQuadrature, GeometryError
-from .reference import reference_element, triangle_rule
+from .geometry import CutQuadrature
+from .reference import triangle_rule
 from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
                      scalar_tables, velocity_tables)
 
 __all__ = [
     "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
-    "pressure_mean_vector", "build_saddle_system", "ghost_penalty_field_energy",
+    "pressure_mean_vector", "build_saddle_system",
 ]
 
 
@@ -231,22 +231,20 @@ def _velocity_extensions(quad: CutQuadrature, vs: VelocitySpace,
 
 
 def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
-                           facets: np.ndarray | None = None,
-                           variant: str = "vector") -> sp.csr_matrix:
+                           facets: np.ndarray | None = None) -> sp.csr_matrix:
     """Direct ghost penalty over facet patches.
 
     For each facet the data of one owner is extended to the other and the
     squared patch jump is integrated over the owner with the order-4k rule,
-    weighted by gamma_gp/h^2.  `vector`: the neighbour's Piola basis field
-    is replaced by its elementwise physical L2 projection onto P_k, which is
-    evaluated at the owner's mapped quadrature points; the curved maps are
-    never evaluated outside their own element.  `scalar`: the plain
+    weighted by gamma_gp/h^2.  On a `VelocitySpace` the neighbour's Piola
+    basis field is replaced by its elementwise physical L2 projection onto
+    P_k, which is evaluated at the owner's mapped quadrature points; the
+    curved maps are never evaluated outside their own element.  On a scalar
+    space (the pressure recovery) the neighbour's basis is the plain
     composition polynomial, evaluated at foreign reference coordinates of
     the undeformed children.
     """
-    if variant not in ("vector", "scalar"):
-        raise ValueError("variant must be 'vector' or 'scalar'")
-    vector = variant == "vector"
+    vector = isinstance(space, VelocitySpace)
     mp = quad.mapping
     if facets is None:
         facets = quad.sets.gp_facets
@@ -285,56 +283,6 @@ def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
 
     n = space.n_dofs
     return tri.matrix(n, n)
-
-
-def ghost_penalty_field_energy(params: FormParams, quad: CutQuadrature,
-                               vs: VelocitySpace, f,
-                               facets: np.ndarray | None = None) -> float:
-    """Ghost-penalty energy of a general vector field.
-
-    Outside the discrete space the form acts on the elementwise projection:
-    the Jacobian-weighted composition J~ (f o Phi) is projected onto degree
-    2k-1 polynomials per undeformed element, and the penalty is evaluated on
-    the projected representative.
-    """
-    mp = quad.mapping
-    if facets is None:
-        facets = quad.sets.gp_facets
-    scale = params.gamma_gp / quad.am.macro.h ** 2
-    pts, wts = quad.patch_rule
-    pref = reference_element(2 * vs.degree - 1)
-    P = pref.eval(pts)
-    M = np.einsum("q,qa,qb->ab", wts, P, P)
-
-    owners = set()
-    for fid in facets:
-        e1, e2 = _patch_sides(quad, fid)
-        owners.update((e1, e2))
-    coef = {}
-    for e in sorted(owners):
-        _, J = mp.jacobians(e, pts)
-        fx = np.asarray(f(mp.phys(e, pts)), dtype=float)
-        wt = (J / mp.detA[e])[:, None] * fx
-        rhs = np.einsum("q,qa,qc->ac", wts, P, wt)
-        coef[e] = np.linalg.solve(M, rhs)
-
-    total = 0.0
-    for fid in facets:
-        e1, e2 = _patch_sides(quad, fid)
-        for ei, ej in ((e1, e2), (e2, e1)):
-            xt = mp.v0[ei] + pts @ mp.A[ei].T
-            xhj = (xt - mp.v0[ej]) @ _inv2(mp.A[ej]).T
-            _, Ji = mp.jacobians(ei, pts)
-            _, Jj = mp.jacobians(ej, xhj)
-            if (np.abs(Jj / mp.detA[ej]) < 1e-8).any():
-                raise GeometryError(
-                    f"ghost-penalty extension across facet {int(fid)} hits "
-                    "a degenerate Jacobian")
-            ui = (mp.detA[ei] / Ji)[:, None] * (P @ coef[ei])
-            uj = (mp.detA[ej] / Jj)[:, None] * (pref.eval(xhj) @ coef[ej])
-            jump = ui - uj
-            total += float((wts * Ji) @ (jump ** 2).sum(axis=1)) * scale
-    return total
 
 
 def assemble_j(params: FormParams, quad: CutQuadrature,

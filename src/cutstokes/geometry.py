@@ -20,6 +20,9 @@ from .meshing import AlfeldMesh, ElementSets, snap_values
 from .reference import reference_element, segment_rule, triangle_rule
 
 REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# residual tolerance and step cap of the deformation root solves
+ROOT_TOL = 1e-14
+ROOT_MAX_ITER = 50
 
 
 class GeometryError(RuntimeError):
@@ -142,12 +145,11 @@ class IsoDeformation:
                 raise GeometryError(f"deformation inverts element {int(e)}")
 
 
-def _newton_bisect(g, dg, lo: float, hi: float, tol: float, max_iter: int,
-                   where: str) -> float:
+def _newton_bisect(g, dg, lo: float, hi: float, where: str) -> float:
     """Root of g in [lo, hi]: Newton from 0 with bisection fallback."""
     x = 0.0
     gx = g(x)
-    if abs(gx) <= tol:
+    if abs(gx) <= ROOT_TOL:
         return x
     glo, ghi = g(lo), g(hi)
     have_bracket = glo * ghi <= 0.0
@@ -156,7 +158,7 @@ def _newton_bisect(g, dg, lo: float, hi: float, tol: float, max_iter: int,
         bhi = x
     elif have_bracket:
         blo = x
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         d = dg(x)
         step_ok = d != 0.0
         if step_ok:
@@ -168,7 +170,7 @@ def _newton_bisect(g, dg, lo: float, hi: float, tol: float, max_iter: int,
             xn = 0.5 * (blo + bhi)
         x = xn
         gx = g(x)
-        if abs(gx) <= tol:
+        if abs(gx) <= ROOT_TOL:
             return x
         if have_bracket:
             if g(blo) * gx <= 0.0:
@@ -180,7 +182,6 @@ def _newton_bisect(g, dg, lo: float, hi: float, tol: float, max_iter: int,
 
 def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
                       sets: ElementSets, degree: int,
-                      tol: float = 1e-14, max_iter: int = 50,
                       allow_unresolved: bool = False) -> IsoDeformation:
     """Isoparametric deformation of the cut band.
 
@@ -239,7 +240,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
                 return float((gr.T @ interp_vals) @ GA)
 
             try:
-                delta = _newton_bisect(g, dg, lo, hi, tol, max_iter, where=where)
+                delta = _newton_bisect(g, dg, lo, hi, where)
             except GeometryError:
                 if not allow_unresolved:
                     raise
@@ -255,8 +256,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
                     return float(ls.gradient(pos[m] + d * G)[0] @ G)
 
                 try:
-                    delta = _newton_bisect(ge, dge, lo, hi, tol, max_iter,
-                                           where=where)
+                    delta = _newton_bisect(ge, dge, lo, hi, where)
                 except GeometryError:
                     failures["exact"] += 1
                     kept.add(int(gid))
@@ -312,9 +312,7 @@ class MappingData:
     """Per-element geometric maps x = phi_K(xhat) = affine + displacement.
 
     All evaluation happens in reference coordinates of the undeformed child;
-    F = Dphi_K, J = det F.  Elements without displaced nodes are affine, and
-    `affine_keys` groups them by their (rounded) Jacobian for batched
-    assembly.
+    F = Dphi_K, J = det F.  Elements without displaced nodes are affine.
     """
 
     def __init__(self, am: AlfeldMesh, deformation: IsoDeformation):
@@ -333,13 +331,6 @@ class MappingData:
         self._defrow = np.full(am.n_children, -1, dtype=np.int64)
         self._defrow[rows] = np.arange(rows.size)
         self.disp_local = deformation.node_disp[ns.elem2node[rows]]
-
-    def affine_keys(self, elems: np.ndarray) -> np.ndarray:
-        """Group labels for affine elements with (numerically) equal Jacobians."""
-        scale = np.sqrt(np.abs(self.detA[elems]))[:, None, None]
-        kk = np.round(self.A[elems] / scale, 9).reshape(len(elems), 4)
-        _, labels = np.unique(kk, axis=0, return_inverse=True)
-        return labels
 
     def phys(self, e: int, xhat: np.ndarray) -> np.ndarray:
         xhat = np.atleast_2d(xhat)
@@ -382,19 +373,6 @@ class MappingData:
             F[sel] += np.einsum("dmi,qmj->dqij", self.disp_local[rows[sel]], gr)
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
         return F, J
-
-    def inverse_map(self, e: int, x: np.ndarray, xhat0: np.ndarray | None = None,
-                    tol: float = 1e-13, max_iter: int = 40) -> np.ndarray:
-        """Reference coordinates of a physical point by Newton iteration."""
-        x = np.asarray(x, dtype=float)
-        xh = np.array([1 / 3, 1 / 3]) if xhat0 is None else np.array(xhat0, dtype=float)
-        for _ in range(max_iter):
-            r = self.phys(e, xh[None, :])[0] - x
-            if np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(x)):
-                return xh
-            F, _ = self.jacobians(e, xh[None, :])
-            xh = xh - np.linalg.solve(F[0], r)
-        raise GeometryError(f"inverse map did not converge on element {e}")
 
 
 # ---------------------------------------------------------------------------

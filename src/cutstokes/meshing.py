@@ -146,25 +146,6 @@ def build_background_mesh(box: tuple[float, float, float, float], h: float) -> M
     return mesh
 
 
-def refine_uniform(mesh: MacroMesh) -> MacroMesh:
-    """Red refinement: every triangle is split into four via edge midpoints."""
-    nv = mesh.vertices.shape[0]
-    mids = 0.5 * (mesh.vertices[mesh.facets[:, 0]] + mesh.vertices[mesh.facets[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-    t = mesh.triangles
-    mab = nv + mesh.tri_facets[:, 0]
-    mbc = nv + mesh.tri_facets[:, 1]
-    mca = nv + mesh.tri_facets[:, 2]
-    children = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([t[:, 0], mab, mca])
-    children[1::4] = np.column_stack([mab, t[:, 1], mbc])
-    children[2::4] = np.column_stack([mca, mbc, t[:, 2]])
-    children[3::4] = np.column_stack([mab, mbc, mca])
-    out = MacroMesh(vertices, children, h=0.5 * mesh.h)
-    out.validate()
-    return out
-
-
 @dataclass
 class NodeSet:
     """Global Lagrange nodes of one degree on the split mesh.

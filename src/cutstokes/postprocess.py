@@ -77,8 +77,7 @@ def recover_pressure(params: FormParams, quad: CutQuadrature,
 
     K = tri.matrix(n, n)
     K = K + assemble_ghost_penalty(params, quad, qs,
-                                   facets=pressure_gp_facets(quad),
-                                   variant="scalar")
+                                   facets=pressure_gp_facets(quad))
 
     # nodes supported only on fully-outside elements never see the fluid or
     # a stabilized facet; pin them so the factorization stays regular

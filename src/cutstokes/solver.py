@@ -38,6 +38,9 @@ RESIDUAL_TOL = 1e-9
 RESIDUAL_TARGET = 1e-13
 KERNEL_TOL = 1e-10
 SEED = 0x5EED
+# stopping rule and step cap of the `condition_estimate` iterations
+CONDEST_TOL = 1e-6
+CONDEST_MAXIT = 10000
 
 
 class SingularSystemError(RuntimeError):
@@ -181,31 +184,29 @@ def solve_saddle(system: SaddleSystem) -> Solution:
                     lu_nnz=factor.lu_nnz, factor=factor)
 
 
-def _rayleigh_iterate(step, M: sp.spmatrix, v0: np.ndarray, tol: float,
-                      maxit: int, label: str) -> float:
+def _rayleigh_iterate(step, M: sp.spmatrix, v0: np.ndarray, label: str) -> float:
     v = v0 / np.linalg.norm(v0)
     rho = float(v @ (M @ v))
-    for _ in range(maxit):
+    for _ in range(CONDEST_MAXIT):
         v = step(v)
         v /= np.linalg.norm(v)
         rho_new = float(v @ (M @ v))
-        if abs(rho_new - rho) <= tol * abs(rho_new):
+        if abs(rho_new - rho) <= CONDEST_TOL * abs(rho_new):
             return rho_new
         rho = rho_new
     raise IterationError(
-        f"{label} iteration did not converge in {maxit} steps", last=rho)
+        f"{label} iteration did not converge in {CONDEST_MAXIT} steps", last=rho)
 
 
-def condition_estimate(M: sp.spmatrix | SaddleSystem, tol: float = 1e-6,
-                       maxit: int = 10000, seed: int = SEED,
+def condition_estimate(M: sp.spmatrix | SaddleSystem, seed: int = SEED,
                        factor: SaddleFactor | None = None) -> float:
     """kappa = |lambda|_max / |lambda|_min of a symmetric matrix.
 
     Power iteration gives the largest magnitude, inverse power iteration on
     a factorization the smallest; each stops when the Rayleigh quotient's
-    relative change drops below `tol`.  For a `SaddleSystem` the inverse
-    steps go through its `SaddleFactor`: `factor` when the solve already
-    built one, a new one otherwise.  A plain matrix is factored whole.
+    relative change drops below CONDEST_TOL.  A `SaddleSystem` is inverted
+    through its `SaddleFactor`: `factor` when the solve already built one,
+    a new one otherwise.  A plain matrix is factored whole.
     """
     if isinstance(M, SaddleSystem):
         if factor is None:
@@ -220,6 +221,6 @@ def condition_estimate(M: sp.spmatrix | SaddleSystem, tol: float = 1e-6,
     solve = factor.solve if factor is not None else _splu(Mc, "system").solve
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    lam_max = _rayleigh_iterate(lambda v: Mc @ v, Mc, v0, tol, maxit, "power")
-    lam_min = _rayleigh_iterate(solve, Mc, v0, tol, maxit, "inverse power")
+    lam_max = _rayleigh_iterate(lambda v: Mc @ v, Mc, v0, "power")
+    lam_min = _rayleigh_iterate(solve, Mc, v0, "inverse power")
     return abs(lam_max) / abs(lam_min)

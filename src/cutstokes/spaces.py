@@ -16,18 +16,14 @@ import numpy as np
 
 from .geometry import GeometryError, MappingData
 from .meshing import AlfeldMesh, ElementSets
-from .reference import ReferenceElement, reference_element, reference_nodes, segment_rule
+from .reference import ReferenceElement, reference_element, reference_nodes
 
 __all__ = [
     "ReferenceElement", "VelocitySpace", "PressureSpace", "MultiplierSpace",
     "ContinuousPressureSpace", "velocity_tables", "scalar_tables",
     "eval_velocity", "interpolate_velocity", "interpolate_scalar",
-    "VelocityField", "ScalarField", "FLUX_RULE_ORDER",
+    "VelocityField", "ScalarField",
 ]
-
-# facet rule for the flux-matching correction; the integrand is rational in
-# the map Jacobian, so matching is exact only relative to a fixed rule
-FLUX_RULE_ORDER = 20
 
 
 def _adjugate(F: np.ndarray) -> np.ndarray:
@@ -285,78 +281,12 @@ class ScalarField:
         return val @ c, None
 
 
-def interpolate_velocity(vs: VelocitySpace, v, flux_correct: bool = False) -> np.ndarray:
-    """Nodal interpolant: physical nodal values are `v` at the mapped nodes.
-
-    With `flux_correct`, facet bubbles on the boundary of the active mesh are
-    added so that the normal flux of the interpolant matches that of `v` on
-    every boundary facet (needed when `v` must be matched in H(div) across
-    the active-mesh boundary).
-    """
-    pos = vs.node_positions()
-    vals = np.asarray(v(pos), dtype=float)
+def interpolate_velocity(vs: VelocitySpace, v) -> np.ndarray:
+    """Nodal interpolant: physical nodal values are `v` at the mapped nodes."""
+    vals = np.asarray(v(vs.node_positions()), dtype=float)
     U = np.empty(vs.n_dofs)
     U[0::2] = vals[:, 0]
     U[1::2] = vals[:, 1]
-    if not flux_correct:
-        return U
-
-    am, ns, mapping = vs.am, vs.node_set, vs.mapping
-    cm = am.child_mesh
-    qp, qw = segment_rule(FLUX_RULE_ORDER)
-    ref_nodes_k = reference_nodes(vs.degree)
-    active = np.zeros(am.n_children, dtype=bool)
-    active[vs.elements] = True
-    local_edges = {(0, 1): 2, (1, 2): 0, (2, 0): 1}  # opposite vertex per edge
-
-    for fid in vs.sets.active_boundary_facets:
-        owners = cm.facet_tris[int(fid)]
-        e = int(owners[0]) if owners[1] < 0 or active[owners[0]] else int(owners[1])
-        if not active[e]:
-            continue
-        conn = am.children[e]
-        fa, fb = cm.facets[int(fid)]
-        la, lb = int(np.where(conn == fa)[0][0]), int(np.where(conn == fb)[0][0])
-        pa, pb = am.vertices[fa], am.vertices[fb]
-        # tilde outward normal: away from the opposite vertex
-        t = pb - pa
-        n = np.array([t[1], -t[0]])
-        opp = am.vertices[conn[3 - la - lb]]
-        if n @ (opp - pa) > 0:
-            n = -n
-        n /= np.linalg.norm(n)
-        length = np.linalg.norm(t)
-
-        xt = pa[None, :] + np.outer(qp, t)
-        va = am.vertices[conn[0]]
-        Ainv = np.linalg.inv(mapping.A[e])
-        xh = (xt - va) @ Ainv.T
-        F, J = mapping.jacobians(e, xh)
-        AFinv = np.einsum("ab,qbc->qac", mapping.A[e], _adjugate(F) / J[:, None, None])
-        vex = np.asarray(v(mapping.phys(e, xh)))
-        vt = (J / mapping.detA[e])[:, None] * np.einsum("qab,qb->qa", AFinv, vex)
-        row = vs.element_row[e]
-        loc = U[vs.elem_dofs[row]]
-        psi = vs.ref.eval(xh)
-        # tilde pullback of the interpolant: (1/detA) A vref(xh)
-        vref_nodes = np.einsum("mik,mk->mi", vs.nodal_blocks[row],
-                               loc.reshape(-1, 2))
-        v1t = (psi @ vref_nodes) @ (mapping.A[e].T / mapping.detA[e])
-        flux_err = qw @ (((vt - v1t) @ n) * length)
-        alpha = flux_err / (2.0 / 3.0 * length)
-
-        # bubble value at the element nodes, in barycentric coordinates
-        lam = np.column_stack([1 - ref_nodes_k[:, 0] - ref_nodes_k[:, 1],
-                               ref_nodes_k[:, 0], ref_nodes_k[:, 1]])
-        bub = 4.0 * lam[:, la] * lam[:, lb]
-        hot = np.abs(bub) > 1e-14
-        Fn, Jn = mapping.jacobians(e, ref_nodes_k[hot])
-        push = np.einsum("qab,b->qa", Fn @ Ainv * (mapping.detA[e] / Jn)[:, None, None],
-                         alpha * n)
-        gids = ns.elem2node[e][hot]
-        dofs = vs._comp[gids]
-        U[2 * dofs] += bub[hot] * push[:, 0]
-        U[2 * dofs + 1] += bub[hot] * push[:, 1]
     return U
 
 

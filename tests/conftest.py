@@ -1,14 +1,10 @@
-import os
-import time
-
 import numpy as np
 import pytest
 
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
-from cutstokes.geometry import (LevelSet, interpolate_p1, build_deformation,
-                                build_quadratures)
-from cutstokes.harness import (StudyConfig, exact_example1, run_convergence,
-                               run_interface_sweep, solve_level)
+from cutstokes.geometry import (GeometryError, LevelSet, interpolate_p1,
+                                build_deformation, build_quadratures)
+from cutstokes.harness import StudyConfig, exact_example1, solve_level
 
 
 def quartic_levelset() -> LevelSet:
@@ -32,6 +28,21 @@ def build_case(ls: LevelSet, h: float, k: int, box=(-1, 1, -1, 1)):
     return am, phi, sets, defo, quad
 
 
+def inverse_map(mapping, e: int, x: np.ndarray,
+                xhat0: np.ndarray | None = None) -> np.ndarray:
+    """Reference coordinates of a physical point on child `e` by Newton
+    iteration: the test oracle for `MappingData.phys`."""
+    x = np.asarray(x, dtype=float)
+    xh = np.array([1 / 3, 1 / 3]) if xhat0 is None else np.array(xhat0, dtype=float)
+    for _ in range(40):
+        r = mapping.phys(e, xh[None, :])[0] - x
+        if np.linalg.norm(r) <= 1e-13 * max(1.0, np.linalg.norm(x)):
+            return xh
+        F, _ = mapping.jacobians(e, xh[None, :])
+        xh = xh - np.linalg.solve(F[0], r)
+    raise GeometryError(f"inverse map did not converge on element {e}")
+
+
 @pytest.fixture(scope="session")
 def quartic_case_h03():
     """Quartic level set on the coarse mesh, k=2: the workhorse configuration."""
@@ -44,44 +55,12 @@ def quartic_case_h015():
 
 
 # ---------------------------------------------------------------------------
-# full studies, shared across test modules; each is computed once per session
+# the full study, shared across test modules and computed once per session
 
 
 @pytest.fixture(scope="session")
 def ex1_ho_study():
-    """Example 1, high-order geometry, all five levels.
-
-    Returns (rows, states, wall) where states keeps the three coarsest
-    LevelStates for tests that need the assembled operators."""
+    """Example 1, high-order geometry, all five levels: the ResultRows."""
     cfg = StudyConfig(example=1, levels=5)
     exact = exact_example1()
-    t0 = time.perf_counter()
-    rows, states = [], {}
-    for lvl in range(cfg.levels):
-        row, st = solve_level(cfg, lvl, exact)
-        rows.append(row)
-        if lvl <= 2:
-            states[lvl] = st
-    return rows, states, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="session")
-def ex1_p1_study():
-    """Example 1 with the polygonal domain, levels 0..3."""
-    return run_convergence(StudyConfig(example=1, levels=4, geom="p1"))
-
-
-@pytest.fixture(scope="session")
-def ex2_studies():
-    """No-flow study for both multiplier degrees, keyed by k_lambda."""
-    return {klam: run_convergence(StudyConfig(example=2, levels=5,
-                                              k_lambda=klam))
-            for klam in (1, 2)}
-
-
-@pytest.fixture(scope="session")
-def sweep_result():
-    cfg = StudyConfig(example=1, workers=os.cpu_count() or 1)
-    t0 = time.perf_counter()
-    rows = run_interface_sweep(cfg, h=0.1, n=100)
-    return rows, time.perf_counter() - t0
+    return [solve_level(cfg, lvl, exact)[0] for lvl in range(cfg.levels)]

@@ -3,10 +3,9 @@ import pytest
 
 from cutstokes.forms import (FormParams, assemble_a, assemble_b, assemble_c,
                              assemble_ghost_penalty, assemble_j, assemble_rhs,
-                             build_saddle_system, ghost_penalty_field_energy,
-                             pressure_mean_vector)
+                             build_saddle_system, pressure_mean_vector)
 from cutstokes.geometry import IsoDeformation, build_quadratures
-from cutstokes.harness import StudyConfig, exact_example1, solve_level
+from cutstokes.harness import StudyConfig, exact_example1, fit_rate, solve_level
 from cutstokes.spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
                               VelocityField, interpolate_scalar,
                               interpolate_velocity, velocity_tables)
@@ -188,17 +187,24 @@ def test_gp_nonnegative(case):
         assert c @ (G @ c) >= -1e-12 * (c @ c)
 
 
-def test_gp_smooth_field_decay():
-    # elementwise-projected penalty of an analytic field
+def test_gp_interpolant_decay():
+    # consistency of the penalty: G(u_I, u_I) of the nodal interpolant of a
+    # smooth field decays at nearly h^(2k+1) on the deformed and on the
+    # polygonal band alike (fitted 4.78 and 4.84 today; 5 is the target)
     params = FormParams()
     f = lambda x: np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 1])])
-    js = []
+    ls = quartic_levelset()
+    hs, energy = [], {"ho": [], "p1": []}
     for h in (0.3, 0.15, 0.075, 0.0375):
-        am, phi, sets, defo, quad = build_case(quartic_levelset(), h, 2)
-        vs = VelocitySpace(am, sets, quad.mapping, 2)
-        js.append(ghost_penalty_field_energy(params, quad, vs, f))
-    rate = -np.polyfit(np.arange(len(js)), np.log2(js), 1)[0]
-    assert 3.5 <= rate <= 4.5, js
+        am, phi, sets, defo, quad = build_case(ls, h, 2)
+        hs.append(am.macro.h)
+        flat = build_quadratures(am, sets, phi, IsoDeformation.identity(am, 2))
+        for mode, q in (("ho", quad), ("p1", flat)):
+            vs = VelocitySpace(am, sets, q.mapping, 2)
+            u = interpolate_velocity(vs, f)
+            energy[mode].append(u @ (assemble_ghost_penalty(params, q, vs) @ u))
+    for mode, js in energy.items():
+        assert fit_rate(hs, js) >= 4.5, (mode, js)
 
 
 def test_gp_deformed_bounded_by_p1():

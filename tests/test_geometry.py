@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as quad1d
 
-from cutstokes.meshing import (build_background_mesh, refine_uniform, alfeld_split,
-                               classify_elements)
+from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
 from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 interpolate_p1, IsoDeformation, build_deformation,
                                 MappingData, cut_subdivide, build_quadratures,
                                 REF_VERTS)
-from tests.conftest import quartic_levelset, circle_levelset, build_case
+from tests.conftest import quartic_levelset, circle_levelset, build_case, inverse_map
 
 
 def quartic_area() -> float:
@@ -58,7 +57,7 @@ def test_interpolate_p1_quartic_second_order():
         p1 = np.array([phi.eval_ref(e, np.array([[1 / 3, 1 / 3]]))[0]
                        for e in range(am.n_children)])
         errs.append(np.abs(ls.value(pts) - p1).max())
-        mesh = refine_uniform(mesh)
+        mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)
     assert 3.4 <= errs[0] / errs[1] <= 4.6
 
 
@@ -178,7 +177,7 @@ def test_deformation_interface_accuracy_eoc():
         quad = build_quadratures(am, sets, phi, defo)
         errs.append(max(np.abs(ls.value(r.xphys)).max()
                         for r in quad.interface.values()))
-        mesh = refine_uniform(mesh)
+        mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)
     eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert ((eocs >= 2.6) & (eocs <= 3.4)).all(), eocs
 
@@ -300,18 +299,8 @@ def test_mapping_roundtrip_on_deformed_elements(quartic_case_h03):
         xh = rng.random((4, 2)) * 0.35 + 0.1
         x = mapping.phys(int(e), xh)
         for i in range(len(xh)):
-            back = mapping.inverse_map(int(e), x[i])
+            back = inverse_map(mapping, int(e), x[i])
             assert np.linalg.norm(back - xh[i]) < 1e-11
-
-
-def test_affine_keys_group_structured_mesh():
-    m = build_background_mesh((-1, 1, -1, 1), 0.3)
-    am = alfeld_split(m)
-    defo = IsoDeformation.identity(am, 2)
-    mapping = MappingData(am, defo)
-    labels = mapping.affine_keys(np.arange(am.n_children))
-    # structured SW-NE split: six congruence classes of children
-    assert labels.max() + 1 == 6
 
 
 def test_jacobian_derivative_consistency(quartic_case_h03):
@@ -397,7 +386,7 @@ def test_quadrature_area_convergence():
         quad = build_quadratures(am, sets, phi, defo)
         h = am.macro.h
         assert abs(quad.area_inside - exact) <= 0.25 * h ** 3, (lvl, h)
-        mesh = refine_uniform(mesh)
+        mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)
 
 
 def test_interface_normals_second_order(quartic_case_h03, quartic_case_h015):

@@ -229,7 +229,7 @@ def test_sweep_shift_matches_solve_level_system():
     _, x0, kappa = _sweep_one((cfg, 1, 0.3, 2))
     assert x0 == 0.0
     _, state = solve_level(replace(cfg, h0=0.3), 0)
-    assert kappa == condition_estimate(state.system, tol=1e-6, seed=cfg.seed)
+    assert kappa == condition_estimate(state.system, seed=cfg.seed)
 
 
 def test_cli_sweep(tmp_path):

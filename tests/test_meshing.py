@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cutstokes.meshing import (MacroMesh, EmptyActiveDomainError, build_background_mesh,
-                               refine_uniform, alfeld_split, classify_elements,
-                               snap_values, SNAP_REL)
+                               alfeld_split, classify_elements, snap_values, SNAP_REL)
 from cutstokes.reference import reference_nodes
 from tests.conftest import quartic_levelset
 from cutstokes.geometry import interpolate_p1
@@ -33,18 +32,6 @@ def test_degenerate_box_rejected():
         build_background_mesh((0, 0, 0, 1), 0.1)
     with pytest.raises(ValueError):
         build_background_mesh((0, 1, 0, 1), -0.1)
-
-
-def test_refine_uniform():
-    m = build_background_mesh((-1, 1, -1, 1), 1.0)
-    r = refine_uniform(m)
-    assert r.n_triangles == 32
-    assert r.h == 0.5
-    v = r.vertices[r.triangles]
-    u, w = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    areas = 0.5 * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
-    assert (areas > 0).all()
-    assert np.isclose(areas.sum(), 4.0, atol=1e-13)
 
 
 def test_facet_structure():

@@ -120,6 +120,6 @@ def test_curl_sign(quartic_case_h015):
 
 
 def test_h1_rate_over_study(ex1_ho_study):
-    rows, _, _ = ex1_ho_study
+    rows = ex1_ho_study
     rate = fit_rate([r.h for r in rows], [r.h1p_star for r in rows])
     assert rate >= 0.7, [r.h1p_star for r in rows]

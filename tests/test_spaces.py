@@ -4,13 +4,13 @@ import pytest
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
 from cutstokes.geometry import (GeometryError, IsoDeformation, MappingData,
                                 interpolate_p1, build_deformation, build_quadratures)
-from cutstokes.reference import reference_nodes, segment_rule
+from cutstokes.reference import reference_nodes
 from cutstokes.spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
                               ContinuousPressureSpace, velocity_tables,
                               scalar_tables, eval_velocity,
                               interpolate_velocity, interpolate_scalar, VelocityField,
-                              ScalarField, FLUX_RULE_ORDER)
-from tests.conftest import quartic_levelset
+                              ScalarField)
+from tests.conftest import inverse_map, quartic_levelset
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,8 @@ def test_gradient_matches_finite_differences(case):
         for j in range(2):
             dp = np.zeros(2)
             dp[j] = step
-            xp = mapping.inverse_map(e, X0 + dp, xhat0=x0)
-            xm = mapping.inverse_map(e, X0 - dp, xhat0=x0)
+            xp = inverse_map(mapping, e, X0 + dp, xhat0=x0)
+            xm = inverse_map(mapping, e, X0 - dp, xhat0=x0)
             vp, _, _ = eval_velocity(vs, e, c, xp[None, :])
             vm, _, _ = eval_velocity(vs, e, c, xm[None, :])
             fd[:, j] = (vp[0] - vm[0]) / (2 * step)
@@ -160,56 +160,6 @@ def test_polynomial_reproduction_undeformed():
         assert np.abs(val - v(x)).max() < 1e-12
 
 
-def test_flux_corrected_interpolant(case):
-    # after correction, the interpolant's tilde pullback carries the same
-    # facet flux as the target field on every active boundary facet
-    am, phi, sets, defo, quad, vs = case
-    mapping = quad.mapping
-
-    def v(p):
-        return np.column_stack([np.sin(p[:, 0] + 2 * p[:, 1]),
-                                np.cos(3 * p[:, 0]) * p[:, 1]])
-
-    U = interpolate_velocity(vs, v, flux_correct=True)
-    # the correction zeroes the flux relative to its own rule, so probe with it
-    qp, qw = segment_rule(FLUX_RULE_ORDER)
-    cm = am.child_mesh
-    active = np.zeros(am.n_children, dtype=bool)
-    active[vs.elements] = True
-    worst = 0.0
-    from cutstokes.spaces import _adjugate
-    for fid in sets.active_boundary_facets:
-        owners = cm.facet_tris[int(fid)]
-        e = int(owners[0]) if owners[1] < 0 or active[owners[0]] else int(owners[1])
-        conn = am.children[e]
-        fa, fb = cm.facets[int(fid)]
-        pa, pb = am.vertices[fa], am.vertices[fb]
-        t = pb - pa
-        n = np.array([t[1], -t[0]])
-        opp = am.vertices[conn[3 - int(np.where(conn == fa)[0][0])
-                                - int(np.where(conn == fb)[0][0])]]
-        if n @ (opp - pa) > 0:
-            n = -n
-        n /= np.linalg.norm(n)
-        length = np.linalg.norm(t)
-        xt = pa[None, :] + np.outer(qp, t)
-        va = am.vertices[conn[0]]
-        Ai = np.linalg.inv(mapping.A[e])
-        xh = (xt - va) @ Ai.T
-        F, J = mapping.jacobians(e, xh)
-        AFinv = np.einsum("ab,qbc->qac", mapping.A[e], _adjugate(F) / J[:, None, None])
-        # tilde pullbacks of target and interpolant
-        vt = (J / mapping.detA[e])[:, None] * np.einsum(
-            "qab,qb->qa", AFinv, np.asarray(v(mapping.phys(e, xh))))
-        row = vs.element_row[e]
-        loc = U[vs.elem_dofs[row]]
-        vref = np.einsum("mik,mk->mi", vs.nodal_blocks[row], loc.reshape(-1, 2))
-        v1t = (vs.ref.eval(xh) @ vref) @ (mapping.A[e].T / mapping.detA[e])
-        flux = qw @ (((vt - v1t) @ n) * length)
-        worst = max(worst, abs(flux) / length)
-    assert worst <= 1e-12
-
-
 def test_scalar_interpolation_exactness(case):
     am, phi, sets, defo, quad, vs = case
     mapping = quad.mapping
@@ -247,8 +197,8 @@ def test_scalar_gradients_fd(case):
     for j in range(2):
         dp = np.zeros(2)
         dp[j] = step
-        xp = mapping.inverse_map(e, X0 + dp, xhat0=x0)
-        xm = mapping.inverse_map(e, X0 - dp, xhat0=x0)
+        xp = inverse_map(mapping, e, X0 + dp, xhat0=x0)
+        xm = inverse_map(mapping, e, X0 - dp, xhat0=x0)
         vp = scalar_tables(lam, e, xp[None, :], derivs=False)[0] @ c
         vm = scalar_tables(lam, e, xm[None, :], derivs=False)[0] @ c
         fd[j] = (vp[0] - vm[0]) / (2 * step)
