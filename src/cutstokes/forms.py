@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CutQuadrature
+from .geometry import CutQuadrature, _pointwise
 from .reference import triangle_rule
-from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
+from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace, _adjugate,
                      scalar_tables, velocity_tables)
 
 __all__ = [
@@ -94,13 +94,28 @@ class _Triplets:
 
 
 def _sym(loc: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle so symmetric pairs share one float."""
-    return np.triu(loc) + np.triu(loc, 1).T
+    """Mirror the upper triangle of each local block so symmetric pairs
+    share one float."""
+    return np.triu(loc) + np.swapaxes(np.triu(loc, 1), -1, -2)
+
+
+def _local(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Local blocks sum_q w_q <a_qi, b_qj> of a group: a (ne, nq, ni, ...)
+    and b (ne, nq, nj, ...) with equal trailing axes, w (ne, nq)."""
+    ne, nq = w.shape
+    wa = a * w.reshape(ne, nq, *(1,) * (a.ndim - 2))
+    return (np.swapaxes(wa, 1, 2).reshape(ne, a.shape[2], -1)
+            @ np.swapaxes(b, 1, 2).reshape(ne, b.shape[2], -1).swapaxes(1, 2))
+
+
+def _scatter(n: int, dofs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Sum local vectors vals (ne, nd) into a global vector of length n."""
+    return np.bincount(dofs.ravel(), weights=vals.ravel(), minlength=n)
 
 
 def _inv2(A: np.ndarray) -> np.ndarray:
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    return np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    return _adjugate(A) / det[..., None, None]
 
 
 def assemble_a(params: FormParams, quad: CutQuadrature,
@@ -112,45 +127,19 @@ def assemble_a(params: FormParams, quad: CutQuadrature,
     h = quad.am.macro.h
     tri = _Triplets()
 
-    pts, wts = quad.ref_rule
-    cache: dict[bytes, np.ndarray] = {}
-    for e in quad.inside_elems:
-        e = int(e)
-        row = vs.element_row[e]
-        if mp.is_deformed[e]:
-            _, grad, _ = velocity_tables(vs, e, pts)
-            _, J = mp.jacobians(e, pts)
-            loc = _sym(np.einsum("q,qics,qjcs->ij", wts * J, grad, grad))
-        else:
-            # undeformed elements share the rule, and the local stiffness
-            # depends on the Jacobian alone
-            key = mp.A[e].tobytes()
-            loc = cache.get(key)
-            if loc is None:
-                _, grad, _ = velocity_tables(vs, e, pts)
-                loc = _sym(np.einsum("q,qics,qjcs->ij",
-                                     wts * mp.detA[e], grad, grad))
-                cache[key] = loc
-        dofs = vs.elem_dofs[row]
-        tri.add(dofs, dofs, loc)
+    for elems, xh, w in quad.volume_groups():
+        _, grad, _ = velocity_tables(vs, elems, xh)
+        wj = w * mp.jacobians(elems, xh)[1]
+        dofs = vs.elem_dofs[vs.element_row[elems]]
+        tri.add(dofs, dofs, _sym(_local(wj, grad, grad)))
 
-    for e in quad.cut_elems:
-        e = int(e)
-        xh, w = quad.cut_parts[e]
-        _, grad, _ = velocity_tables(vs, e, xh)
-        _, J = mp.jacobians(e, xh)
-        loc = _sym(np.einsum("q,qics,qjcs->ij", w * J, grad, grad))
-        dofs = vs.elem_dofs[vs.element_row[e]]
-        tri.add(dofs, dofs, loc)
-
-    for e, rule in quad.interface.items():
-        val, grad, _ = velocity_tables(vs, e, rule.xhat)
-        nd = np.einsum("qs,qdcs->qdc", rule.normals, grad)
-        K1 = np.einsum("q,qic,qjc->ij", rule.weights, val, nd)
-        pen = _sym(np.einsum("q,qic,qjc->ij",
-                             rule.weights * (params.gamma_n / h), val, val))
-        dofs = vs.elem_dofs[vs.element_row[e]]
-        tri.add(dofs, dofs, pen - (K1 + K1.T))
+    r = quad.interface_rule
+    val, grad, _ = velocity_tables(vs, r.elems, r.xhat)
+    nd = np.einsum("eqs,eqdcs->eqdc", r.normals, grad)
+    K1 = _local(r.weights, val, nd)
+    pen = _sym(_local(r.weights * (params.gamma_n / h), val, val))
+    dofs = vs.elem_dofs[vs.element_row[r.elems]]
+    tri.add(dofs, dofs, pen - (K1 + np.swapaxes(K1, 1, 2)))
 
     return tri.matrix(vs.n_dofs, vs.n_dofs)
 
@@ -178,13 +167,13 @@ def assemble_b(quad: CutQuadrature, vs: VelocitySpace,
 def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
                ms: MultiplierSpace) -> sp.csr_matrix:
     """Interface coupling (mu, n_h . v) on the discrete interface."""
+    r = quad.interface_rule
+    val, _, _ = velocity_tables(vs, r.elems, r.xhat, derivs=False)
+    mu, _ = scalar_tables(ms, r.elems, r.xhat, derivs=False)
+    loc = _local(r.weights, mu, np.einsum("eqjc,eqc->eqj", val, r.normals))
     tri = _Triplets()
-    for e, rule in quad.interface.items():
-        val, _, _ = velocity_tables(vs, e, rule.xhat, derivs=False)
-        mu, _ = scalar_tables(ms, e, rule.xhat, derivs=False)
-        loc = np.einsum("q,qi,qjc,qc->ij", rule.weights, mu, val, rule.normals)
-        tri.add(ms.elem_dofs[ms.element_row[e]],
-                vs.elem_dofs[vs.element_row[e]], loc)
+    tri.add(ms.elem_dofs[ms.element_row[r.elems]],
+            vs.elem_dofs[vs.element_row[r.elems]], loc)
     return tri.matrix(ms.n_dofs, vs.n_dofs)
 
 
@@ -196,10 +185,10 @@ def _patch_sides(quad, fid):
     return e1, e2
 
 
-def _affine_coords(mp, e: int, x: np.ndarray) -> np.ndarray:
-    """Coordinates of physical points in the undeformed affine frame of
-    child `e`; polynomials in them are polynomials in x."""
-    return (x - mp.v0[e]) @ _inv2(mp.A[e]).T
+def _affine_coords(mp, e, x: np.ndarray) -> np.ndarray:
+    """Coordinates of physical points x (..., nq, 2) in the undeformed affine
+    frame of child(ren) `e`; polynomials in them are polynomials in x."""
+    return (x - mp.v0[e][..., None, :]) @ np.swapaxes(_inv2(mp.A[e]), -1, -2)
 
 
 def _velocity_extensions(quad: CutQuadrature, vs: VelocitySpace,
@@ -216,18 +205,15 @@ def _velocity_extensions(quad: CutQuadrature, vs: VelocitySpace,
     """
     mp = quad.mapping
     pts, wts = quad.patch_rule
-    out = {}
-    for e in elems:
-        val = velocity_tables(vs, e, pts, derivs=False)[0]
-        _, J = mp.jacobians(e, pts)
-        x = mp.phys(e, pts)
-        P = vs.ref.eval(_affine_coords(mp, e, x))
-        Jw = wts * J
-        M = np.einsum("q,qa,qb->ab", Jw, P, P)
-        rhs = np.einsum("q,qa,qdc->adc", Jw, P, val)
-        coef = np.linalg.solve(M, rhs.reshape(P.shape[1], -1)).reshape(rhs.shape)
-        out[e] = (x, Jw, val, coef)
-    return out
+    elems = np.asarray(elems, dtype=np.int64)
+    val = velocity_tables(vs, elems, pts, derivs=False)[0]
+    Jw = wts * mp.jacobians(elems, pts)[1]
+    x = mp.phys(elems, pts)
+    P = vs.ref.eval(_affine_coords(mp, elems, x))
+    M = _local(Jw, P, P)
+    rhs = np.einsum("eq,eqa,eqdc->eadc", Jw, P, val)
+    coef = np.linalg.solve(M, rhs.reshape(M.shape[:2] + (-1,))).reshape(rhs.shape)
+    return {int(e): (x[i], Jw[i], val[i], coef[i]) for i, e in enumerate(elems)}
 
 
 def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
@@ -291,19 +277,15 @@ def assemble_j(params: FormParams, quad: CutQuadrature,
     over the cut band, with the normal extended off the interface."""
     if params.k_lambda != ms.degree:
         raise ValueError("params.k_lambda does not match the multiplier degree")
-    mp = quad.mapping
     h = quad.am.macro.h
     pts, wts = quad.ref_rule
+    cut = quad.cut_elems
+    _, grad = scalar_tables(ms, cut, pts)
+    nd = np.einsum("eqmj,eqj->eqm", grad, quad.band_normals)
+    loc = _sym(_local(wts * quad.mapping.jacobians(cut, pts)[1], nd, nd))
+    dofs = ms.elem_dofs[ms.element_row[cut]]
     tri = _Triplets()
-    for e in quad.cut_elems:
-        e = int(e)
-        n = quad.band_normals[e]
-        _, grad = scalar_tables(ms, e, pts)
-        _, J = mp.jacobians(e, pts)
-        nd = np.einsum("qmj,qj->qm", grad, n)
-        loc = _sym(np.einsum("q,qm,qn->mn", wts * J, nd, nd))
-        dofs = ms.elem_dofs[ms.element_row[e]]
-        tri.add(dofs, dofs, (-h * params.gamma_lambda) * loc)
+    tri.add(dofs, dofs, (-h * params.gamma_lambda) * loc)
     return tri.matrix(ms.n_dofs, ms.n_dofs)
 
 
@@ -311,23 +293,12 @@ def assemble_rhs(quad: CutQuadrature, vs: VelocitySpace, f) -> np.ndarray:
     """Load vector (f, v) over the fluid part of the mesh."""
     mp = quad.mapping
     rhs = np.zeros(vs.n_dofs)
-    pts, wts = quad.ref_rule
-    cache: dict[bytes, np.ndarray] = {}
-    for e, xh, w in quad.volume_items():
-        e = int(e)
-        row = vs.element_row[e]
-        if xh is pts and not mp.is_deformed[e]:
-            key = mp.A[e].tobytes()
-            val = cache.get(key)
-            if val is None:
-                val = velocity_tables(vs, e, xh, derivs=False)[0]
-                cache[key] = val
-            J = np.full(xh.shape[0], mp.detA[e])
-        else:
-            val = velocity_tables(vs, e, xh, derivs=False)[0]
-            _, J = mp.jacobians(e, xh)
-        fx = np.asarray(f(mp.phys(e, xh)), dtype=float)
-        rhs[vs.elem_dofs[row]] += np.einsum("q,qdc,qc->d", w * J, val, fx)
+    for elems, xh, w in quad.volume_groups():
+        val = velocity_tables(vs, elems, xh, derivs=False)[0]
+        wj = w * mp.jacobians(elems, xh)[1]
+        fx = _pointwise(f, mp.phys(elems, xh))
+        rhs += _scatter(vs.n_dofs, vs.elem_dofs[vs.element_row[elems]],
+                        np.einsum("eq,eqdc,eqc->ed", wj, val, fx))
     return rhs
 
 
@@ -336,7 +307,7 @@ def pressure_mean_vector(quad: CutQuadrature, ps: PressureSpace) -> np.ndarray:
     constraint row)."""
     pts, wts = quad.ref_rule
     qv = ps.ref.eval(pts)
-    _, J = quad.mapping.jacobians_shared(ps.elements, pts)
+    _, J = quad.mapping.jacobians(ps.elements, pts)
     out = np.zeros(ps.n_dofs)
     out[ps.elem_dofs] = (J * wts[None, :]) @ qv
     return out

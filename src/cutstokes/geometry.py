@@ -7,6 +7,13 @@ the elementwise degree-k interpolant matches the P1 value at the node, which
 places the mapped P1 interface within O(h^{k+1}) of the exact one.  All
 quadrature is generated in reference coordinates of the undeformed children;
 physical weights carry det(DPhi) through the element Jacobian.
+
+Element arrays: every map evaluation takes one child index or an array of
+ne of them, with reference points either shared, shape (nq, 2), or per
+element, shape (ne, nq, 2).  An array yields results with a leading ne axis;
+a scalar index yields the same results without it.  The quadrature groups
+the children that share a rule size, so each group is evaluated in one array
+operation.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # residual tolerance and step cap of the deformation root solves
 ROOT_TOL = 1e-14
 ROOT_MAX_ITER = 50
+# children per quadrature group: bounds the memory of the batched tables
+GROUP_SIZE = 256
 
 
 class GeometryError(RuntimeError):
@@ -44,18 +53,6 @@ class LevelSet:
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self._gradient(np.atleast_2d(pts)), dtype=float)
 
-    def gradient_fd_error(self, pts: np.ndarray, step: float = 1e-6) -> float:
-        """Max relative mismatch between `gradient` and central differences."""
-        pts = np.atleast_2d(pts)
-        g = self.gradient(pts)
-        fd = np.empty_like(g)
-        for j in range(2):
-            dp = np.zeros(2)
-            dp[j] = step
-            fd[:, j] = (self.value(pts + dp) - self.value(pts - dp)) / (2 * step)
-        scale = np.maximum(np.linalg.norm(g, axis=1), 1e-12)
-        return float((np.linalg.norm(g - fd, axis=1) / scale).max())
-
 
 class DiscreteLevelSet:
     """P1 interpolant on the split mesh: one value per Alfeld vertex."""
@@ -72,16 +69,11 @@ class DiscreteLevelSet:
         vals = self.vertex_values[self.am.children[elems]]
         return snap_values(vals, self.am.macro.h)
 
-    def eval_ref(self, e: int, xhat: np.ndarray) -> np.ndarray:
-        """Values at reference coordinates of child e."""
-        v = self.child_values(e)
-        xhat = np.atleast_2d(xhat)
-        return v[0] * (1 - xhat[:, 0] - xhat[:, 1]) + v[1] * xhat[:, 0] + v[2] * xhat[:, 1]
-
-    def ref_gradient(self, e: int) -> np.ndarray:
-        """Gradient with respect to reference coordinates (constant per child)."""
-        v = self.child_values(e)
-        return np.array([v[1] - v[0], v[2] - v[0]])
+    def ref_gradient(self, elems) -> np.ndarray:
+        """Gradient with respect to reference coordinates (constant per
+        child), shape (..., 2)."""
+        v = self.child_values(elems)
+        return np.stack([v[..., 1] - v[..., 0], v[..., 2] - v[..., 0]], axis=-1)
 
 
 def interpolate_p1(ls: LevelSet, am: AlfeldMesh) -> DiscreteLevelSet:
@@ -138,11 +130,10 @@ class IsoDeformation:
         """Check det(Dphi) > 0 on a degree-2k rule of each deformed element."""
         mapping = MappingData(self.am, self)
         check = self.deformed_children if elems is None else np.asarray(elems)
-        pts, _ = triangle_rule(2 * self.degree)
-        for e in check:
-            _, J = mapping.jacobians(int(e), pts)
-            if not (J > 0).all():
-                raise GeometryError(f"deformation inverts element {int(e)}")
+        _, J = mapping.jacobians(check, triangle_rule(2 * self.degree)[0])
+        bad = check[(J <= 0).any(axis=-1)]
+        if bad.size:
+            raise GeometryError(f"deformation inverts element {int(bad[0])}")
 
 
 def _newton_bisect(g, dg, lo: float, hi: float, where: str) -> float:
@@ -292,7 +283,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
         check = deformation.deformed_children[active[deformation.deformed_children]]
         if check.size == 0:
             break
-        F, J = mapping.jacobians_shared(check, pts)
+        _, J = mapping.jacobians(check, pts)
         bad = check[J.min(axis=1) <= margin * np.abs(mapping.detA[check])]
         if bad.size == 0:
             break
@@ -308,11 +299,40 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
 # element mappings
 
 
+def _batch(e, xhat):
+    """Element-array form of an evaluation request: (elems (ne,), xhat
+    (1 or ne, nq, 2), whether `e` was a scalar index)."""
+    scalar = np.ndim(e) == 0
+    elems = np.atleast_1d(np.asarray(e, dtype=np.int64))
+    xhat = np.asarray(xhat, dtype=float)
+    if xhat.ndim < 3:
+        xhat = np.atleast_2d(xhat)[None]
+    if xhat.ndim != 3 or xhat.shape[0] not in (1, elems.size):
+        raise ValueError(f"reference points of shape {xhat.shape} do not fit "
+                         f"{elems.size} elements")
+    return elems, xhat, scalar
+
+
+def _unbatch(scalar: bool, *arrays):
+    """Drop the element axis again for a scalar request."""
+    if not scalar:
+        return arrays
+    return tuple(None if a is None else a[0] for a in arrays)
+
+
+def _pointwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn, which maps (n, 2) points to (n, ...) values, at points (..., 2)."""
+    out = np.asarray(fn(x.reshape(-1, 2)), dtype=float)
+    return out.reshape(x.shape[:-1] + out.shape[1:])
+
+
 class MappingData:
     """Per-element geometric maps x = phi_K(xhat) = affine + displacement.
 
     All evaluation happens in reference coordinates of the undeformed child;
-    F = Dphi_K, J = det F.  Elements without displaced nodes are affine.
+    F = Dphi_K, J = det F.  `phys` and `jacobians` follow the element-array
+    convention of this module.  Undeformed children carry a zero nodal
+    displacement, so their maps reduce exactly to the affine part.
     """
 
     def __init__(self, am: AlfeldMesh, deformation: IsoDeformation):
@@ -325,54 +345,46 @@ class MappingData:
         self.A = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
         self.detA = self.A[:, 0, 0] * self.A[:, 1, 1] - self.A[:, 0, 1] * self.A[:, 1, 0]
         ns = am.lagrange_nodes(self.degree)
-        moved = np.linalg.norm(deformation.node_disp, axis=1) > 0.0
-        self.is_deformed = moved[ns.elem2node].any(axis=1)
-        rows = np.flatnonzero(self.is_deformed)
-        self._defrow = np.full(am.n_children, -1, dtype=np.int64)
-        self._defrow[rows] = np.arange(rows.size)
-        self.disp_local = deformation.node_disp[ns.elem2node[rows]]
+        self.disp_local = deformation.node_disp[ns.elem2node]
+        self.is_deformed = (self.disp_local != 0.0).any(axis=(1, 2))
 
-    def phys(self, e: int, xhat: np.ndarray) -> np.ndarray:
-        xhat = np.atleast_2d(xhat)
-        x = self.v0[e] + xhat @ self.A[e].T
-        r = self._defrow[e]
-        if r >= 0:
-            x = x + self.ref.eval(xhat) @ self.disp_local[r]
-        return x
+    def _displace(self, elems, table):
+        """Nodal displacements contracted with a reference table (E, nq, n_k,
+        ...): sum_m d_mi table_qm... -> (ne, nq, 2, ...)."""
+        E, nq, nk = table.shape[:3]
+        out = (np.swapaxes(table.reshape(E, nq, nk, -1), -1, -2)
+               @ self.disp_local[elems, None])
+        return np.moveaxis(out, -1, 2).reshape((elems.size, nq, 2) + table.shape[3:])
 
-    def jacobians(self, e: int, xhat: np.ndarray, derivs: bool = False):
-        """F (nq,2,2), J (nq) and optionally dF (nq,2,2,2), dJ (nq,2)."""
-        xhat = np.atleast_2d(xhat)
-        nq = xhat.shape[0]
-        F = np.broadcast_to(self.A[e], (nq, 2, 2)).copy()
-        r = self._defrow[e]
-        if r >= 0:
-            gr = self.ref.grad(xhat)
-            F += np.einsum("mi,qmj->qij", self.disp_local[r], gr)
-        J = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-        if not derivs:
-            return F, J
-        dF = np.zeros((nq, 2, 2, 2))
-        if r >= 0:
-            hs = self.ref.hess(xhat)
-            dF = np.einsum("mi,qmjs->qijs", self.disp_local[r], hs)
-        dJ = (dF[:, 0, 0, :] * F[:, 1, 1, None] + F[:, 0, 0, None] * dF[:, 1, 1, :]
-              - dF[:, 0, 1, :] * F[:, 1, 0, None] - F[:, 0, 1, None] * dF[:, 1, 0, :])
-        return F, J, dF, dJ
+    def phys(self, e, xhat: np.ndarray) -> np.ndarray:
+        """Mapped points, shape (..., nq, 2)."""
+        elems, xhat, scalar = _batch(e, xhat)
+        x = self.v0[elems, None] + xhat @ np.swapaxes(self.A[elems], -1, -2)
+        if self.is_deformed[elems].any():
+            x = x + self._displace(elems, self.ref.eval(xhat))
+        return _unbatch(scalar, x)[0]
 
-    def jacobians_shared(self, elems: np.ndarray, xhat: np.ndarray):
-        """Batched F (ne,nq,2,2), J (ne,nq) at shared reference points."""
-        xhat = np.atleast_2d(xhat)
-        elems = np.asarray(elems)
-        nq = xhat.shape[0]
-        F = np.repeat(self.A[elems][:, None], nq, axis=1).copy()
-        rows = self._defrow[elems]
-        sel = rows >= 0
-        if sel.any():
-            gr = self.ref.grad(xhat)
-            F[sel] += np.einsum("dmi,qmj->dqij", self.disp_local[rows[sel]], gr)
+    def jacobians(self, e, xhat: np.ndarray, derivs: bool = False):
+        """F (..., nq, 2, 2), J (..., nq) and optionally dF (..., nq, 2, 2, 2),
+        dJ (..., nq, 2)."""
+        elems, xhat, scalar = _batch(e, xhat)
+        nq = xhat.shape[1]
+        F = np.repeat(self.A[elems, None], nq, axis=1)
+        moved = self.is_deformed[elems].any()
+        if moved:
+            F += self._displace(elems, self.ref.grad(xhat))
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-        return F, J
+        if not derivs:
+            return _unbatch(scalar, F, J)
+        if moved:
+            dF = self._displace(elems, self.ref.hess(xhat))
+        else:
+            dF = np.zeros(F.shape + (2,))
+        dJ = (dF[..., 0, 0, :] * F[..., 1, 1, None]
+              + F[..., 0, 0, None] * dF[..., 1, 1, :]
+              - dF[..., 0, 1, :] * F[..., 1, 0, None]
+              - F[..., 0, 1, None] * dF[..., 1, 0, :])
+        return _unbatch(scalar, F, J, dF, dJ)
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +439,37 @@ def cut_subdivide(vals: np.ndarray, verts: np.ndarray = REF_VERTS):
 
 @dataclass
 class InterfaceRule:
-    """One cut child's share of the discrete interface."""
+    """The discrete interface over the cut children `elems`, one segment per
+    child, stacked along the leading element axis (absent when `elems` is a
+    single index)."""
 
-    xhat: np.ndarray      # (m, 2) reference points
-    weights: np.ndarray   # (m,) physical arc-length weights
-    normals: np.ndarray   # (m, 2) unit normals pointing out of the fluid
-    xphys: np.ndarray     # (m, 2) mapped points
+    elems: np.ndarray     # (ne,) cut children
+    xhat: np.ndarray      # (ne, m, 2) reference points
+    weights: np.ndarray   # (ne, m) physical arc-length weights
+    normals: np.ndarray   # (ne, m, 2) unit normals pointing out of the fluid
+    xphys: np.ndarray     # (ne, m, 2) mapped points
+
+
+def _groups(elems: np.ndarray, xhat: np.ndarray, weights: np.ndarray):
+    """Split a rule over `elems` into groups of at most GROUP_SIZE children."""
+    for s in range(0, elems.size, GROUP_SIZE):
+        part = slice(s, s + GROUP_SIZE)
+        if xhat.ndim == 2:
+            yield elems[part], xhat, weights
+        else:
+            yield elems[part], xhat[part], weights[part]
 
 
 @dataclass
 class CutQuadrature:
     """All quadrature data of one cut configuration.
 
-    Volume rules are stored as reference points and weights such that
-    integral = sum_q w_q * J(xhat_q) * f(x_q); the same convention holds for
-    full-element rules over the bulk and the band.
+    Volume rules come in groups (elems, xhat, weights) such that the integral
+    over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
+    children share `ref_rule`, and the cut children are stacked by the point
+    count of their cut parts (one or two sub-triangles).  `band_normals`
+    (per cut child, on `ref_rule`) and `interface_rule` are stacked in the
+    order of `cut_elems`.
     """
 
     am: AlfeldMesh
@@ -454,40 +482,44 @@ class CutQuadrature:
     cut_elems: np.ndarray
     ref_rule: tuple[np.ndarray, np.ndarray]
     patch_rule: tuple[np.ndarray, np.ndarray]
-    cut_parts: dict[int, tuple[np.ndarray, np.ndarray]]
-    interface: dict[int, InterfaceRule]
-    band_normals: dict[int, np.ndarray]
+    cut_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    interface_rule: InterfaceRule
+    band_normals: np.ndarray
     area_inside: float
     area_bulk: float
     interface_length: float
 
-    def volume_items(self):
-        """Yield (element, xhat, weights) covering the fluid domain."""
-        pts, wts = self.ref_rule
-        for e in self.inside_elems:
-            yield int(e), pts, wts
-        for e in self.cut_elems:
-            xh, w = self.cut_parts[int(e)]
-            yield int(e), xh, w
+    def volume_groups(self):
+        """Yield (elems, xhat, weights) groups covering the fluid domain."""
+        yield from _groups(self.inside_elems, *self.ref_rule)
+        for group in self.cut_groups:
+            yield from _groups(*group)
 
-    def bulk_items(self):
-        """Yield (element, xhat, weights) covering the whole active mesh."""
-        pts, wts = self.ref_rule
-        for e in self.sets.active_children:
-            yield int(e), pts, wts
+    def bulk_groups(self):
+        """Yield (elems, xhat, weights) groups covering the whole active mesh."""
+        yield from _groups(self.sets.active_children, *self.ref_rule)
+
+    @property
+    def interface(self) -> dict[int, InterfaceRule]:
+        """The interface rule of each cut child, as views of `interface_rule`."""
+        r = self.interface_rule
+        return {int(e): InterfaceRule(int(e), r.xhat[i], r.weights[i], r.normals[i],
+                                      r.xphys[i])
+                for i, e in enumerate(r.elems)}
 
 
 def _inv_transpose_apply(F: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows of F^{-T} g for a batch of 2x2 matrices (up to a positive factor
-    1/det F, irrelevant after normalization)."""
-    out = np.empty((F.shape[0], 2))
-    out[:, 0] = F[:, 1, 1] * g[0] - F[:, 1, 0] * g[1]
-    out[:, 1] = -F[:, 0, 1] * g[0] + F[:, 0, 0] * g[1]
+    """F^{-T} g for arrays of 2x2 matrices F (..., 2, 2) and vectors g
+    (..., 2), up to the positive factor 1/det F, irrelevant after
+    normalization."""
+    out = np.empty(F.shape[:-1])
+    out[..., 0] = F[..., 1, 1] * g[..., 0] - F[..., 1, 0] * g[..., 1]
+    out[..., 1] = -F[..., 0, 1] * g[..., 0] + F[..., 0, 0] * g[..., 1]
     return out
 
 
 def _unit_rows(w: np.ndarray) -> np.ndarray:
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
 def _map_rule_to_subtri(pts: np.ndarray, wts: np.ndarray, tri: np.ndarray):
@@ -513,53 +545,41 @@ def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSe
 
     inside = np.flatnonzero(sets.child_class == 0)
     cut = sets.alfeld_cut
-    cut_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    interface: dict[int, InterfaceRule] = {}
-    band_normals: dict[int, np.ndarray] = {}
+    parts: dict[int, list] = {}
+    seg = np.empty((cut.size, 2, 2))
+    for i, e in enumerate(cut):
+        tris, seg[i] = cut_subdivide(phi_p1.child_values(int(e)))
+        x, w = zip(*(_map_rule_to_subtri(*ref_rule, tri) for tri in tris))
+        parts.setdefault(len(tris), []).append((e, np.vstack(x), np.concatenate(w)))
+    cut_groups = [tuple(np.stack(a) for a in zip(*parts[n])) for n in sorted(parts)]
 
-    for e in cut:
-        e = int(e)
-        vals = phi_p1.child_values(e)
-        tris, seg = cut_subdivide(vals)
-        xs, ws = [], []
-        for tri in tris:
-            x, w = _map_rule_to_subtri(*ref_rule, tri)
-            xs.append(x)
-            ws.append(w)
-        cut_parts[e] = (np.vstack(xs), np.concatenate(ws))
-
-        p1, p2 = seg
-        xh = p1[None, :] + np.outer(seg_pts, p2 - p1)
-        F, _ = mapping.jacobians(e, xh)
-        tang = F @ (p2 - p1)
-        dsw = seg_wts * np.linalg.norm(tang, axis=1)
-        ghat = phi_p1.ref_gradient(e)
-        w = _inv_transpose_apply(F, ghat)
-        normals = w / np.linalg.norm(w, axis=1, keepdims=True)
-        if not (dsw > 0).all():
-            raise GeometryError(f"degenerate interface segment on element {e}")
-        interface[e] = InterfaceRule(xh, dsw, normals, mapping.phys(e, xh))
-
-        Fb, _ = mapping.jacobians(e, ref_rule[0])
-        band_normals[e] = _unit_rows(_inv_transpose_apply(Fb, ghat))
+    d = seg[:, 1] - seg[:, 0]
+    xh = seg[:, None, 0] + seg_pts[None, :, None] * d[:, None]
+    F, _ = mapping.jacobians(cut, xh)
+    dsw = seg_wts * np.linalg.norm(np.einsum("eqij,ej->eqi", F, d), axis=-1)
+    bad = cut[~(dsw > 0).all(axis=-1)]
+    if bad.size:
+        raise GeometryError(f"degenerate interface segment on element {bad[0]}")
+    ghat = phi_p1.ref_gradient(cut)[:, None]
+    normals = _unit_rows(_inv_transpose_apply(F, ghat))
+    interface = InterfaceRule(cut, xh, dsw, normals, mapping.phys(cut, xh))
+    Fb, _ = mapping.jacobians(cut, ref_rule[0])
+    band_normals = _unit_rows(_inv_transpose_apply(Fb, ghat))
 
     quad = CutQuadrature(
         am=am, sets=sets, phi_p1=phi_p1, mapping=mapping, order=order,
         patch_order=patch_order, inside_elems=inside, cut_elems=cut,
-        ref_rule=ref_rule, patch_rule=patch_rule, cut_parts=cut_parts,
-        interface=interface, band_normals=band_normals,
-        area_inside=0.0, area_bulk=0.0, interface_length=0.0,
+        ref_rule=ref_rule, patch_rule=patch_rule, cut_groups=cut_groups,
+        interface_rule=interface, band_normals=band_normals,
+        area_inside=0.0, area_bulk=0.0, interface_length=float(dsw.sum()),
     )
-
-    area = 0.0
-    for e, xh, w in quad.volume_items():
-        _, J = mapping.jacobians(e, xh)
-        if not (J > 0).all():
-            raise GeometryError(f"nonpositive Jacobian in volume rule of element {e}")
-        area += float(w @ J)
-    quad.area_inside = area
-    pts, wts = ref_rule
-    _, Jb = mapping.jacobians_shared(sets.active_children, pts)
-    quad.area_bulk = float((Jb @ wts).sum())
-    quad.interface_length = float(sum(r.weights.sum() for r in interface.values()))
+    for elems, xh, w in quad.volume_groups():
+        _, J = mapping.jacobians(elems, xh)
+        bad = elems[(J <= 0).any(axis=-1)]
+        if bad.size:
+            raise GeometryError(
+                f"nonpositive Jacobian in volume rule of element {bad[0]}")
+        quad.area_inside += float((w * J).sum())
+    for elems, xh, w in quad.bulk_groups():
+        quad.area_bulk += float((w * mapping.jacobians(elems, xh)[1]).sum())
     return quad

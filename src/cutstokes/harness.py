@@ -327,32 +327,29 @@ def compute_errors(state: LevelState) -> dict:
 
     area = vol_p = 0.0
     l2u = h1u = l2p = h1p = 0.0
-    for e, xh, w in equad.volume_items():
-        _, J = mp.jacobians(e, xh)
-        wj = w * J
-        x = mp.phys(e, xh)
-        uv, ug, _ = state.uh.at(e, xh)
-        l2u += float(wj @ ((uv - exact.u(x)) ** 2).sum(1))
-        h1u += float(wj @ ((ug - exact.grad_u(x)) ** 2).sum((1, 2)))
-        pv, pg = state.pstar.at(e, xh)
+    for elems, xh, w in equad.volume_groups():
+        wj = (w * mp.jacobians(elems, xh)[1]).ravel()
+        x = mp.phys(elems, xh).reshape(-1, 2)
+        uv, ug, _ = state.uh.at(elems, xh)
+        l2u += float(wj @ ((uv.reshape(-1, 2) - exact.u(x)) ** 2).sum(1))
+        h1u += float(wj @ ((ug.reshape(-1, 2, 2) - exact.grad_u(x)) ** 2).sum((1, 2)))
+        pv, pg = state.pstar.at(elems, xh)
+        dp = exact.p(x) - pv.ravel()
         area += float(wj.sum())
-        vol_p += float(wj @ (exact.p(x) - pv))
-        l2p += float(wj @ (exact.p(x) - pv) ** 2)
-        h1p += float(wj @ ((pg - exact.grad_p(x)) ** 2).sum(1))
+        vol_p += float(wj @ dp)
+        l2p += float(wj @ dp ** 2)
+        h1p += float(wj @ ((pg.reshape(-1, 2) - exact.grad_p(x)) ** 2).sum(1))
     shift = vol_p / area
     # ||p* - (p - mean)||^2 = ||p* - p||^2 - area * mean^2 by orthogonality
     l2p = max(l2p - area * shift ** 2, 0.0)
 
     l2d = 0.0
-    for e, xh, w in equad.bulk_items():
-        _, J = mp.jacobians(e, xh)
-        _, _, dv = state.uh.at(e, xh)
-        l2d += float((w * J) @ dv ** 2)
+    for elems, xh, w in equad.bulk_groups():
+        _, _, dv = state.uh.at(elems, xh)
+        l2d += float(((w * mp.jacobians(elems, xh)[1]) * dv ** 2).sum())
 
-    max_phi = 0.0
-    for rule in equad.interface.values():
-        vals = exact.levelset.value(rule.xphys)
-        max_phi = max(max_phi, float(np.abs(vals).max()))
+    vals = exact.levelset.value(equad.interface_rule.xphys.reshape(-1, 2))
+    max_phi = float(np.abs(vals).max(initial=0.0))
 
     return {"l2u": np.sqrt(l2u), "h1u": np.sqrt(h1u),
             "l2p_star": np.sqrt(l2p), "h1p_star": np.sqrt(h1p),
@@ -552,26 +549,13 @@ def write_vtk(path: str, state: LevelState) -> None:
     sampled on its degree-k lattice (points are duplicated across cells)."""
     k = state.cfg.k
     xhat, tloc = _lattice(k)
-    mp = state.quad.mapping
     elems = state.quad.sets.active_children
+    P = state.quad.mapping.phys(elems, xhat).reshape(-1, 2)
+    U = state.uh.at(elems, xhat)[0].reshape(-1, 2)
+    Q = state.pstar.at(elems, xhat, derivs=False)[0].ravel()
+    cells = tloc + xhat.shape[0] * np.arange(elems.size)[:, None, None]
 
-    pts, cells, uvals, pvals = [], [], [], []
-    off = 0
-    for e in elems:
-        e = int(e)
-        x = mp.phys(e, xhat)
-        uv, _, _ = state.uh.at(e, xhat)
-        pv, _ = state.pstar.at(e, xhat, derivs=False)
-        pts.append(x)
-        uvals.append(uv)
-        pvals.append(pv)
-        cells.append(tloc + off)
-        off += x.shape[0]
-    P = np.vstack(pts)
-    U = np.vstack(uvals)
-    Q = np.concatenate(pvals)
-
-    lines = _vtk_mesh("cutstokes fields", P, np.vstack(cells))
+    lines = _vtk_mesh("cutstokes fields", P, cells.reshape(-1, 3))
     lines.append(f"POINT_DATA {P.shape[0]}")
     lines.append("VECTORS velocity double")
     lines += [f"{_fmt(a)} {_fmt(b)} 0.0" for a, b in U]
@@ -586,7 +570,7 @@ def write_geometry(path_prefix: str, quad: CutQuadrature) -> None:
     as a VTK file, and the interface quadrature as an x y nx ny w table."""
     elems = quad.sets.active_children
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    P = np.vstack([quad.mapping.phys(int(e), corners) for e in elems])
+    P = quad.mapping.phys(elems, corners).reshape(-1, 2)
     T = np.arange(P.shape[0]).reshape(-1, 3)
 
     lines = _vtk_mesh("cutstokes geometry", P, T)
@@ -596,11 +580,8 @@ def write_geometry(path_prefix: str, quad: CutQuadrature) -> None:
     lines += [str(c) for c in quad.sets.child_class[elems]]
     _write_text(path_prefix + "_mesh.vtk", lines)
 
-    rows = ["# x y nx ny w"]
-    for e in sorted(quad.interface):
-        r = quad.interface[e]
-        for q in range(r.xphys.shape[0]):
-            rows.append(" ".join(_fmt(v) for v in
-                        (r.xphys[q, 0], r.xphys[q, 1],
-                         r.normals[q, 0], r.normals[q, 1], r.weights[q])))
+    r = quad.interface_rule
+    table = np.column_stack([r.xphys.reshape(-1, 2), r.normals.reshape(-1, 2),
+                             r.weights.ravel()])
+    rows = ["# x y nx ny w"] + [" ".join(_fmt(v) for v in row) for row in table]
     _write_text(path_prefix + "_interface.data", rows)

@@ -207,9 +207,6 @@ class AlfeldMesh:
     def child_vertices(self, e) -> np.ndarray:
         return self.vertices[self.children[e]]
 
-    def child_areas(self) -> np.ndarray:
-        return 0.5 * _orientations(self.vertices, self.children)
-
     def lagrange_nodes(self, degree: int) -> NodeSet:
         if degree in self._nodes:
             return self._nodes[degree]

@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import (FormParams, _Triplets, _sym, assemble_ghost_penalty)
-from .geometry import CutQuadrature
+from .forms import (FormParams, _Triplets, _local, _scatter, _sym,
+                    assemble_ghost_penalty)
+from .geometry import CutQuadrature, _pointwise
 from .solver import solve_direct
 from .spaces import ContinuousPressureSpace, VelocityField, scalar_tables
 
@@ -53,27 +54,23 @@ def recover_pressure(params: FormParams, quad: CutQuadrature,
     tri = _Triplets()
     rhs = np.zeros(n)
     mean = np.zeros(n)
-    for e, xh, w in quad.volume_items():
-        e = int(e)
-        _, J = mp.jacobians(e, xh)
-        val, grad = scalar_tables(qs, e, xh)
-        wj = w * J
-        loc = _sym(np.einsum("q,qij,qkj->ik", wj, grad, grad))
-        dofs = qs.elem_dofs[qs.element_row[e]]
-        tri.add(dofs, dofs, loc)
-        fx = np.asarray(f(mp.phys(e, xh)), dtype=float)
-        rhs[dofs] += np.einsum("q,qij,qj->i", wj, grad, fx)
-        mean[dofs] += wj @ val
+    for elems, xh, w in quad.volume_groups():
+        wj = w * mp.jacobians(elems, xh)[1]
+        val, grad = scalar_tables(qs, elems, xh)
+        dofs = qs.elem_dofs[qs.element_row[elems]]
+        tri.add(dofs, dofs, _sym(_local(wj, grad, grad)))
+        fx = _pointwise(f, mp.phys(elems, xh))
+        rhs += _scatter(n, dofs, np.einsum("eq,eqij,eqj->ei", wj, grad, fx))
+        mean += _scatter(n, dofs, np.einsum("eq,eqi->ei", wj, val))
 
-    for e, rule in quad.interface.items():
-        _, gu, _ = uh.at(e, rule.xhat)
-        wcurl = gu[:, 1, 0] - gu[:, 0, 1]
-        _, grad = scalar_tables(qs, e, rule.xhat)
-        rot = (rule.normals[:, 1, None] * grad[:, :, 0]
-               - rule.normals[:, 0, None] * grad[:, :, 1])
-        dofs = qs.elem_dofs[qs.element_row[e]]
-        rhs[dofs] += curl_sign * np.einsum("q,q,qi->i",
-                                           rule.weights, wcurl, rot)
+    r = quad.interface_rule
+    _, gu, _ = uh.at(r.elems, r.xhat)
+    wcurl = gu[..., 1, 0] - gu[..., 0, 1]
+    _, grad = scalar_tables(qs, r.elems, r.xhat)
+    rot = (r.normals[..., 1, None] * grad[..., 0]
+           - r.normals[..., 0, None] * grad[..., 1])
+    rhs += _scatter(n, qs.elem_dofs[qs.element_row[r.elems]],
+                    curl_sign * np.einsum("eq,eq,eqi->ei", r.weights, wcurl, rot))
 
     K = tri.matrix(n, n)
     K = K + assemble_ghost_penalty(params, quad, qs,

@@ -100,7 +100,8 @@ class ReferenceElement:
     The nodal basis is represented through monomials centered at the
     centroid, which keeps the node Vandermonde well conditioned for the
     degrees used here.  `eval`, `grad` and `hess` accept arbitrary points,
-    including points outside the triangle (needed for patch extensions).
+    including points outside the triangle (needed for patch extensions), in
+    arrays of shape (..., 2); the tables keep the leading axes.
     """
 
     def __init__(self, degree: int):
@@ -115,36 +116,36 @@ class ReferenceElement:
 
     def _monomials(self, pts: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        x = pts[:, 0] - 1.0 / 3.0
-        y = pts[:, 1] - 1.0 / 3.0
+        x = pts[..., 0] - 1.0 / 3.0
+        y = pts[..., 1] - 1.0 / 3.0
         p = self._exps[:, 0]
         q = self._exps[:, 1]
-        out = np.zeros((pts.shape[0], self.n_basis))
+        out = np.zeros(pts.shape[:-1] + (self.n_basis,))
         for m in range(self.n_basis):
             pm, qm = p[m] - dx, q[m] - dy
             if pm < 0 or qm < 0:
                 continue
             cp = np.prod(np.arange(p[m], pm, -1)) if dx else 1.0
             cq = np.prod(np.arange(q[m], qm, -1)) if dy else 1.0
-            out[:, m] = cp * cq * x**pm * y**qm
+            out[..., m] = cp * cq * x**pm * y**qm
         return out
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Basis values, shape (npts, n_basis)."""
+        """Basis values, shape (..., n_basis)."""
         return self._monomials(pts) @ self._coef
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        """Basis gradients, shape (npts, n_basis, 2)."""
+        """Basis gradients, shape (..., n_basis, 2)."""
         gx = self._monomials(pts, dx=1) @ self._coef
         gy = self._monomials(pts, dy=1) @ self._coef
         return np.stack([gx, gy], axis=-1)
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
-        """Basis second derivatives, shape (npts, n_basis, 2, 2)."""
+        """Basis second derivatives, shape (..., n_basis, 2, 2)."""
         hxx = self._monomials(pts, dx=2) @ self._coef
         hxy = self._monomials(pts, dx=1, dy=1) @ self._coef
         hyy = self._monomials(pts, dy=2) @ self._coef
-        h = np.empty((hxx.shape[0], self.n_basis, 2, 2))
+        h = np.empty(hxx.shape + (2, 2))
         h[..., 0, 0] = hxx
         h[..., 0, 1] = hxy
         h[..., 1, 0] = hxy

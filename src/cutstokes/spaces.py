@@ -6,6 +6,13 @@ carries the divergence to the reference element exactly.  Pressures (degree
 k-1, discontinuous), interface multipliers and the continuous post-process
 pressure space are mapped by composition.  Degrees of freedom are physical
 nodal values throughout.
+
+Basis tables and field evaluations follow the element-array convention of
+`geometry`: one child index or an array of ne of them, at reference points
+shared, shape (nq, 2), or per element, shape (ne, nq, 2); an array adds a
+leading ne axis to every result.  A field is contracted with its local
+coefficients on the reference element before it is mapped, so evaluating it
+never builds per-basis tables.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, MappingData
+from .geometry import GeometryError, MappingData, _batch, _pointwise, _unbatch
 from .meshing import AlfeldMesh, ElementSets
 from .reference import ReferenceElement, reference_element, reference_nodes
 
@@ -73,7 +80,7 @@ class VelocitySpace:
         self.elem_dofs[:, 0::2] = 2 * loc
         self.elem_dofs[:, 1::2] = 2 * loc + 1
 
-        F, J = mapping.jacobians_shared(self.elements, reference_nodes(degree))
+        F, J = mapping.jacobians(self.elements, reference_nodes(degree))
         if (J <= 0).any():
             bad = self.elements[np.where(J <= 0)[0][0]]
             raise GeometryError(f"element map not orientation preserving on element {bad}")
@@ -101,52 +108,52 @@ class VelocitySpace:
         pos += self.mapping.deformation.node_disp[self.nodes]
         return pos
 
-    def boundary_dofs(self) -> np.ndarray:
-        """Dofs of nodes lying on the boundary of the active mesh."""
-        ids = []
-        for fid in self.sets.active_boundary_facets:
-            ids.append(self.node_set.facet_nodes(self.am, int(fid)))
-        gids = np.unique(np.concatenate(ids)) if ids else np.array([], dtype=np.int64)
-        cg = self._comp[gids]
-        cg = cg[cg >= 0]
-        return np.concatenate([2 * cg, 2 * cg + 1])
+
+def _rows(space, elems: np.ndarray) -> np.ndarray:
+    """Rows of `elems` in the space's element arrays; inactive ones raise."""
+    r = space.element_row[elems]
+    if (r < 0).any():
+        raise ValueError(f"element {elems[r < 0][0]} is not active")
+    return r
 
 
-def velocity_tables(vs: VelocitySpace, e: int, xhat: np.ndarray,
-                    derivs: bool = True):
-    """Local velocity basis tables at reference points of child `e`.
+def velocity_tables(vs: VelocitySpace, e, xhat: np.ndarray, derivs: bool = True):
+    """Local velocity basis tables at reference points of child(ren) `e`.
 
-    Returns (val, grad, div): shapes (nq, 2*n_k, 2), (nq, 2*n_k, 2, 2) and
-    (nq, 2*n_k); `grad` is None when derivs is False.  Dof ordering is node
-    major, component minor, matching `elem_dofs`.
+    Returns (val, grad, div): shapes (..., nq, 2*n_k, 2),
+    (..., nq, 2*n_k, 2, 2) and (..., nq, 2*n_k); `grad` is None when derivs
+    is False.  Dof ordering is node major, component minor, matching
+    `elem_dofs`.  The divergence comes from the reference identity
+    div v = (1/J) div_ref v_ref, not from the gradient trace.
     """
-    xhat = np.atleast_2d(xhat)
-    r = vs.element_row[e]
-    if r < 0:
-        raise ValueError(f"element {e} is not active")
-    psi = vs.ref.eval(xhat)
+    elems, xhat, scalar = _batch(e, xhat)
+    geo = vs.mapping.jacobians(elems, xhat, derivs=derivs)
+    F, J = geo[:2]
+    # W[e, m, c, :] = B_m e_c: the reference field of dof (m, c) is psi_m W[m, c]
+    W = np.swapaxes(vs.nodal_blocks[_rows(vs, elems)], -1, -2)[:, None]
+    psi = vs.ref.eval(xhat)[..., None, None]
     dpsi = vs.ref.grad(xhat)
-    nq, n_k = psi.shape
-    B = vs.nodal_blocks[r]                       # (n_k, 2, 2)
-    W = np.transpose(B, (0, 2, 1))               # W[m, c, :] = B[m] @ e_c
-    if derivs:
-        F, J, dF, dJ = vs.mapping.jacobians(e, xhat, derivs=True)
-    else:
-        F, J = vs.mapping.jacobians(e, xhat)
-    FW = np.einsum("qik,mck->qmci", F, W)
-    val = psi[:, :, None, None] * FW / J[:, None, None, None]
-    div = np.einsum("qmi,mci->qmc", dpsi, W) / J[:, None, None]
+    Jq = J[:, :, None, None, None]
+    # (F W)_ci = F_ik W_ck, before psi and without fused multiply-adds: on
+    # undeformed children F W = det(A) I exactly, so the tables keep the
+    # exact zeros of the affine Lagrange basis (and the matrices their
+    # sparsity)
+    Fq = F[:, :, None, None]
+    FW = W[..., :, None, 0] * Fq[..., 0] + W[..., :, None, 1] * Fq[..., 1]
+    val = psi * FW / Jq
+    div = (W @ dpsi[..., None])[..., 0] / Jq[..., 0]
+    shape = val.shape[:2] + (vs.n_local,)
     grad = None
     if derivs:
-        Finv = _adjugate(F) / J[:, None, None]
-        dFW = np.einsum("qiks,mck->qmcis", dF, W)
-        Jq = J[:, None, None, None, None]
-        up = (-psi[:, :, None, None, None] * FW[..., None]
-              * dJ[:, None, None, None, :] / Jq ** 2
-              + psi[:, :, None, None, None] * dFW / Jq
-              + np.einsum("qms,qmci->qmcis", dpsi, FW) / Jq)
-        grad = np.einsum("qmcis,qsj->qmcij", up, Finv).reshape(nq, 2 * n_k, 2, 2)
-    return (val.reshape(nq, 2 * n_k, 2), grad, div.reshape(nq, 2 * n_k))
+        dF, dJ = geo[2:]
+        # (dF W)_cis = dF_iks W_ck with dF arranged as (k, (i, s))
+        dFW = W @ np.swapaxes(dF, 2, 3).reshape(J.shape + (1, 2, 4))
+        up = ((dpsi[..., None, None, :] * FW[..., None]
+               + psi[..., None] * dFW.reshape(FW.shape + (2,))) / Jq[..., None]
+              - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
+        Finv = _adjugate(F) / J[..., None, None]
+        grad = (up @ Finv[:, :, None, None]).reshape(shape + (2, 2))
+    return _unbatch(scalar, val.reshape(shape + (2,)), grad, div.reshape(shape))
 
 
 class PressureSpace:
@@ -193,14 +200,11 @@ class _NodalScalarSpace:
 
     def node_positions(self) -> np.ndarray:
         pos = self.node_set.coords[self.nodes].copy()
-        disp = self.mapping.deformation.node_disp
         if self.degree == self.mapping.degree:
-            pos += disp[self.nodes]
+            pos += self.mapping.deformation.node_disp[self.nodes]
         else:
-            for row, e in enumerate(self.elements):
-                loc = self.elem_dofs[row]
-                ref = reference_nodes(self.degree)
-                pos[loc] = self.mapping.phys(int(e), ref)
+            pos[self.elem_dofs] = self.mapping.phys(self.elements,
+                                                    reference_nodes(self.degree))
         return pos
 
 
@@ -226,31 +230,41 @@ class ContinuousPressureSpace(_NodalScalarSpace):
         self.sets = sets
 
 
-def scalar_tables(space, e: int, xhat: np.ndarray, derivs: bool = True):
-    """Composition-mapped scalar basis tables: values (nq, n) and physical
-    gradients (nq, n, 2) on child `e`."""
-    xhat = np.atleast_2d(xhat)
-    psi = space.ref.eval(xhat)
-    if not derivs:
-        return psi, None
-    dpsi = space.ref.grad(xhat)
-    F, J = space.mapping.jacobians(e, xhat)
-    Finv = _adjugate(F) / J[:, None, None]
-    grad = np.einsum("qms,qsj->qmj", dpsi, Finv)
-    return psi, grad
+def scalar_tables(space, e, xhat: np.ndarray, derivs: bool = True):
+    """Composition-mapped scalar basis tables on child(ren) `e`: values
+    (..., nq, n) and physical gradients (..., nq, n, 2), None without derivs."""
+    elems, xhat, scalar = _batch(e, xhat)
+    psi = np.broadcast_to(space.ref.eval(xhat),
+                          (elems.size,) + xhat.shape[1:2] + (space.ref.n_basis,))
+    grad = None
+    if derivs:
+        F, J = space.mapping.jacobians(elems, xhat)
+        grad = space.ref.grad(xhat) @ (_adjugate(F) / J[..., None, None])
+    return _unbatch(scalar, psi, grad)
 
 
-def eval_velocity(vs: VelocitySpace, e: int, coeffs: np.ndarray, xhat: np.ndarray):
-    """Evaluate a velocity field given its local dof values on child `e`.
+def eval_velocity(vs: VelocitySpace, e, coeffs: np.ndarray, xhat: np.ndarray):
+    """Evaluate a velocity field given its local dof values on child(ren) `e`,
+    coeffs of shape (..., 2*n_k).
 
-    Returns (value, gradient, divergence) with shapes (nq, 2), (nq, 2, 2),
-    (nq,).  The divergence comes from the reference identity
-    div v = (1/J) div_ref v_ref, not from the gradient trace.
+    Returns (value, gradient, divergence) with shapes (..., nq, 2),
+    (..., nq, 2, 2), (..., nq).  The nodal values are turned into reference
+    coefficients a_m = B_m c_m first, and only the resulting reference field
+    v_ref is Piola mapped; the divergence is (1/J) div_ref v_ref.
     """
-    val, grad, div = velocity_tables(vs, e, xhat)
-    return (np.einsum("qdi,d->qi", val, coeffs),
-            np.einsum("qdij,d->qij", grad, coeffs),
-            np.einsum("qd,d->q", div, coeffs))
+    elems, xhat, scalar = _batch(e, xhat)
+    F, J, dF, dJ = vs.mapping.jacobians(elems, xhat, derivs=True)
+    c = np.asarray(coeffs).reshape(elems.size, -1, 2)
+    a = np.einsum("emkc,emc->emk", vs.nodal_blocks[_rows(vs, elems)], c)
+    vref = np.einsum("eqm,emk->eqk", vs.ref.eval(xhat), a)
+    dref = np.einsum("eqms,emk->eqks", vs.ref.grad(xhat), a)
+    Jq = J[..., None]
+    val = (F @ vref[..., None])[..., 0] / Jq
+    div = (dref[..., 0, 0] + dref[..., 1, 1]) / J
+    up = ((np.einsum("eqiks,eqk->eqis", dF, vref) + F @ dref) / Jq[..., None]
+          - val[..., None] * (dJ / Jq)[:, :, None, :])
+    grad = up @ (_adjugate(F) / Jq[..., None])
+    return _unbatch(scalar, val, grad, div)
 
 
 @dataclass
@@ -258,10 +272,10 @@ class VelocityField:
     space: VelocitySpace
     coeffs: np.ndarray
 
-    def local_coeffs(self, e: int) -> np.ndarray:
-        return self.coeffs[self.space.elem_dofs[self.space.element_row[e]]]
+    def local_coeffs(self, e) -> np.ndarray:
+        return self.coeffs[self.space.elem_dofs[_rows(self.space, np.asarray(e))]]
 
-    def at(self, e: int, xhat: np.ndarray):
+    def at(self, e, xhat: np.ndarray):
         return eval_velocity(self.space, e, self.local_coeffs(e), xhat)
 
 
@@ -270,15 +284,22 @@ class ScalarField:
     space: object
     coeffs: np.ndarray
 
-    def local_coeffs(self, e: int) -> np.ndarray:
-        return self.coeffs[self.space.elem_dofs[self.space.element_row[e]]]
+    def local_coeffs(self, e) -> np.ndarray:
+        return self.coeffs[self.space.elem_dofs[_rows(self.space, np.asarray(e))]]
 
-    def at(self, e: int, xhat: np.ndarray, derivs: bool = True):
-        val, grad = scalar_tables(self.space, e, xhat, derivs=derivs)
-        c = self.local_coeffs(e)
+    def at(self, e, xhat: np.ndarray, derivs: bool = True):
+        """Value (..., nq) and physical gradient (..., nq, 2), None without
+        derivs; the coefficients are contracted on the reference element."""
+        elems, xhat, scalar = _batch(e, xhat)
+        space = self.space
+        c = self.local_coeffs(elems)
+        val = np.einsum("eqm,em->eq", space.ref.eval(xhat), c)
+        grad = None
         if derivs:
-            return val @ c, np.einsum("qmj,m->qj", grad, c)
-        return val @ c, None
+            F, J = space.mapping.jacobians(elems, xhat)
+            dref = np.einsum("eqms,em->eqs", space.ref.grad(xhat), c)
+            grad = np.einsum("eqs,eqsj->eqj", dref, _adjugate(F) / J[..., None, None])
+        return _unbatch(scalar, val, grad)
 
 
 def interpolate_velocity(vs: VelocitySpace, v) -> np.ndarray:
@@ -295,8 +316,7 @@ def interpolate_scalar(space, f) -> np.ndarray:
     per-element composition interpolant (discontinuous pressure space)."""
     if isinstance(space, PressureSpace):
         out = np.empty(space.n_dofs)
-        rn = reference_nodes(space.degree)
-        for row, e in enumerate(space.elements):
-            out[space.elem_dofs[row]] = np.asarray(f(space.mapping.phys(int(e), rn)))
+        x = space.mapping.phys(space.elements, reference_nodes(space.degree))
+        out[space.elem_dofs] = _pointwise(f, x)
         return out
     return np.asarray(f(space.node_positions()), dtype=float)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
+from cutstokes.meshing import (_orientations, alfeld_split, build_background_mesh,
+                               classify_elements)
 from cutstokes.geometry import (GeometryError, LevelSet, interpolate_p1,
                                 build_deformation, build_quadratures)
 from cutstokes.harness import StudyConfig, exact_example1, solve_level
@@ -41,6 +42,41 @@ def inverse_map(mapping, e: int, x: np.ndarray,
         F, _ = mapping.jacobians(e, xh[None, :])
         xh = xh - np.linalg.solve(F[0], r)
     raise GeometryError(f"inverse map did not converge on element {e}")
+
+
+def gradient_fd_error(ls: LevelSet, pts: np.ndarray, step: float = 1e-6) -> float:
+    """Max relative mismatch between `ls.gradient` and central differences."""
+    pts = np.atleast_2d(pts)
+    g = ls.gradient(pts)
+    fd = np.empty_like(g)
+    for j in range(2):
+        dp = np.zeros(2)
+        dp[j] = step
+        fd[:, j] = (ls.value(pts + dp) - ls.value(pts - dp)) / (2 * step)
+    scale = np.maximum(np.linalg.norm(g, axis=1), 1e-12)
+    return float((np.linalg.norm(g - fd, axis=1) / scale).max())
+
+
+def eval_ref(phi, e: int, xhat: np.ndarray) -> np.ndarray:
+    """Values of the P1 level set `phi` at reference coordinates of child e."""
+    v = phi.child_values(e)
+    xhat = np.atleast_2d(xhat)
+    return v[0] * (1 - xhat[:, 0] - xhat[:, 1]) + v[1] * xhat[:, 0] + v[2] * xhat[:, 1]
+
+
+def child_areas(am) -> np.ndarray:
+    """Signed areas of the Alfeld children."""
+    return 0.5 * _orientations(am.vertices, am.children)
+
+
+def boundary_dofs(vs) -> np.ndarray:
+    """Velocity dofs of the nodes lying on the boundary of the active mesh."""
+    ids = [vs.node_set.facet_nodes(vs.am, int(fid))
+           for fid in vs.sets.active_boundary_facets]
+    gids = np.unique(np.concatenate(ids)) if ids else np.array([], dtype=np.int64)
+    cg = vs._comp[gids]
+    cg = cg[cg >= 0]
+    return np.concatenate([2 * cg, 2 * cg + 1])
 
 
 @pytest.fixture(scope="session")

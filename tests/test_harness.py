@@ -253,3 +253,41 @@ def test_cli_config_file(tmp_path):
     assert os.path.exists(os.path.join(out, "converge_ex1_p1.data"))
     got = read_config(os.path.join(out, "converge_ex1_p1.manifest"))
     assert got.h0 == 0.6 and got.geom == "p1" and got.levels == 1
+
+
+# ---------------------------------------------------------------------------
+# the example-1 study and the no-flow comparison
+
+# example 1, ho, levels 0-1: the norms before the element-array evaluation
+PINNED_NORMS = (
+    {"l2u": 0.1308798429623409, "h1u": 2.3016201151239906,
+     "l2p_star": 1.7495228724654577, "h1p_star": 10.64967771352964},
+    {"l2u": 0.019431223897440786, "h1u": 0.7518572212855871,
+     "l2p_star": 0.684135459454699, "h1p_star": 6.687732952410549},
+)
+
+
+def test_study_norms_pinned(ex1_ho_study):
+    for row, want in zip(ex1_ho_study, PINNED_NORMS):
+        for name, ref in want.items():
+            got = getattr(row, name)
+            assert abs(got - ref) <= 1e-10 * ref, (row.lvl, name, got, ref)
+
+
+def test_study_rates(ex1_ho_study):
+    # k=2: L2 velocity k+1, H1 velocity k, divergence at round-off
+    rows = ex1_ho_study
+    assert all(r.l2div <= 1e-10 for r in rows), [r.l2div for r in rows]
+    l2 = compute_eoc([r.l2u for r in rows])[1:]
+    h1 = compute_eoc([r.h1u for r in rows])[1:]
+    assert len(l2) == 3
+    assert min(l2) >= 2.7, l2
+    assert min(h1) >= 1.8, h1
+
+
+def test_multiplier_degree_pressure_robustness():
+    # no-flow case (u = 0, f = grad p): the velocity error is pure pressure
+    # pollution, and the degree-2 multiplier must keep it smaller
+    l2u = {kl: [r.l2u for r in run_convergence(
+        StudyConfig(example=2, k_lambda=kl, levels=3))] for kl in (1, 2)}
+    assert all(b < a for a, b in zip(l2u[1], l2u[2])), l2u

@@ -55,6 +55,21 @@ def test_affine_elements_reduce_to_lagrange(case):
         assert np.abs(val - want).max() < 1e-13
 
 
+def test_undeformed_tables_keep_exact_zeros(case):
+    # on undeformed children the Piola basis is the componentwise Lagrange
+    # basis: its off-component entries must be exact zeros, also inside a
+    # group that holds deformed children, or every assembled matrix gains
+    # round-off entries and its LU more fill
+    am, phi, sets, defo, quad, vs = case
+    inside = quad.inside_elems
+    plain = ~quad.mapping.is_deformed[inside]
+    assert plain.any() and not plain.all()
+    val, grad, _ = velocity_tables(vs, inside, quad.ref_rule[0])
+    val, grad = val[plain], grad[plain]
+    assert (val[..., 0::2, 1] == 0).all() and (val[..., 1::2, 0] == 0).all()
+    assert (grad[..., 0::2, 1, :] == 0).all() and (grad[..., 1::2, 0, :] == 0).all()
+
+
 def test_constant_field_on_undeformed_element(case):
     am, phi, sets, defo, quad, vs = case
     e = int(sets.alfeld_interior[0])
@@ -217,3 +232,81 @@ def test_nearly_singular_blocks_rejected():
     mapping = MappingData(am, defo)
     with pytest.raises(GeometryError, match="singular|orientation"):
         VelocitySpace(am, sets, mapping, 2)
+
+
+def _mixed_group(quad):
+    """One element array holding undeformed and deformed inside children and
+    cut children with one- and two-triangle parts, each with its own nq
+    reference points (every other point of a two-triangle part)."""
+    mp = quad.mapping
+    pts, _ = quad.ref_rule
+    nq = pts.shape[0]
+    inside = quad.inside_elems
+    plain = inside[~mp.is_deformed[inside]][:3]
+    bent = inside[mp.is_deformed[inside]][:3]
+    parts = {xh.shape[1] // nq: (elems, xh) for elems, xh, _ in quad.cut_groups}
+    assert plain.size and bent.size and set(parts) == {1, 2}
+    one, two = parts[1], parts[2]
+    elems = np.concatenate([plain, bent, one[0][:3], two[0][:3]])
+    xhat = np.concatenate([np.broadcast_to(pts, (plain.size + bent.size, nq, 2)),
+                           one[1][:3], two[1][:3, ::2]])
+    return elems, xhat
+
+
+def _assert_rows_match(batched, single):
+    for b, s in zip(batched, single):
+        if s is None:
+            assert b is None
+            continue
+        assert b.shape == s.shape
+        assert np.abs(b - s).max() <= 1e-13 * max(np.abs(s).max(), 1.0)
+
+
+def test_batched_path_matches_per_element(case):
+    am, phi, sets, defo, quad, vs = case
+    mp = quad.mapping
+    qs = ContinuousPressureSpace(am, sets, mp, 1)
+    elems, xhat = _mixed_group(quad)
+    rng = np.random.default_rng(11)
+    uf = VelocityField(vs, rng.standard_normal(vs.n_dofs))
+    pf = ScalarField(qs, rng.standard_normal(qs.n_dofs))
+    calls = (lambda e, x: (mp.phys(e, x),),
+             lambda e, x: mp.jacobians(e, x, derivs=True),
+             lambda e, x: velocity_tables(vs, e, x),
+             lambda e, x: velocity_tables(vs, e, x, derivs=False),
+             lambda e, x: scalar_tables(qs, e, x),
+             lambda e, x: scalar_tables(qs, e, x, derivs=False),
+             uf.at, pf.at)
+    for call in calls:
+        batched = call(elems, xhat)
+        for i, e in enumerate(elems):
+            _assert_rows_match([None if b is None else b[i] for b in batched],
+                               call(int(e), xhat[i]))
+    # shared points give the same as the same points per element
+    pts = quad.ref_rule[0]
+    for call in calls:
+        _assert_rows_match(call(elems, pts),
+                           call(elems, np.broadcast_to(pts, (elems.size,) + pts.shape)))
+
+
+def test_batched_divergence_from_reference_identity(case):
+    # on deformed children div v = (1/J) div_ref(B_m c_m psi_m), not the
+    # trace of the mapped gradient
+    am, phi, sets, defo, quad, vs = case
+    mp = quad.mapping
+    elems, xhat = _mixed_group(quad)
+    bent = elems[mp.is_deformed[elems]]
+    xbent = xhat[mp.is_deformed[elems]]
+    assert bent.size >= 6
+    rng = np.random.default_rng(12)
+    uf = VelocityField(vs, rng.standard_normal(vs.n_dofs))
+    _, _, div = uf.at(bent, xbent)
+    _, _, tab = velocity_tables(vs, bent, xbent, derivs=False)
+    for i, e in enumerate(bent):
+        c = uf.local_coeffs(e).reshape(-1, 2)
+        a = np.einsum("mkc,mc->mk", vs.nodal_blocks[vs.element_row[e]], c)
+        _, J = mp.jacobians(e, xbent[i])
+        want = np.einsum("qms,ms->q", vs.ref.grad(xbent[i]), a) / J
+        scale = np.abs(want).max()
+        assert np.abs(div[i] - want).max() <= 1e-13 * scale
+        assert np.abs(tab[i] @ uf.local_coeffs(e) - want).max() <= 1e-13 * scale
