@@ -30,9 +30,11 @@ from .spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
                      interpolate_velocity, interpolate_scalar)
 from .forms import (FormParams, SaddleSystem, assemble_a, assemble_b,
                     assemble_c, assemble_ghost_penalty, assemble_j,
-                    assemble_rhs, pressure_mean_vector, build_saddle_system)
-from .solver import (Solution, SaddleFactor, SingularSystemError,
-                     solve_saddle, solve_direct, condition_estimate)
+                    assemble_rhs, pressure_mean_vector, pressure_kernel,
+                    pressure_mass_inverse, build_saddle_system)
+from .solver import (Solution, SaddleFactor, PenaltyFactor,
+                     SingularSystemError, solve_saddle, solve_direct,
+                     condition_estimate)
 from .postprocess import recover_pressure
 from .harness import (ExactCase, StudyConfig, ResultRow, exact_example1,
                       exact_example2, build_geometry, assemble_level,
@@ -52,8 +54,9 @@ __all__ = [
     "interpolate_velocity", "interpolate_scalar",
     "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
-    "pressure_mean_vector", "build_saddle_system",
-    "Solution", "SaddleFactor", "SingularSystemError", "solve_saddle",
+    "pressure_mean_vector", "pressure_kernel", "pressure_mass_inverse",
+    "build_saddle_system",
+    "Solution", "SaddleFactor", "PenaltyFactor", "SingularSystemError", "solve_saddle",
     "solve_direct", "condition_estimate",
     "recover_pressure",
     "ExactCase", "StudyConfig", "ResultRow", "exact_example1",

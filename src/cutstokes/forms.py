@@ -31,7 +31,8 @@ from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace, _adjugate,
 __all__ = [
     "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
-    "pressure_mean_vector", "build_saddle_system",
+    "pressure_mean_vector", "pressure_kernel", "pressure_mass_inverse",
+    "build_saddle_system",
 ]
 
 
@@ -313,15 +314,52 @@ def pressure_mean_vector(quad: CutQuadrature, ps: PressureSpace) -> np.ndarray:
     return out
 
 
+def pressure_kernel(quad: CutQuadrature, ps: PressureSpace) -> np.ndarray:
+    """Pressure part z_p of the null vector (0, z_p, 1) of the (u, p, lambda)
+    block: per child, the reference-measure L2 projection of the fluid
+    indicator, M_ref^-1 (integrals of the pressure basis over the fluid part
+    of the reference child).
+
+    `assemble_b` integrates on the reference element, where the divergence
+    of a Piola field has degree k-1, so (B^T z_p) . v = -(1, div v) over the
+    fluid domain = -(1, n.v) over the interface, and B^T z_p + C^T 1 = 0.
+    On inside children z_p is 1.
+    """
+    pts, wts = triangle_rule(2 * ps.degree)
+    qv = ps.ref.eval(pts)
+    mref = (qv * wts[:, None]).T @ qv
+    moments = np.zeros((ps.elements.size, ps.n_per))
+    for elems, xh, w in quad.volume_groups():
+        moments[ps.element_row[elems]] = np.einsum("...q,...qi->...i", w,
+                                                   ps.ref.eval(xh))
+    return np.linalg.solve(mref, moments.T).T.ravel()
+
+
+def pressure_mass_inverse(quad: CutQuadrature, ps: PressureSpace) -> sp.csr_matrix:
+    """Inverse of the pressure mass matrix over the active mesh; the pressure
+    is discontinuous, so it is block diagonal, one block per child."""
+    pts, wts = quad.ref_rule
+    qv = ps.ref.eval(pts)
+    _, J = quad.mapping.jacobians(ps.elements, pts)
+    blocks = np.linalg.inv(np.einsum("eq,qi,qj->eij", J * wts, qv, qv))
+    ne = ps.elements.size
+    return sp.bsr_matrix((blocks, np.arange(ne), np.arange(ne + 1)),
+                         shape=(ps.n_dofs, ps.n_dofs)).tocsr()
+
+
 @dataclass
 class SaddleSystem:
-    """Assembled symmetric system over (u, p, lambda, s)."""
+    """Assembled symmetric system over (u, p, lambda, s), with the pressure
+    data of the penalty solve: `z_p` (see `pressure_kernel`) and the inverse
+    pressure mass `mass_inv`."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_u: int
     n_p: int
     n_m: int
+    z_p: np.ndarray
+    mass_inv: sp.csr_matrix
 
     def split(self, x: np.ndarray):
         u = x[:self.n_u]
@@ -331,8 +369,8 @@ class SaddleSystem:
 
 
 def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
-                        J: sp.spmatrix, mean: np.ndarray,
-                        rhs_u: np.ndarray) -> SaddleSystem:
+                        J: sp.spmatrix, mean: np.ndarray, rhs_u: np.ndarray,
+                        z_p: np.ndarray, mass_inv: sp.spmatrix) -> SaddleSystem:
     """Assemble the blocks into one symmetric matrix.
 
     Layout [[A, B^T, C^T, 0], [B, 0, 0, m], [C, 0, J, 0], [0, m^T, 0, 0]]
@@ -340,17 +378,19 @@ def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
     values, so the result is exactly symmetric.
 
     Without the mean row and the s column the (u, p, lambda) block has one
-    null vector, (0, Pi_Q chi_{Omega_h}, 1): the pressure-space projection
-    of the fluid indicator with a constant multiplier, for which the
-    pressure and the interface flux terms cancel.  The mean row fixes its
-    amplitude.  The solver factors that block with the first multiplier dof
-    pinned, where the null vector is 1, and never factors the dense row
-    (see `solver.SaddleFactor`).
+    null vector, (0, z_p, 1): the pressure-space projection of the fluid
+    indicator with a constant multiplier, for which the pressure and the
+    interface flux terms cancel.  The mean row fixes its amplitude.  The
+    solvers never factor the dense row: `solver.solve_saddle` iterates on
+    the velocity-multiplier block with `z_p` and `mass_inv`, and
+    `solver.SaddleFactor` pins the first multiplier dof, where the null
+    vector is 1.
     """
     n_u, n_p, n_m = A.shape[0], B.shape[0], C.shape[0]
     if (A.shape != (n_u, n_u) or B.shape != (n_p, n_u)
             or C.shape != (n_m, n_u) or J.shape != (n_m, n_m)
-            or mean.shape != (n_p,) or rhs_u.shape != (n_u,)):
+            or mean.shape != (n_p,) or rhs_u.shape != (n_u,)
+            or z_p.shape != (n_p,) or mass_inv.shape != (n_p, n_p)):
         raise ValueError("saddle blocks have inconsistent dimensions")
     mcol = sp.csr_matrix(mean.reshape(-1, 1))
     M = sp.bmat([[A, B.T, C.T, None],
@@ -359,4 +399,4 @@ def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
                  [None, mcol.T, None, None]], format="csr")
     rhs = np.zeros(M.shape[0])
     rhs[:n_u] = rhs_u
-    return SaddleSystem(M, rhs, n_u, n_p, n_m)
+    return SaddleSystem(M, rhs, n_u, n_p, n_m, z_p, sp.csr_matrix(mass_inv))

@@ -136,8 +136,9 @@ class IsoDeformation:
             raise GeometryError(f"deformation inverts element {int(bad[0])}")
 
 
-def _newton_bisect(g, dg, lo: float, hi: float, where: str) -> float:
-    """Root of g in [lo, hi]: Newton from 0 with bisection fallback."""
+def _newton_bisect(g, dg, lo: float, hi: float) -> float:
+    """Root of g in [lo, hi]: Newton from 0 with bisection fallback; the
+    caller adds where the root was sought to the error."""
     x = 0.0
     gx = g(x)
     if abs(gx) <= ROOT_TOL:
@@ -157,7 +158,7 @@ def _newton_bisect(g, dg, lo: float, hi: float, where: str) -> float:
             step_ok = lo <= xn <= hi
         if not step_ok:
             if not have_bracket:
-                raise GeometryError(f"root not bracketed in [{lo:.3e}, {hi:.3e}] at {where}")
+                raise GeometryError(f"root not bracketed in [{lo:.3e}, {hi:.3e}]")
             xn = 0.5 * (blo + bhi)
         x = xn
         gx = g(x)
@@ -168,7 +169,7 @@ def _newton_bisect(g, dg, lo: float, hi: float, where: str) -> float:
                 bhi = x
             else:
                 blo = x
-    raise GeometryError(f"root solve did not converge at {where}")
+    raise GeometryError("root solve did not converge")
 
 
 def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
@@ -219,7 +220,6 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
                 raise GeometryError(f"vanishing level-set gradient at node {gid}")
             G = grads[m] / gn
             GA = Ainv @ G
-            where = f"node {gid} at {pos[m]}"
 
             def g(d, m=m, GA=GA):
                 xh = xref[m] + d * GA
@@ -231,10 +231,10 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
                 return float((gr.T @ interp_vals) @ GA)
 
             try:
-                delta = _newton_bisect(g, dg, lo, hi, where)
-            except GeometryError:
+                delta = _newton_bisect(g, dg, lo, hi)
+            except GeometryError as err:
                 if not allow_unresolved:
-                    raise
+                    raise GeometryError(f"{err} at node {gid} at {pos[m]}") from None
                 # the local interpolant cannot reach the target inside the
                 # bracket (tight concave bends do this on coarse levels);
                 # the exact level set, which it approximates, may still
@@ -247,7 +247,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
                     return float(ls.gradient(pos[m] + d * G)[0] @ G)
 
                 try:
-                    delta = _newton_bisect(ge, dge, lo, hi, where)
+                    delta = _newton_bisect(ge, dge, lo, hi)
                 except GeometryError:
                     failures["exact"] += 1
                     kept.add(int(gid))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .forms import (FormParams, assemble_a, assemble_b, assemble_c,
                     assemble_ghost_penalty, assemble_j, assemble_rhs,
-                    build_saddle_system, pressure_mean_vector)
+                    build_saddle_system, pressure_kernel,
+                    pressure_mass_inverse, pressure_mean_vector)
 from .geometry import (CutQuadrature, IsoDeformation, LevelSet,
                        build_deformation, build_quadratures, interpolate_p1)
 from .meshing import alfeld_split, build_background_mesh, classify_elements
@@ -277,7 +278,9 @@ def assemble_level(cfg: StudyConfig, quad: CutQuadrature, f=None):
     J = assemble_j(params, quad, ms)
     m = pressure_mean_vector(quad, ps)
     rhs = np.zeros(vs.n_dofs) if f is None else assemble_rhs(quad, vs, f)
-    return vs, ps, ms, build_saddle_system(A, B, C, J, m, rhs)
+    system = build_saddle_system(A, B, C, J, m, rhs, pressure_kernel(quad, ps),
+                                 pressure_mass_inverse(quad, ps))
+    return vs, ps, ms, system
 
 
 def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
@@ -291,8 +294,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     sol = solve_saddle(system)
     cond = float("nan")
     if cfg.with_condest:
-        cond = condition_estimate(system, seed=cfg.seed, factor=sol.factor)
-    sol.factor = None          # frees the LU before post-processing
+        cond = condition_estimate(system, seed=cfg.seed)
 
     params = cfg.form_params()
     qs = ContinuousPressureSpace(quad.am, quad.sets, quad.mapping, cfg.k - 1)

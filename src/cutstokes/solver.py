@@ -1,29 +1,48 @@
-"""Sparse direct solution of the saddle systems.
-
-SuperLU with partial pivoting handles the symmetric indefinite matrices.
-Iterative refinement then runs until the relative residual stops improving,
-which normally lands near machine precision; a solve that cannot reach 1e-9
-is rejected.  Condition numbers are estimated from eigenvalue
-magnitudes by power and inverse power iteration, both driven by Rayleigh
-quotients and a fixed-seed start vector so the traces are reproducible.
+"""Solution of the saddle systems: an iterated penalty for the solve, a
+pinned direct factor for the condition estimate.
 
 The Stokes saddle matrix is M = [[K, c], [c^T, 0]]: K is the (u, p, lambda)
 block and c = (0, m, 0) the zero-mean row of the pressure.  K alone has
-exactly one null vector, z = (0, Pi_Q chi_{Omega_h}, 1): the projection of
-the fluid indicator onto the pressure space (the discrete constant pressure
-of Omega_h, which is not constant on cut children and changes sign there)
+exactly one null vector, z = (0, z_p, 1): the projection of the fluid
+indicator onto the pressure space (the discrete constant pressure of
+Omega_h, which is not constant on cut children and changes sign there)
 paired with a constant multiplier, so that the pressure term cancels the
-interface flux term.  The mean row fixes the amplitude of z.
-The row is dense over every pressure dof and doubles the LU fill, so
-`SaddleFactor` never factors it: it factors K with one dof pinned and
-corrects the solution along z.  The pinned dof is the first multiplier dof,
-where z is 1; a pressure dof could sit where z vanishes, and pinning it
-there would leave the pinned block singular.
+interface flux term.  The mean row fixes the amplitude of z.  It is dense
+over every pressure dof and doubles the LU fill, so neither solver factors
+it: the part of the right-hand side along z fixes s, the rest is solved
+with K, and the mean row is met by adding a multiple of z.
+
+`solve_saddle` (`PenaltyFactor`) never factors the pressure either.  The
+Scott-Vogelius pair has div V_h = Q_h, so the iterated penalty of Scott and
+Vogelius (the augmented Lagrangian method) recovers p from a factorization
+of the velocity-multiplier block W = [[A + rho B^T M_p^-1 B, C^T], [C, J]]
+alone; M_p is the pressure mass, block diagonal because the pressure is
+discontinuous per child, so A + rho B^T M_p^-1 B has the sparsity of A.
+Each step p <- p + rho M_p^-1 (B u - g) costs one pair of triangular solves,
+and W has a sixth of the fill of the pinned K at level 0 and a twentieth at
+level 4.  z comes from the assembly (`SaddleSystem.z_p`) and is checked, not
+computed.
+
+`condition_estimate` uses `SaddleFactor`, which factors K with one
+multiplier dof pinned and finds z with one more solve.  Its inverse is exact
+to round-off on any vector after one pair of triangular solves, so kappa
+does not depend on a stopping rule; through the penalty iteration each
+inverse-power step costs about 15 solves with W, and kappa moves in its
+twelfth digit.  The pinned dof is the first multiplier dof, where z is 1; a
+pressure dof could sit where z vanishes, and pinning it there would leave
+the pinned block singular.
+
+Both inverses are refined against the full M until the relative residual
+stops improving, which normally lands near machine precision; a solve that
+cannot reach 1e-9 is rejected.  Condition numbers are estimated from
+eigenvalue magnitudes by power and inverse power iteration, both driven by
+Rayleigh quotients and a fixed-seed start vector so the traces are
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +51,25 @@ import scipy.sparse.linalg as spla
 from .forms import SaddleSystem
 
 __all__ = ["SingularSystemError", "IterationError", "Solution", "SaddleFactor",
-           "solve_direct", "solve_saddle", "condition_estimate"]
+           "PenaltyFactor", "solve_direct", "solve_saddle", "condition_estimate"]
 
 RESIDUAL_TOL = 1e-9
 RESIDUAL_TARGET = 1e-13
 KERNEL_TOL = 1e-10
 SEED = 0x5EED
+# penalty weight, stopping rule and step cap of the iterated penalty in
+# `PenaltyFactor`: it stops when |B u - g| <= PENALTY_TOL (||B| |u|| + |g|)
+PENALTY_RHO = 1000.0
+PENALTY_TOL = 1e-12
+PENALTY_MAXIT = 100
+# W is symmetric, with a positive definite velocity block and a multiplier
+# block whose diagonal is negative: a minimum-degree ordering of W + W^T
+# with diagonal pivots (a row exchange only below 1e-6 of the column) has a
+# sixth of the fill of the default column ordering with partial pivoting
+# (2.9M against 17.5M entries at level 3 of example 1).  Refinement against
+# the full matrix, which every solve gets, rejects a factor spoilt by growth.
+PENALTY_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
+                  options=dict(SymmetricMode=True))
 # stopping rule and step cap of the `condition_estimate` iterations
 CONDEST_TOL = 1e-6
 CONDEST_MAXIT = 10000
@@ -48,20 +80,38 @@ class SingularSystemError(RuntimeError):
 
 
 class IterationError(RuntimeError):
-    """Raised when an eigenvalue iteration stalls; carries the last iterate."""
+    """Raised when an iteration stalls; carries the last iterate."""
 
     def __init__(self, message: str, last: float):
         super().__init__(message)
         self.last = last
 
 
-def _splu(M: sp.csc_matrix, what: str):
+def _splu(M: sp.csc_matrix, what: str, **options):
     if not np.isfinite(M.data).all():
         raise ValueError(f"{what} has non-finite entries")
     try:
-        return spla.splu(M)
+        return spla.splu(M, **options)
     except RuntimeError as err:
         raise SingularSystemError(f"singular {what}: {err}") from err
+
+
+def _check_null_vector(M: sp.spmatrix, z: np.ndarray, what: str):
+    """(c, c^T z) for the null vector z of K in M = [[K, c], [c^T, 0]];
+    raises unless K z = 0 to round-off and the mean row fixes z."""
+    zz = np.append(z, 0.0)
+    kz = (np.linalg.norm((M @ zz)[:-1])
+          / np.linalg.norm((abs(M) @ abs(zz))[:-1]))
+    if not kz <= KERNEL_TOL:
+        raise SingularSystemError(
+            f"{what} is not a null vector of the saddle block: "
+            f"|Kz| / |K||z| = {kz:.3e}")
+    c = M[:-1, [-1]].toarray().ravel()
+    cz = float(c @ z)
+    if not abs(cz) > KERNEL_TOL * np.linalg.norm(c) * np.linalg.norm(z):
+        raise SingularSystemError(
+            f"the mean row does not fix {what}: c.z = {cz:.3e}")
+    return c, cz
 
 
 class SaddleFactor:
@@ -83,7 +133,6 @@ class SaddleFactor:
         n = M.shape[0] - 1
         i = system.n_u + system.n_p
         K = M[:n, :n].tocoo()
-        c = M[:n, n].toarray().ravel()
         free = (K.row != i) & (K.col != i)
         pinned = sp.csc_matrix(
             (np.append(K.data[free], 1.0),
@@ -91,20 +140,11 @@ class SaddleFactor:
             shape=(n, n))
         self._lu = _splu(pinned, f"saddle block with multiplier dof {i} pinned")
 
-        K = K.tocsr()
-        r = -K[:, [i]].toarray().ravel()
+        r = -M[:n, [i]].toarray().ravel()
         r[i] = 1.0
         z = self._lu.solve(r)
-        kz = np.linalg.norm(K @ z) / np.linalg.norm(abs(K) @ abs(z))
-        if not kz <= KERNEL_TOL:
-            raise SingularSystemError(
-                f"pinning multiplier dof {i} finds no null vector of the "
-                f"saddle block: |Kz| / |K||z| = {kz:.3e}")
-        cz = float(c @ z)
-        if not abs(cz) > KERNEL_TOL * np.linalg.norm(c) * np.linalg.norm(z):
-            raise SingularSystemError(
-                f"the mean row does not fix the null vector found with "
-                f"multiplier dof {i} pinned: c.z = {cz:.3e}")
+        c, cz = _check_null_vector(
+            M, z, f"the vector found by pinning multiplier dof {i}")
         self.pin, self.z, self._c, self._cz = i, z, c, cz
         # entries SuperLU stores for L and U; copying L and U out to count
         # their nonzeros would add a third to the peak memory at level 3
@@ -118,6 +158,76 @@ class SaddleFactor:
         r[self.pin] = 0.0
         x = self._lu.solve(r)
         x += (b[-1] - c @ x) / self._cz * z
+        return np.append(x, s)
+
+
+class PenaltyFactor:
+    """M^-1 of a `SaddleSystem` by the iterated penalty, factoring only the
+    velocity-multiplier block.
+
+    SuperLU factors W = [[A + rho B^T M_p^-1 B, C^T], [C, J]].  `solve(b)`
+    takes the part of b along z = (0, z_p, 1) into s as `SaddleFactor`
+    does, solves K x = r by the steps
+
+        (u, lambda) = W^-1 (r_u - B^T p + rho B^T M_p^-1 r_p, r_lambda),
+        p <- p + rho M_p^-1 (B u - r_p),
+
+    which satisfy the velocity and multiplier rows exactly, until the
+    pressure row B u = r_p holds to PENALTY_TOL relative to the size of its
+    terms (its round-off floor), and adds the multiple of z that the mean
+    row fixes.  More than PENALTY_MAXIT steps raise `IterationError`.  z
+    must be a null vector of K to KERNEL_TOL and the mean row must fix it,
+    or the system is rejected.
+    """
+
+    def __init__(self, system: SaddleSystem):
+        M = sp.csr_matrix(system.matrix)
+        n_u, n_p, n_m = system.n_u, system.n_p, system.n_m
+        z = np.concatenate([np.zeros(n_u), system.z_p, np.ones(n_m)])
+        c, self._cz = _check_null_vector(M, z, "the assembled kernel (0, z_p, 1)")
+        self.z, self._mean = z, c[n_u:n_u + n_p]
+        self._n = (n_u, n_p, n_m)
+        lam = slice(n_u + n_p, n_u + n_p + n_m)
+        self._B = M[n_u:n_u + n_p, :n_u]
+        self._Bt = sp.csr_matrix(self._B.T)
+        self._absB = abs(self._B)
+        self._Minv = system.mass_inv
+        A = M[:n_u, :n_u] + PENALTY_RHO * (self._Bt @ self._Minv @ self._B)
+        W = sp.bmat([[A, M[:n_u, lam]], [M[lam, :n_u], M[lam, lam]]], format="csc")
+        self._lu = _splu(W, "penalty velocity-multiplier block", **PENALTY_LU)
+        # entries SuperLU stores for L and U (see `SaddleFactor`)
+        self.lu_nnz = int(self._lu.nnz)
+        self.steps = 0            # penalty steps over all solves
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with M x = b, for b = (b_K, beta) of length n + 1."""
+        n_u, n_p, n_m = self._n
+        z, m = self.z, self._mean
+        s = float(z @ b[:-1]) / self._cz
+        r_u, r_p, r_m = np.split(b[:-1], [n_u, n_u + n_p])
+        r_p = r_p - s * m
+        g = np.linalg.norm(r_p)
+        fixed = np.concatenate(
+            [r_u + PENALTY_RHO * (self._Bt @ (self._Minv @ r_p)), r_m])
+        p = np.zeros(n_p)
+        for _ in range(PENALTY_MAXIT):
+            self.steps += 1
+            rhs = fixed.copy()
+            rhs[:n_u] -= self._Bt @ p
+            y = self._lu.solve(rhs)
+            u = y[:n_u]
+            d = self._B @ u - r_p
+            p += PENALTY_RHO * (self._Minv @ d)
+            size = np.linalg.norm(self._absB @ abs(u)) + g
+            if np.linalg.norm(d) <= PENALTY_TOL * size:
+                break
+        else:
+            raise IterationError(
+                f"the iterated penalty did not reach |Bu - g| <= "
+                f"{PENALTY_TOL:.0e} (||B||u|| + |g|) in {PENALTY_MAXIT} steps",
+                last=float(np.linalg.norm(d) / size))
+        x = np.concatenate([u, p, y[n_u:]])
+        x += (b[-1] - m @ p) / self._cz * z
         return np.append(x, s)
 
 
@@ -169,19 +279,18 @@ class Solution:
     lam: np.ndarray
     s: float
     residual: float
-    lu_nnz: int               # entries stored for L and U
-    # the factor the solve used; a condition estimate of the same system
-    # reuses it, and dropping it frees the LU
-    factor: SaddleFactor | None = field(default=None, repr=False,
-                                        compare=False)
+    lu_nnz: int               # entries stored for L and U of W
+    steps: int                # penalty steps, refinement included
 
 
 def solve_saddle(system: SaddleSystem) -> Solution:
-    factor = SaddleFactor(system)
+    """Solve the saddle system by the iterated penalty (`PenaltyFactor`),
+    refined against the full `system.matrix`."""
+    factor = PenaltyFactor(system)
     x, res = _refine(system.matrix, factor.solve, system.rhs)
     u, p, lam, s = system.split(x)
     return Solution(u=u, p=p, lam=lam, s=s, residual=res,
-                    lu_nnz=factor.lu_nnz, factor=factor)
+                    lu_nnz=factor.lu_nnz, steps=factor.steps)
 
 
 def _rayleigh_iterate(step, M: sp.spmatrix, v0: np.ndarray, label: str) -> float:
@@ -198,29 +307,17 @@ def _rayleigh_iterate(step, M: sp.spmatrix, v0: np.ndarray, label: str) -> float
         f"{label} iteration did not converge in {CONDEST_MAXIT} steps", last=rho)
 
 
-def condition_estimate(M: sp.spmatrix | SaddleSystem, seed: int = SEED,
-                       factor: SaddleFactor | None = None) -> float:
-    """kappa = |lambda|_max / |lambda|_min of a symmetric matrix.
+def condition_estimate(system: SaddleSystem, seed: int = SEED) -> float:
+    """kappa = |lambda|_max / |lambda|_min of the saddle matrix.
 
-    Power iteration gives the largest magnitude, inverse power iteration on
-    a factorization the smallest; each stops when the Rayleigh quotient's
-    relative change drops below CONDEST_TOL.  A `SaddleSystem` is inverted
-    through its `SaddleFactor`: `factor` when the solve already built one,
-    a new one otherwise.  A plain matrix is factored whole.
+    Power iteration gives the largest magnitude, inverse power iteration
+    through a `SaddleFactor` the smallest; each stops when the Rayleigh
+    quotient's relative change drops below CONDEST_TOL.
     """
-    if isinstance(M, SaddleSystem):
-        if factor is None:
-            factor = SaddleFactor(M)
-        M = M.matrix
-    elif factor is not None:
-        raise ValueError("a saddle factor needs its SaddleSystem")
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    Mc = sp.csc_matrix(M)
-    solve = factor.solve if factor is not None else _splu(Mc, "system").solve
+    factor = SaddleFactor(system)
+    M = sp.csc_matrix(system.matrix)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    lam_max = _rayleigh_iterate(lambda v: Mc @ v, Mc, v0, "power")
-    lam_min = _rayleigh_iterate(solve, Mc, v0, "inverse power")
+    v0 = rng.standard_normal(M.shape[0])
+    lam_max = _rayleigh_iterate(lambda v: M @ v, M, v0, "power")
+    lam_min = _rayleigh_iterate(factor.solve, M, v0, "inverse power")
     return abs(lam_max) / abs(lam_min)

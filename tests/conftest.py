@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutstokes.meshing import (_orientations, alfeld_split, build_background_mesh,
                                classify_elements)
 from cutstokes.geometry import (GeometryError, LevelSet, interpolate_p1,
                                 build_deformation, build_quadratures)
 from cutstokes.harness import StudyConfig, exact_example1, solve_level
+from cutstokes.solver import SEED, _rayleigh_iterate
 
 
 def quartic_levelset() -> LevelSet:
@@ -77,6 +80,19 @@ def boundary_dofs(vs) -> np.ndarray:
     cg = vs._comp[gids]
     cg = cg[cg >= 0]
     return np.concatenate([2 * cg, 2 * cg + 1])
+
+
+def whole_condition_estimate(M, seed: int = SEED) -> float:
+    """kappa of a plain symmetric matrix by the iterations of
+    `condition_estimate`, with the inverse power steps through an LU of the
+    whole matrix: the oracle for the saddle path."""
+    M = sp.csc_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    v0 = np.random.default_rng(seed).standard_normal(M.shape[0])
+    lam_max = _rayleigh_iterate(lambda v: M @ v, M, v0, "power")
+    lam_min = _rayleigh_iterate(spla.splu(M).solve, M, v0, "inverse power")
+    return abs(lam_max) / abs(lam_min)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutstokes.forms import (FormParams, assemble_a, assemble_b, assemble_c,
                              assemble_ghost_penalty, assemble_j, assemble_rhs,
@@ -10,6 +11,7 @@ from cutstokes.spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
                               VelocityField, interpolate_scalar,
                               interpolate_velocity, velocity_tables)
 from cutstokes.reference import triangle_rule
+from cutstokes.solver import SaddleFactor
 from tests.conftest import boundary_dofs, build_case, circle_levelset, quartic_levelset
 from tests.test_geometry import quartic_area
 
@@ -289,7 +291,22 @@ def test_saddle_dimension_mismatch(case):
     vs, ps, ms, A, G, B, C, J = case[4:]
     with pytest.raises(ValueError, match="dimensions"):
         build_saddle_system(A + G, B, C, J, np.ones(ps.n_dofs + 1),
-                            np.zeros(vs.n_dofs))
+                            np.zeros(vs.n_dofs), np.ones(ps.n_dofs),
+                            sp.eye(ps.n_dofs, format="csr"))
+
+
+def test_pressure_kernel_and_mass(solved_lvl0):
+    # the pinned direct factor finds z from the matrix alone; the assembled
+    # z_p must be the same null vector, 1 on inside children
+    _, st = solved_lvl0
+    system, ps = st.system, st.ps
+    z = SaddleFactor(system).z[system.n_u:system.n_u + system.n_p]
+    assert np.abs(system.z_p - z).max() <= 1e-10
+    inside = ps.elem_dofs[ps.element_row[st.quad.inside_elems]]
+    assert np.abs(system.z_p[inside] - 1.0).max() <= 1e-13
+    # the mean row is the mass matrix applied to the constant 1
+    mean = system.matrix[system.n_u:system.n_u + system.n_p, -1].toarray().ravel()
+    assert np.abs(system.mass_inv @ mean - 1.0).max() <= 1e-12
 
 
 def test_velocity_block_positive_definite(case):

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cutstokes import solver
 from cutstokes.forms import build_saddle_system
 from cutstokes.harness import StudyConfig, solve_level
-from cutstokes.solver import (SaddleFactor, SingularSystemError,
-                              condition_estimate, solve_direct, solve_saddle)
+from cutstokes.solver import (IterationError, PenaltyFactor, SaddleFactor,
+                              SingularSystemError, condition_estimate,
+                              solve_direct, solve_saddle)
+from tests.conftest import whole_condition_estimate
 
 
 def test_identity():
@@ -45,16 +50,16 @@ def test_deterministic():
     x1 = solve_direct(M, b)
     x2 = solve_direct(M, b)
     assert np.array_equal(x1, x2)
-    k1 = condition_estimate(M)
-    k2 = condition_estimate(M)
+    k1 = whole_condition_estimate(M)
+    k2 = whole_condition_estimate(M)
     assert k1 == k2
 
 
 def test_condition_diagonal():
     M = sp.diags([1.0, 10.0]).tocsr()
-    assert abs(condition_estimate(M) - 10.0) <= 1e-5
+    assert abs(whole_condition_estimate(M) - 10.0) <= 1e-5
     M = sp.diags([-3.0, 1.0, 5.0]).tocsr()
-    assert abs(condition_estimate(M) - 5.0) <= 1e-4
+    assert abs(whole_condition_estimate(M) - 5.0) <= 1e-4
 
 
 def test_condition_against_dense():
@@ -63,7 +68,7 @@ def test_condition_against_dense():
     M = R + R.T
     w = np.abs(np.linalg.eigvalsh(M))
     ref = w.max() / w.min()
-    got = condition_estimate(sp.csr_matrix(M))
+    got = whole_condition_estimate(sp.csr_matrix(M))
     assert abs(got - ref) <= 1e-4 * ref
 
 
@@ -104,7 +109,6 @@ def test_saddle_factor_matches_direct(ex1_level0):
         assert _relerr(factor.solve(rhs), solve_direct(system.matrix, rhs)) <= 1e-10
     whole = spla.splu(sp.csc_matrix(system.matrix))
     assert 0 < factor.lu_nnz < whole.nnz
-    assert ex1_level0.sol.lu_nnz == factor.lu_nnz
 
 
 def test_saddle_factor_null_vector(ex1_level0):
@@ -126,10 +130,12 @@ def test_saddle_factor_null_vector(ex1_level0):
     assert z[n_u:n_u + n_p].min() < 0.0 < z[n_u:n_u + n_p].max()
 
 
-def _bordered(A, B, C, J, mean):
+def _bordered(A, B, C, J, mean, z_p=None):
     csr = [sp.csr_matrix(np.array(X, dtype=float)) for X in (A, B, C, J)]
+    n_p = len(B)
+    z_p = np.zeros(n_p) if z_p is None else np.array(z_p, dtype=float)
     return build_saddle_system(*csr, np.array(mean, dtype=float),
-                               np.ones(len(A)))
+                               np.ones(len(A)), z_p, sp.eye(n_p, format="csr"))
 
 
 @pytest.mark.parametrize("blocks, dof", [
@@ -149,10 +155,9 @@ def test_saddle_factor_rejects_bad_pin(blocks, dof):
 
 def test_condition_estimate_saddle_path(ex1_level0):
     system = ex1_level0.system
-    generic = condition_estimate(system.matrix)
+    generic = whole_condition_estimate(system.matrix)
     saddle = condition_estimate(system)
     assert abs(saddle - generic) <= 1e-9 * generic
-    assert condition_estimate(system, factor=SaddleFactor(system)) == saddle
 
 
 def test_condest_factors_saddle_once_per_level(monkeypatch):
@@ -171,4 +176,45 @@ def test_condest_factors_saddle_once_per_level(monkeypatch):
         n = st.system.matrix.shape[0]
         assert [s for s in shapes if s >= n - 1] == [n - 1]
         assert abs(row.cond_estimate - kappa) <= 1e-9 * kappa
-        assert st.sol.factor is None
+
+
+def test_penalty_solve_matches_direct(ex1_level0):
+    system = ex1_level0.system
+    factor = SaddleFactor(system)
+    rng = np.random.default_rng(16)
+    b = rng.standard_normal(system.matrix.shape[0])   # u, p, lambda parts, beta != 0
+    for rhs in (system.rhs, b):
+        sol = solve_saddle(replace(system, rhs=rhs))
+        x = np.concatenate([sol.u, sol.p, sol.lam, [sol.s]])
+        assert sol.residual <= 1e-12
+        assert _relerr(x, factor.solve(rhs)) <= 1e-10
+        assert _relerr(x, solve_direct(system.matrix, rhs)) <= 1e-10
+
+
+def test_penalty_fill_below_saddle_factor(ex1_level0):
+    system, sol = ex1_level0.system, ex1_level0.sol
+    penalty = PenaltyFactor(system)
+    assert sol.lu_nnz == penalty.lu_nnz
+    assert 0 < penalty.lu_nnz < SaddleFactor(system).lu_nnz
+    assert sol.steps > 0
+
+
+def test_penalty_rejects_perturbed_kernel(ex1_level0):
+    system = ex1_level0.system
+    rng = np.random.default_rng(17)
+    z_p = system.z_p + 1e-6 * rng.standard_normal(system.n_p)
+    with pytest.raises(SingularSystemError, match="not a null vector"):
+        PenaltyFactor(replace(system, z_p=z_p))
+
+
+def test_penalty_rejects_unfixed_kernel():
+    # the null vector (0, -1, 1) is orthogonal to a zero mean row
+    system = _bordered([[1]], [[1]], [[1]], [[0]], [0], z_p=[-1])
+    with pytest.raises(SingularSystemError, match="mean row"):
+        PenaltyFactor(system)
+
+
+def test_penalty_iteration_cap_raises(ex1_level0, monkeypatch):
+    monkeypatch.setattr(solver, "PENALTY_MAXIT", 1)
+    with pytest.raises(IterationError, match="1 steps"):
+        solve_saddle(ex1_level0.system)
