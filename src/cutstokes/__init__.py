@@ -32,8 +32,8 @@ from .forms import (FormParams, SaddleSystem, assemble_a, assemble_b,
                     assemble_c, assemble_ghost_penalty, assemble_j,
                     assemble_rhs, pressure_mean_vector, pressure_kernel,
                     pressure_mass_inverse, build_saddle_system)
-from .solver import (Solution, SaddleFactor, PenaltyFactor,
-                     SingularSystemError, solve_saddle, solve_direct,
+from .solver import (Solution, PenaltyFactor, SingularSystemError,
+                     IterationError, solve_saddle, solve_direct,
                      condition_estimate)
 from .postprocess import recover_pressure
 from .harness import (ExactCase, StudyConfig, ResultRow, exact_example1,
@@ -56,8 +56,8 @@ __all__ = [
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
     "pressure_mean_vector", "pressure_kernel", "pressure_mass_inverse",
     "build_saddle_system",
-    "Solution", "SaddleFactor", "PenaltyFactor", "SingularSystemError", "solve_saddle",
-    "solve_direct", "condition_estimate",
+    "Solution", "PenaltyFactor", "SingularSystemError", "IterationError",
+    "solve_saddle", "solve_direct", "condition_estimate",
     "recover_pressure",
     "ExactCase", "StudyConfig", "ResultRow", "exact_example1",
     "exact_example2", "build_geometry", "assemble_level", "solve_level",

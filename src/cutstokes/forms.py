@@ -381,10 +381,8 @@ def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
     null vector, (0, z_p, 1): the pressure-space projection of the fluid
     indicator with a constant multiplier, for which the pressure and the
     interface flux terms cancel.  The mean row fixes its amplitude.  The
-    solvers never factor the dense row: `solver.solve_saddle` iterates on
-    the velocity-multiplier block with `z_p` and `mass_inv`, and
-    `solver.SaddleFactor` pins the first multiplier dof, where the null
-    vector is 1.
+    solver never factors the dense row: `solver.PenaltyFactor` iterates on
+    the velocity-multiplier block with `z_p` and `mass_inv`.
     """
     n_u, n_p, n_m = A.shape[0], B.shape[0], C.shape[0]
     if (A.shape != (n_u, n_u) or B.shape != (n_p, n_u)

@@ -1,5 +1,5 @@
-"""Solution of the saddle systems: an iterated penalty for the solve, a
-pinned direct factor for the condition estimate.
+"""Solution of the saddle systems by an iterated penalty on the
+velocity-multiplier block.
 
 The Stokes saddle matrix is M = [[K, c], [c^T, 0]]: K is the (u, p, lambda)
 block and c = (0, m, 0) the zero-mean row of the pressure.  K alone has
@@ -8,36 +8,28 @@ indicator onto the pressure space (the discrete constant pressure of
 Omega_h, which is not constant on cut children and changes sign there)
 paired with a constant multiplier, so that the pressure term cancels the
 interface flux term.  The mean row fixes the amplitude of z.  It is dense
-over every pressure dof and doubles the LU fill, so neither solver factors
-it: the part of the right-hand side along z fixes s, the rest is solved
-with K, and the mean row is met by adding a multiple of z.
+over every pressure dof and doubles the LU fill, so it is never factored:
+the part of the right-hand side along z fixes s, the rest is solved with K,
+and the mean row is met by adding a multiple of z.
 
-`solve_saddle` (`PenaltyFactor`) never factors the pressure either.  The
-Scott-Vogelius pair has div V_h = Q_h, so the iterated penalty of Scott and
-Vogelius (the augmented Lagrangian method) recovers p from a factorization
-of the velocity-multiplier block W = [[A + rho B^T M_p^-1 B, C^T], [C, J]]
-alone; M_p is the pressure mass, block diagonal because the pressure is
+`PenaltyFactor` does not factor the pressure either.  The Scott-Vogelius
+pair has div V_h = Q_h, so the iterated penalty of Scott and Vogelius (the
+augmented Lagrangian method) recovers p from a factorization of the
+velocity-multiplier block W = [[A + rho B^T M_p^-1 B, C^T], [C, J]] alone;
+M_p is the pressure mass, block diagonal because the pressure is
 discontinuous per child, so A + rho B^T M_p^-1 B has the sparsity of A.
 Each step p <- p + rho M_p^-1 (B u - g) costs one pair of triangular solves,
-and W has a sixth of the fill of the pinned K at level 0 and a twentieth at
-level 4.  z comes from the assembly (`SaddleSystem.z_p`) and is checked, not
-computed.
+and W has a sixth of the fill of K (made regular by pinning one multiplier
+dof) at level 0 and a twentieth at level 4.  z comes from the assembly
+(`SaddleSystem.z_p`) and is checked, not computed.
 
-`condition_estimate` uses `SaddleFactor`, which factors K with one
-multiplier dof pinned and finds z with one more solve.  Its inverse is exact
-to round-off on any vector after one pair of triangular solves, so kappa
-does not depend on a stopping rule; through the penalty iteration each
-inverse-power step costs about 15 solves with W, and kappa moves in its
-twelfth digit.  The pinned dof is the first multiplier dof, where z is 1; a
-pressure dof could sit where z vanishes, and pinning it there would leave
-the pinned block singular.
-
-Both inverses are refined against the full M until the relative residual
-stops improving, which normally lands near machine precision; a solve that
-cannot reach 1e-9 is rejected.  Condition numbers are estimated from
-eigenvalue magnitudes by power and inverse power iteration, both driven by
-Rayleigh quotients and a fixed-seed start vector so the traces are
-reproducible.
+`solve_saddle` applies this inverse once and `condition_estimate` once per
+inverse-power step.  Every apply is refined against the full M until the
+relative residual stops improving, which normally lands near machine
+precision; a solve that cannot reach 1e-9 is rejected.  Condition numbers
+are estimated from eigenvalue magnitudes by power and inverse power
+iteration, both driven by Rayleigh quotients and a fixed-seed start vector
+so the traces are reproducible.
 """
 
 from __future__ import annotations
@@ -50,8 +42,8 @@ import scipy.sparse.linalg as spla
 
 from .forms import SaddleSystem
 
-__all__ = ["SingularSystemError", "IterationError", "Solution", "SaddleFactor",
-           "PenaltyFactor", "solve_direct", "solve_saddle", "condition_estimate"]
+__all__ = ["SingularSystemError", "IterationError", "Solution", "PenaltyFactor",
+           "solve_direct", "solve_saddle", "condition_estimate"]
 
 RESIDUAL_TOL = 1e-9
 RESIDUAL_TARGET = 1e-13
@@ -96,78 +88,13 @@ def _splu(M: sp.csc_matrix, what: str, **options):
         raise SingularSystemError(f"singular {what}: {err}") from err
 
 
-def _check_null_vector(M: sp.spmatrix, z: np.ndarray, what: str):
-    """(c, c^T z) for the null vector z of K in M = [[K, c], [c^T, 0]];
-    raises unless K z = 0 to round-off and the mean row fixes z."""
-    zz = np.append(z, 0.0)
-    kz = (np.linalg.norm((M @ zz)[:-1])
-          / np.linalg.norm((abs(M) @ abs(zz))[:-1]))
-    if not kz <= KERNEL_TOL:
-        raise SingularSystemError(
-            f"{what} is not a null vector of the saddle block: "
-            f"|Kz| / |K||z| = {kz:.3e}")
-    c = M[:-1, [-1]].toarray().ravel()
-    cz = float(c @ z)
-    if not abs(cz) > KERNEL_TOL * np.linalg.norm(c) * np.linalg.norm(z):
-        raise SingularSystemError(
-            f"the mean row does not fix {what}: c.z = {cz:.3e}")
-    return c, cz
-
-
-class SaddleFactor:
-    """M^-1 of a `SaddleSystem` M = [[K, c], [c^T, 0]], without factoring c.
-
-    SuperLU factors K with row and column i = n_u + n_p (the first
-    multiplier dof) replaced by e_i.  One more solve gives the null vector z
-    of K with z_i = 1; it must satisfy K z = 0 to round-off and c^T z != 0,
-    or the pinned dof cannot stand in for the mean row and the system is
-    rejected.  `solve(b)` then applies M^-1 exactly: the part of b along z
-    fixes s, the rest is solved with the pinned factor, and the mean row is
-    met by adding a multiple of z.
-    """
-
-    def __init__(self, system: SaddleSystem):
-        if system.n_m == 0:
-            raise ValueError("the saddle system has no multiplier dof to pin")
-        M = sp.csc_matrix(system.matrix)
-        n = M.shape[0] - 1
-        i = system.n_u + system.n_p
-        K = M[:n, :n].tocoo()
-        free = (K.row != i) & (K.col != i)
-        pinned = sp.csc_matrix(
-            (np.append(K.data[free], 1.0),
-             (np.append(K.row[free], i), np.append(K.col[free], i))),
-            shape=(n, n))
-        self._lu = _splu(pinned, f"saddle block with multiplier dof {i} pinned")
-
-        r = -M[:n, [i]].toarray().ravel()
-        r[i] = 1.0
-        z = self._lu.solve(r)
-        c, cz = _check_null_vector(
-            M, z, f"the vector found by pinning multiplier dof {i}")
-        self.pin, self.z, self._c, self._cz = i, z, c, cz
-        # entries SuperLU stores for L and U; copying L and U out to count
-        # their nonzeros would add a third to the peak memory at level 3
-        self.lu_nnz = int(self._lu.nnz)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with M x = b, for b = (b_K, beta) of length n + 1."""
-        z, c = self.z, self._c
-        s = float(z @ b[:-1]) / self._cz
-        r = b[:-1] - s * c
-        r[self.pin] = 0.0
-        x = self._lu.solve(r)
-        x += (b[-1] - c @ x) / self._cz * z
-        return np.append(x, s)
-
-
 class PenaltyFactor:
     """M^-1 of a `SaddleSystem` by the iterated penalty, factoring only the
     velocity-multiplier block.
 
     SuperLU factors W = [[A + rho B^T M_p^-1 B, C^T], [C, J]].  `solve(b)`
-    takes the part of b along z = (0, z_p, 1) into s as `SaddleFactor`
-    does, solves K x = r by the steps
+    takes the part of b along z = (0, z_p, 1) into s, solves K x = r by the
+    steps
 
         (u, lambda) = W^-1 (r_u - B^T p + rho B^T M_p^-1 r_p, r_lambda),
         p <- p + rho M_p^-1 (B u - r_p),
@@ -176,15 +103,28 @@ class PenaltyFactor:
     pressure row B u = r_p holds to PENALTY_TOL relative to the size of its
     terms (its round-off floor), and adds the multiple of z that the mean
     row fixes.  More than PENALTY_MAXIT steps raise `IterationError`.  z
-    must be a null vector of K to KERNEL_TOL and the mean row must fix it,
-    or the system is rejected.
+    must be a null vector of K to round-off, |Kz| <= KERNEL_TOL |K||z|, and
+    the mean row must fix it, c.z != 0, or the system is rejected.
     """
 
     def __init__(self, system: SaddleSystem):
         M = sp.csr_matrix(system.matrix)
         n_u, n_p, n_m = system.n_u, system.n_p, system.n_m
         z = np.concatenate([np.zeros(n_u), system.z_p, np.ones(n_m)])
-        c, self._cz = _check_null_vector(M, z, "the assembled kernel (0, z_p, 1)")
+        zz = np.append(z, 0.0)
+        kz = np.linalg.norm((M @ zz)[:-1])
+        kz_size = np.linalg.norm((abs(M) @ abs(zz))[:-1])
+        # compared without dividing: z may meet only zero columns of K
+        if not kz <= KERNEL_TOL * kz_size:
+            raise SingularSystemError(
+                "the assembled kernel (0, z_p, 1) is not a null vector of the "
+                f"saddle block: |Kz| = {kz:.3e}, |K||z| = {kz_size:.3e}")
+        c = M[:-1, [-1]].toarray().ravel()
+        self._cz = float(c @ z)
+        if not abs(self._cz) > KERNEL_TOL * np.linalg.norm(c) * np.linalg.norm(z):
+            raise SingularSystemError(
+                "the mean row does not fix the assembled kernel (0, z_p, 1): "
+                f"c.z = {self._cz:.3e}")
         self.z, self._mean = z, c[n_u:n_u + n_p]
         self._n = (n_u, n_p, n_m)
         lam = slice(n_u + n_p, n_u + n_p + n_m)
@@ -195,7 +135,8 @@ class PenaltyFactor:
         A = M[:n_u, :n_u] + PENALTY_RHO * (self._Bt @ self._Minv @ self._B)
         W = sp.bmat([[A, M[:n_u, lam]], [M[lam, :n_u], M[lam, lam]]], format="csc")
         self._lu = _splu(W, "penalty velocity-multiplier block", **PENALTY_LU)
-        # entries SuperLU stores for L and U (see `SaddleFactor`)
+        # entries SuperLU stores for L and U; copying L and U out to count
+        # their nonzeros would raise the peak memory
         self.lu_nnz = int(self._lu.nnz)
         self.steps = 0            # penalty steps over all solves
 
@@ -311,13 +252,15 @@ def condition_estimate(system: SaddleSystem, seed: int = SEED) -> float:
     """kappa = |lambda|_max / |lambda|_min of the saddle matrix.
 
     Power iteration gives the largest magnitude, inverse power iteration
-    through a `SaddleFactor` the smallest; each stops when the Rayleigh
-    quotient's relative change drops below CONDEST_TOL.
+    through a `PenaltyFactor`, refined on every step, the smallest; each
+    stops when the Rayleigh quotient's relative change drops below
+    CONDEST_TOL.
     """
-    factor = SaddleFactor(system)
+    factor = PenaltyFactor(system)
     M = sp.csc_matrix(system.matrix)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(M.shape[0])
     lam_max = _rayleigh_iterate(lambda v: M @ v, M, v0, "power")
-    lam_min = _rayleigh_iterate(factor.solve, M, v0, "inverse power")
+    lam_min = _rayleigh_iterate(lambda v: _refine(M, factor.solve, v)[0],
+                                M, v0, "inverse power")
     return abs(lam_max) / abs(lam_min)

@@ -95,6 +95,26 @@ def whole_condition_estimate(M, seed: int = SEED) -> float:
     return abs(lam_max) / abs(lam_min)
 
 
+def pinned_factor(system):
+    """LU of the (u, p, lambda) block K of a `SaddleSystem` with row and
+    column i = n_u + n_p (the first multiplier dof) replaced by e_i, and the
+    null vector z of K with z_i = 1 that one more solve gives: the oracle
+    for the assembled kernel and for the fill of the penalty factor."""
+    M = sp.csc_matrix(system.matrix)
+    n = M.shape[0] - 1
+    i = system.n_u + system.n_p
+    K = M[:n, :n].tocoo()
+    free = (K.row != i) & (K.col != i)
+    pinned = sp.csc_matrix(
+        (np.append(K.data[free], 1.0),
+         (np.append(K.row[free], i), np.append(K.col[free], i))),
+        shape=(n, n))
+    lu = spla.splu(pinned)
+    r = -M[:n, [i]].toarray().ravel()
+    r[i] = 1.0
+    return lu, lu.solve(r)
+
+
 @pytest.fixture(scope="session")
 def quartic_case_h03():
     """Quartic level set on the coarse mesh, k=2: the workhorse configuration."""

@@ -19,6 +19,14 @@ def test_all_names_resolve(name):
     assert not missing, (name, missing)
 
 
+def test_solver_errors_exported():
+    # both solver entry points raise these, so they belong to the package API
+    from cutstokes import solver
+    for name in ("SingularSystemError", "IterationError"):
+        assert name in cutstokes.__all__
+        assert getattr(cutstokes, name) is getattr(solver, name)
+
+
 def test_star_import():
     ns = {}
     exec("from cutstokes import *", ns)

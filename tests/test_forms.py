@@ -11,8 +11,8 @@ from cutstokes.spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
                               VelocityField, interpolate_scalar,
                               interpolate_velocity, velocity_tables)
 from cutstokes.reference import triangle_rule
-from cutstokes.solver import SaddleFactor
-from tests.conftest import boundary_dofs, build_case, circle_levelset, quartic_levelset
+from tests.conftest import (boundary_dofs, build_case, circle_levelset,
+                            pinned_factor, quartic_levelset)
 from tests.test_geometry import quartic_area
 
 
@@ -300,7 +300,7 @@ def test_pressure_kernel_and_mass(solved_lvl0):
     # z_p must be the same null vector, 1 on inside children
     _, st = solved_lvl0
     system, ps = st.system, st.ps
-    z = SaddleFactor(system).z[system.n_u:system.n_u + system.n_p]
+    z = pinned_factor(system)[1][system.n_u:system.n_u + system.n_p]
     assert np.abs(system.z_p - z).max() <= 1e-10
     inside = ps.elem_dofs[ps.element_row[st.quad.inside_elems]]
     assert np.abs(system.z_p[inside] - 1.0).max() <= 1e-13

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,10 @@ import scipy.sparse.linalg as spla
 from cutstokes import solver
 from cutstokes.forms import build_saddle_system
 from cutstokes.harness import StudyConfig, solve_level
-from cutstokes.solver import (IterationError, PenaltyFactor, SaddleFactor,
+from cutstokes.solver import (IterationError, PenaltyFactor,
                               SingularSystemError, condition_estimate,
                               solve_direct, solve_saddle)
-from tests.conftest import whole_condition_estimate
+from tests.conftest import pinned_factor, whole_condition_estimate
 
 
 def test_identity():
@@ -100,34 +101,20 @@ def _relerr(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-def test_saddle_factor_matches_direct(ex1_level0):
-    system = ex1_level0.system
-    factor = SaddleFactor(system)
-    rng = np.random.default_rng(15)
-    b = rng.standard_normal(system.matrix.shape[0])   # u, p, lambda parts, beta != 0
-    for rhs in (system.rhs, b):
-        assert _relerr(factor.solve(rhs), solve_direct(system.matrix, rhs)) <= 1e-10
-    whole = spla.splu(sp.csc_matrix(system.matrix))
-    assert 0 < factor.lu_nnz < whole.nnz
-
-
 def test_saddle_factor_null_vector(ex1_level0):
     system = ex1_level0.system
     n_u, n_p = system.n_u, system.n_p
-    factor = SaddleFactor(system)
-    z = factor.z
+    z_p = system.z_p
+    z = np.concatenate([np.zeros(n_u), z_p, np.ones(system.n_m)])
     K = system.matrix[:-1, :-1]
-    assert factor.pin == n_u + n_p and z[factor.pin] == 1.0
     assert np.linalg.norm(K @ z) <= 1e-12 * np.linalg.norm(abs(K) @ abs(z))
-    assert np.abs(z[:n_u]).max() <= 1e-10 * np.abs(z).max()
-    assert np.abs(z[n_u + n_p:] - 1.0).max() <= 1e-10
     # z_p is the pressure projection of the fluid indicator, so the mean row
     # integrates it to the fluid area (up to the interface rule, which sets
     # z, against the volume rule); it is not constant and changes sign
     mean = system.matrix[n_u:n_u + n_p, -1].toarray().ravel()
     area = ex1_level0.quad.area_inside
-    assert abs(mean @ z[n_u:n_u + n_p] - area) <= 1e-3 * area
-    assert z[n_u:n_u + n_p].min() < 0.0 < z[n_u:n_u + n_p].max()
+    assert abs(mean @ z_p - area) <= 1e-3 * area
+    assert z_p.min() < 0.0 < z_p.max()
 
 
 def _bordered(A, B, C, J, mean, z_p=None):
@@ -138,19 +125,17 @@ def _bordered(A, B, C, J, mean, z_p=None):
                                np.ones(len(A)), z_p, sp.eye(n_p, format="csr"))
 
 
-@pytest.mark.parametrize("blocks, dof", [
-    # the pinned block keeps a null space: zero pressure and multiplier rows
-    (([[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]],
-      [[0, 0], [0, 0]], [1, 1]), 4),
-    # K is regular, so no null vector has a 1 at the pinned dof
-    (([[1, 0], [0, 1]], [[1, 0]], [[0, 1]], [[0]], [1]), 3),
-    # the null vector (0, -1, 1) is orthogonal to a zero mean row
-    (([[1]], [[1]], [[1]], [[0]], [0]), 2),
-])
-def test_saddle_factor_rejects_bad_pin(blocks, dof):
-    system = _bordered(*blocks)
-    with pytest.raises(SingularSystemError, match=f"multiplier dof {dof}"):
-        SaddleFactor(system)
+def test_penalty_rejects_kernel_on_zero_columns():
+    # K keeps more null vectors than z: zero pressure and multiplier rows.
+    # z meets only zero columns of K, so |Kz| = |K||z| = 0 passes the kernel
+    # check, and the singular W is rejected
+    system = _bordered([[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]],
+                       [[0, 0], [0, 0]], [1, 1], z_p=[1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularSystemError,
+                           match="singular penalty velocity-multiplier block"):
+            PenaltyFactor(system)
 
 
 def test_condition_estimate_saddle_path(ex1_level0):
@@ -173,21 +158,24 @@ def test_condest_factors_saddle_once_per_level(monkeypatch):
     for lvl, kappa in ((0, 447949.41925), (1, 1240119.59953)):
         shapes.clear()
         row, st = solve_level(cfg, lvl)
-        n = st.system.matrix.shape[0]
-        assert [s for s in shapes if s >= n - 1] == [n - 1]
+        system = st.system
+        n, n_w = system.matrix.shape[0], system.n_u + system.n_m
+        # neither the pinned (u, p, lambda) block nor the whole matrix: the
+        # solve and the estimate each factor W; the smaller factorizations
+        # are the pressure recovery's
+        assert not [s for s in shapes if s >= n - 1]
+        assert [s for s in shapes if s >= n_w] == [n_w, n_w]
         assert abs(row.cond_estimate - kappa) <= 1e-9 * kappa
 
 
 def test_penalty_solve_matches_direct(ex1_level0):
     system = ex1_level0.system
-    factor = SaddleFactor(system)
     rng = np.random.default_rng(16)
     b = rng.standard_normal(system.matrix.shape[0])   # u, p, lambda parts, beta != 0
     for rhs in (system.rhs, b):
         sol = solve_saddle(replace(system, rhs=rhs))
         x = np.concatenate([sol.u, sol.p, sol.lam, [sol.s]])
         assert sol.residual <= 1e-12
-        assert _relerr(x, factor.solve(rhs)) <= 1e-10
         assert _relerr(x, solve_direct(system.matrix, rhs)) <= 1e-10
 
 
@@ -195,16 +183,18 @@ def test_penalty_fill_below_saddle_factor(ex1_level0):
     system, sol = ex1_level0.system, ex1_level0.sol
     penalty = PenaltyFactor(system)
     assert sol.lu_nnz == penalty.lu_nnz
-    assert 0 < penalty.lu_nnz < SaddleFactor(system).lu_nnz
+    assert 0 < penalty.lu_nnz < pinned_factor(system)[0].nnz
     assert sol.steps > 0
 
 
-def test_penalty_rejects_perturbed_kernel(ex1_level0):
+@pytest.mark.parametrize("use", [PenaltyFactor, condition_estimate],
+                         ids=["PenaltyFactor", "condition_estimate"])
+def test_penalty_rejects_perturbed_kernel(ex1_level0, use):
     system = ex1_level0.system
     rng = np.random.default_rng(17)
     z_p = system.z_p + 1e-6 * rng.standard_normal(system.n_p)
     with pytest.raises(SingularSystemError, match="not a null vector"):
-        PenaltyFactor(replace(system, z_p=z_p))
+        use(replace(system, z_p=z_p))
 
 
 def test_penalty_rejects_unfixed_kernel():
