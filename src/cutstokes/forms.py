@@ -8,7 +8,9 @@ penalties use the direct (extension based) form: on each patch facet the
 neighbour's velocity basis, L2-projected onto P_k over its own deformed
 child, is evaluated at the owner's mapped quadrature points, and the squared
 mismatch is integrated with the patch rule.  No curved map is evaluated
-outside its element, where it may fold.
+outside its element, where it may fold.  The extension data is computed once
+per owner, and the facets are stacked in groups of at most GROUP_SIZE whose
+two owners' dofs are folded onto the patch dofs by index arrays.
 
 All matrices are returned in CSR form.  Symmetric local blocks are mirrored
 from their upper triangle before insertion and triplets are merged by a
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CutQuadrature, _pointwise
+from .geometry import GROUP_SIZE, CutQuadrature, _pointwise
 from .reference import triangle_rule
 from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace, _adjugate,
                      scalar_tables, velocity_tables)
@@ -67,9 +69,7 @@ class _Triplets:
         self._r, self._c, self._v = [], [], []
 
     def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
-        if rows.ndim == 1:
-            rows, cols, vals = rows[None], cols[None], vals[None]
+        """Local blocks vals (ne, nr, nc) at rows (ne, nr) and cols (ne, nc)."""
         nr, nc = rows.shape[1], cols.shape[1]
         self._r.append(np.repeat(rows, nc, axis=1).ravel())
         self._c.append(np.tile(cols, (1, nr)).ravel())
@@ -178,43 +178,36 @@ def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
     return tri.matrix(ms.n_dofs, vs.n_dofs)
 
 
-def _patch_sides(quad, fid):
-    cm = quad.am.child_mesh
-    e1, e2 = (int(t) for t in cm.facet_tris[int(fid)])
-    if e2 < 0:
-        raise ValueError(f"facet {fid} is not interior")
-    return e1, e2
-
-
 def _affine_coords(mp, e, x: np.ndarray) -> np.ndarray:
     """Coordinates of physical points x (..., nq, 2) in the undeformed affine
     frame of child(ren) `e`; polynomials in them are polynomials in x."""
     return (x - mp.v0[e][..., None, :]) @ np.swapaxes(_inv2(mp.A[e]), -1, -2)
 
 
-def _velocity_extensions(quad: CutQuadrature, vs: VelocitySpace,
-                         elems) -> dict:
-    """Own basis values and polynomial extension of every child in `elems`.
-
-    Per child e returns (x, Jw, val, coef): the mapped patch-rule points,
-    the physical weights w J, the Piola basis values there, and the
-    coefficients of the physical L2 projection of each local basis field
-    onto vector P_k over the deformed child, expressed in the Lagrange basis
-    of the undeformed affine frame.  Evaluating the projection elsewhere
-    needs that affine frame only, never the inverse of the curved map, and
-    on undeformed children it reproduces the basis field exactly.
-    """
+def _extensions(quad: CutQuadrature, space, elems: np.ndarray):
+    """Own basis values and polynomial extension of the children `elems`:
+    arrays (x, Jw, val, coef) over `elems` of the patch-rule points, the
+    weights w J, the basis values there, and each basis function's extension
+    in the Lagrange basis of the undeformed affine frame, which is all that
+    evaluating it elsewhere needs.  A Piola basis field (points mapped) is
+    extended by its physical L2 projection onto vector P_k over the deformed
+    child, exact on undeformed children; a scalar composition polynomial
+    (points mapped affinely) is its own extension, coef the identity."""
     mp = quad.mapping
     pts, wts = quad.patch_rule
-    elems = np.asarray(elems, dtype=np.int64)
-    val = velocity_tables(vs, elems, pts, derivs=False)[0]
     Jw = wts * mp.jacobians(elems, pts)[1]
+    if not isinstance(space, VelocitySpace):
+        n = space.ref.n_basis
+        x = mp.v0[elems][:, None] + pts @ np.swapaxes(mp.A[elems], -1, -2)
+        val = np.broadcast_to(space.ref.eval(pts)[..., None], Jw.shape + (n, 1))
+        return x, Jw, val, np.broadcast_to(np.eye(n)[..., None], (elems.size, n, n, 1))
+    val = velocity_tables(space, elems, pts, derivs=False)[0]
     x = mp.phys(elems, pts)
-    P = vs.ref.eval(_affine_coords(mp, elems, x))
+    P = space.ref.eval(_affine_coords(mp, elems, x))
     M = _local(Jw, P, P)
     rhs = np.einsum("eq,eqa,eqdc->eadc", Jw, P, val)
     coef = np.linalg.solve(M, rhs.reshape(M.shape[:2] + (-1,))).reshape(rhs.shape)
-    return {int(e): (x[i], Jw[i], val[i], coef[i]) for i, e in enumerate(elems)}
+    return x, Jw, val, coef
 
 
 def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
@@ -229,46 +222,44 @@ def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
     curved maps are never evaluated outside their own element.  On a scalar
     space (the pressure recovery) the neighbour's basis is the plain
     composition polynomial, evaluated at foreign reference coordinates of
-    the undeformed children.
+    the undeformed children.  Both owners' integrals enter one symmetric
+    block per facet on the patch's unique dofs, the same count on every facet.
     """
-    vector = isinstance(space, VelocitySpace)
-    mp = quad.mapping
     if facets is None:
         facets = quad.sets.gp_facets
+    sides = quad.am.child_mesh.facet_tris[facets]
+    bad = facets[sides[:, 1] < 0]
+    if bad.size:
+        raise ValueError(f"facet {bad[0]} is not interior")
     scale = params.gamma_gp / quad.am.macro.h ** 2
-    pts, wts = quad.patch_rule
-    sides = [_patch_sides(quad, fid) for fid in facets]
-    if vector:
-        ext = _velocity_extensions(quad, space, sorted({e for s in sides for e in s}))
+    n = space.n_dofs
+    owners, where = np.unique(sides, return_inverse=True)
+    x, Jw, val, coef = _extensions(quad, space, owners)
+    where = where.reshape(sides.shape)
     tri = _Triplets()
 
-    for e1, e2 in sides:
-        dofs = np.concatenate([space.elem_dofs[space.element_row[e1]],
-                               space.elem_dofs[space.element_row[e2]]])
-        # the owners share the facet nodes; fold the jump onto unique dofs so
-        # one symmetric local block is inserted per side
-        udofs, fold = np.unique(dofs, return_inverse=True)
-        for ei, ej in ((e1, e2), (e2, e1)):
-            if vector:
-                x, Jw, vi, _ = ext[ei]
-                coef = ext[ej][3]
-                vj = np.einsum("qa,adc->qdc",
-                               space.ref.eval(_affine_coords(mp, ej, x)), coef)
-            else:
-                xt = mp.v0[ei] + pts @ mp.A[ei].T
-                Jw = wts * mp.jacobians(ei, pts)[1]
-                vi = space.ref.eval(pts)[:, :, None]
-                vj = space.ref.eval(_affine_coords(mp, ej, xt))[:, :, None]
-            if ei == e1:
-                jump = np.concatenate([vi, -vj], axis=1)
-            else:
-                jump = np.concatenate([-vj, vi], axis=1)
-            folded = np.zeros((jump.shape[0], udofs.size, jump.shape[2]))
-            np.add.at(folded, (slice(None), fold), jump)
-            loc = _sym(np.einsum("q,qdc,qec->de", Jw * scale, folded, folded))
-            tri.add(udofs, udofs, loc)
+    for s in range(0, facets.size, GROUP_SIZE):
+        pair, at = sides[s:s + GROUP_SIZE], where[s:s + GROUP_SIZE]
+        rows = np.arange(pair.shape[0])[:, None]
+        dofs = space.elem_dofs[space.element_row[pair]] + n * rows[..., None]
+        keys, fold = np.unique(dofs, return_inverse=True)
+        udofs = keys.reshape(pair.shape[0], -1)
+        fold = fold.reshape(dofs.shape) - udofs.shape[1] * rows[..., None]
+        jumps = []
+        for i, j in ((0, 1), (1, 0)):
+            own, other = at[:, i], at[:, j]
+            P = space.ref.eval(_affine_coords(quad.mapping, pair[:, j], x[own]))
+            vj = P @ coef[other].reshape(own.size, P.shape[-1], -1)
+            # the jump v_i - v_j on the patch's unique dofs
+            jump = np.zeros((own.size, udofs.shape[1]) + val.shape[1:2] + val.shape[3:])
+            jump[rows, fold[:, i]] = np.swapaxes(val[own], 1, 2)
+            jump[rows, fold[:, j]] -= np.swapaxes(vj.reshape(val[own].shape), 1, 2)
+            jumps.append(np.swapaxes(jump, 1, 2))
+        jump = np.concatenate(jumps, axis=1)
+        w = scale * np.concatenate([Jw[at[:, 0]], Jw[at[:, 1]]], axis=1)
+        udofs %= n
+        tri.add(udofs, udofs, _sym(_local(w, jump, jump)))
 
-    n = space.n_dofs
     return tri.matrix(n, n)
 
 

@@ -63,11 +63,27 @@ class DiscreteLevelSet:
             raise ValueError("need one value per Alfeld vertex")
         self.am = am
         self.vertex_values = vertex_values
+        self._subdivision = None
 
     def child_values(self, elems) -> np.ndarray:
         """Vertex values per child, snapped away from zero, shape (..., 3)."""
         vals = self.vertex_values[self.am.children[elems]]
         return snap_values(vals, self.am.macro.h)
+
+    def subdivision(self, cut: np.ndarray):
+        """`cut_subdivide` of the children `cut` in reference coordinates:
+        (elems, sub-triangles (ne, n, 3, 2)) per piece count n, and the
+        interface segment (ncut, 2, 2) of each child.  The last result is
+        kept, so rules of several degrees are mapped onto one subdivision."""
+        if self._subdivision is None or not np.array_equal(self._subdivision[0], cut):
+            pieces: dict[int, list] = {}
+            seg = np.empty((cut.size, 2, 2))
+            for i, e in enumerate(cut):
+                tris, seg[i] = cut_subdivide(self.child_values(int(e)))
+                pieces.setdefault(len(tris), []).append((e, np.stack(tris)))
+            groups = [tuple(np.stack(a) for a in zip(*pieces[n])) for n in sorted(pieces)]
+            self._subdivision = (cut.copy(), groups, seg)
+        return self._subdivision[1:]
 
     def ref_gradient(self, elems) -> np.ndarray:
         """Gradient with respect to reference coordinates (constant per
@@ -101,6 +117,7 @@ class IsoDeformation:
     per stage ("interpolant", "exact") and `kept_nodes` lists the nodes whose
     solve failed at both stages and which therefore kept their position; the
     counts are nonzero only when it ran with `allow_unresolved`.
+    `damping_rounds` counts the displacement halvings that unfolded the map.
     """
 
     am: AlfeldMesh
@@ -110,6 +127,7 @@ class IsoDeformation:
     root_failures: dict = field(default_factory=dict)
     kept_nodes: np.ndarray = field(
         default_factory=lambda: np.array([], dtype=np.int64))
+    damping_rounds: int = 0
 
     def __post_init__(self):
         ns = self.am.lagrange_nodes(self.degree)
@@ -136,40 +154,41 @@ class IsoDeformation:
             raise GeometryError(f"deformation inverts element {int(bad[0])}")
 
 
-def _newton_bisect(g, dg, lo: float, hi: float) -> float:
-    """Root of g in [lo, hi]: Newton from 0 with bisection fallback; the
-    caller adds where the root was sought to the error."""
-    x = 0.0
-    gx = g(x)
-    if abs(gx) <= ROOT_TOL:
-        return x
-    glo, ghi = g(lo), g(hi)
-    have_bracket = glo * ghi <= 0.0
-    blo, bhi = lo, hi
-    if have_bracket and glo * gx <= 0.0:
-        bhi = x
-    elif have_bracket:
-        blo = x
-    for _ in range(ROOT_MAX_ITER):
-        d = dg(x)
-        step_ok = d != 0.0
-        if step_ok:
-            xn = x - gx / d
-            step_ok = lo <= xn <= hi
-        if not step_ok:
-            if not have_bracket:
-                raise GeometryError(f"root not bracketed in [{lo:.3e}, {hi:.3e}]")
-            xn = 0.5 * (blo + bhi)
-        x = xn
-        gx = g(x)
-        if abs(gx) <= ROOT_TOL:
-            return x
-        if have_bracket:
-            if g(blo) * gx <= 0.0:
-                bhi = x
-            else:
-                blo = x
-    raise GeometryError("root solve did not converge")
+_ROOT_FAULTS = {1: "root not bracketed in [{lo:.3e}, {hi:.3e}] at node {gid} at {pos}",
+                2: "root solve did not converge at node {gid} at {pos}",
+                3: "vanishing level-set gradient at node {gid}"}
+
+
+def _newton_bisect(g, dg, n: int, lo: float, hi: float):
+    """Roots in [lo, hi] of n scalar functions, iterated together: Newton
+    from 0 with bisection fallback once bracketed.  `g(i, x)`, `dg(i, x)`
+    evaluate functions i at x.  Returns the roots and a status per function:
+    0 solved, 1 root not bracketed, 2 no convergence within ROOT_MAX_ITER."""
+    x, status = np.zeros(n), np.full(n, 2)
+    act = np.arange(n)
+    gx, glo = g(act, x), g(act, np.full(n, lo))
+    bracket = glo * g(act, np.full(n, hi)) <= 0.0
+    blo, bhi, gblo = np.full(n, lo), np.full(n, hi), glo
+    for step in range(ROOT_MAX_ITER + 1):
+        solved = np.abs(gx[act]) <= ROOT_TOL
+        status[act[solved]] = 0
+        act = act[~solved]
+        # shrink the bracket to the half that keeps the sign change
+        b = act[bracket[act]]
+        lower = gblo[b] * gx[b] <= 0.0
+        bhi[b] = np.where(lower, x[b], bhi[b])
+        blo[b], gblo[b] = np.where(lower, blo[b], x[b]), np.where(lower, gblo[b], gx[b])
+        if act.size == 0 or step == ROOT_MAX_ITER:
+            return x, status
+        d = dg(act, x[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x[act] - gx[act] / d
+        newton = (d != 0.0) & (lo <= xn) & (xn <= hi)
+        lost = ~newton & ~bracket[act]
+        status[act[lost]] = 1
+        act, xn, newton = act[~lost], xn[~lost], newton[~lost]
+        x[act] = np.where(newton, xn, 0.5 * (blo[act] + bhi[act]))
+        gx[act] = g(act, x[act])
 
 
 def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
@@ -181,14 +200,17 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
     gradient direction G for the displacement delta with
     phi_K^k(x + delta G) = phi_p1(x), where phi_K^k is the elementwise
     degree-k interpolant of the exact level set.  Nodes shared by several cut
-    children receive the mean displacement; all other nodes stay put.
+    children receive the mean displacement; all other nodes stay put.  The
+    root solves of all (cut child, local node) pairs run as one masked
+    Newton/bisection iteration (`_newton_bisect`).
 
     A root that is not found within half a mesh size raises `GeometryError`
-    naming the node and its position: the feature is not resolved at this h.
-    With `allow_unresolved` such a solve is retried against the exact level
-    set instead, and if that fails too the node keeps its position for that
-    child (delta = 0).  Both outcomes are recorded on the result in
-    `root_failures` and `kept_nodes`.
+    naming the first such node in (cut child, local node) order and its
+    position: the feature is not resolved at this h.  With
+    `allow_unresolved` the failed solves are retried together against the
+    exact level set instead, and a node that fails that too keeps its
+    position for that child (delta = 0).  Both outcomes are recorded on the
+    result in `root_failures` and `kept_nodes`.
     """
     if degree < 2:
         raise ValueError("deformation degree must be >= 2")
@@ -198,67 +220,69 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
     ref = reference_element(degree)
     h = am.macro.h
     lo, hi = -0.5 * h, 0.5 * h
+    cut = sets.alfeld_cut
+    nk = ns.elem2node.shape[1]
+    gids = ns.elem2node[cut].ravel()
+    pos = ns.coords[gids]
+    v = np.repeat(am.child_vertices(cut), nk, axis=0)
+    Ainv = np.linalg.inv(np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1))
+    xref = np.einsum("pij,pj->pi", Ainv, pos - v[:, 0])
+    # the degree-k interpolant on each pair's child, by its nodal values
+    interp = np.repeat(ls.value(pos).reshape(-1, nk), nk, axis=0)
+    pv = np.repeat(phi_p1.child_values(cut), nk, axis=0)
+    targets = pv[:, 0] * (1 - xref[:, 0] - xref[:, 1]) + pv[:, 1] * xref[:, 0] + pv[:, 2] * xref[:, 1]
+    grads = ls.gradient(pos)
+    gn = np.linalg.norm(grads, axis=1)
+    flat = gn < 1e-12
+    G = grads / np.where(flat, 1.0, gn)[:, None]
+    GA = np.einsum("pij,pj->pi", Ainv, G)
+
+    def g(i, d):
+        val = ref.eval(xref[i] + d[:, None] * GA[i])
+        return np.einsum("pm,pm->p", val, interp[i]) - targets[i]
+
+    def dg(i, d):
+        gr = ref.grad(xref[i] + d[:, None] * GA[i])
+        return (np.einsum("pmk,pm->pk", gr, interp[i]) * GA[i]).sum(-1)
+
+    delta, status = _newton_bisect(g, dg, gids.size, lo, hi)
+    # report the first fault in pair order, as a node-by-node sweep meets it
+    status[flat] = 3
+    fatal = np.flatnonzero(status == 3 if allow_unresolved else status > 0)
+    if fatal.size:
+        i = fatal[0]
+        raise GeometryError(_ROOT_FAULTS[status[i]].format(lo=lo, hi=hi, gid=gids[i],
+                                                            pos=pos[i]))
+    failed = np.flatnonzero(status)
+    kept = failed[:0]
+    if failed.size:
+        # the local interpolant cannot reach the target inside the bracket
+        # (tight concave bends do this on coarse levels); the exact level
+        # set, which it approximates, may still
+        pf, Gf, tf = pos[failed], G[failed], targets[failed]
+        exact, estatus = _newton_bisect(
+            lambda i, d: ls.value(pf[i] + d[:, None] * Gf[i]) - tf[i],
+            lambda i, d: (ls.gradient(pf[i] + d[:, None] * Gf[i]) * Gf[i]).sum(-1),
+            failed.size, lo, hi)
+        kept = failed[estatus > 0]
+        delta[failed] = np.where(estatus > 0, 0.0, exact)
     sums = np.zeros((ns.n_nodes, 2))
-    counts = np.zeros(ns.n_nodes)
-    failures = {"interpolant": 0, "exact": 0}
-    kept: set[int] = set()
-
-    for e in sets.alfeld_cut:
-        gids = ns.elem2node[e]
-        pos = ns.coords[gids]
-        va, vb, vc = am.child_vertices(int(e))
-        A = np.column_stack([vb - va, vc - va])
-        Ainv = np.linalg.inv(A)
-        interp_vals = ls.value(pos)
-        pv = phi_p1.child_values(int(e))
-        xref = (pos - va) @ Ainv.T
-        targets = pv[0] * (1 - xref[:, 0] - xref[:, 1]) + pv[1] * xref[:, 0] + pv[2] * xref[:, 1]
-        grads = ls.gradient(pos)
-        for m, gid in enumerate(gids):
-            gn = np.linalg.norm(grads[m])
-            if gn < 1e-12:
-                raise GeometryError(f"vanishing level-set gradient at node {gid}")
-            G = grads[m] / gn
-            GA = Ainv @ G
-
-            def g(d, m=m, GA=GA):
-                xh = xref[m] + d * GA
-                return float(ref.eval(xh[None, :])[0] @ interp_vals) - targets[m]
-
-            def dg(d, GA=GA, m=m):
-                xh = xref[m] + d * GA
-                gr = ref.grad(xh[None, :])[0]
-                return float((gr.T @ interp_vals) @ GA)
-
-            try:
-                delta = _newton_bisect(g, dg, lo, hi)
-            except GeometryError as err:
-                if not allow_unresolved:
-                    raise GeometryError(f"{err} at node {gid} at {pos[m]}") from None
-                # the local interpolant cannot reach the target inside the
-                # bracket (tight concave bends do this on coarse levels);
-                # the exact level set, which it approximates, may still
-                failures["interpolant"] += 1
-
-                def ge(d, m=m, G=G):
-                    return float(ls.value(pos[m] + d * G)[0]) - targets[m]
-
-                def dge(d, m=m, G=G):
-                    return float(ls.gradient(pos[m] + d * G)[0] @ G)
-
-                try:
-                    delta = _newton_bisect(ge, dge, lo, hi)
-                except GeometryError:
-                    failures["exact"] += 1
-                    kept.add(int(gid))
-                    delta = 0.0
-            sums[gid] += delta * G
-            counts[gid] += 1.0
-
+    np.add.at(sums, gids, delta[:, None] * G)
+    counts = np.bincount(gids, minlength=ns.n_nodes)
     moved = counts > 0
     disp = np.zeros((ns.n_nodes, 2))
     disp[moved] = sums[moved] / counts[moved, None]
-    if np.linalg.norm(disp, axis=1).max(initial=0.0) > 0.5 * h * (1 + 1e-12):
+    return _damped_deformation(
+        am, sets, degree, disp,
+        root_failures={"interpolant": int(failed.size), "exact": int(kept.size)},
+        kept_nodes=np.unique(gids[kept]))
+
+
+def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
+                        disp: np.ndarray, **record) -> IsoDeformation:
+    """The deformation by the nodal displacements `disp`, damped as below;
+    `record` holds the root-solve outcomes stored on it."""
+    if np.linalg.norm(disp, axis=1).max(initial=0.0) > 0.5 * am.macro.h * (1 + 1e-12):
         raise GeometryError("displacement exceeds half the mesh size")
 
     # On coarse meshes the O(h^2) displacements can reach a sizable fraction
@@ -266,6 +290,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
     # displacements of offending elements until every active child keeps a
     # uniformly positive Jacobian; the loop is a no-op once the interface
     # curvature is resolved.
+    ns = am.lagrange_nodes(degree)
     active = np.zeros(am.n_children, dtype=bool)
     active[sets.active_children] = True
     # boundary-including lattice: interior rules miss the boundary extrema of
@@ -275,10 +300,8 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
     keep = (ii + jj) <= L
     pts = np.column_stack([ii[keep] / L, jj[keep] / L])
     margin = 0.05
-    record = {"root_failures": failures,
-              "kept_nodes": np.array(sorted(kept), dtype=np.int64)}
-    for _ in range(40):
-        deformation = IsoDeformation(am, degree, disp, **record)
+    for rounds in range(40):
+        deformation = IsoDeformation(am, degree, disp, damping_rounds=rounds, **record)
         mapping = MappingData(am, deformation)
         check = deformation.deformed_children[active[deformation.deformed_children]]
         if check.size == 0:
@@ -290,8 +313,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
         disp[np.unique(ns.elem2node[bad])] *= 0.5
     else:
         raise GeometryError("deformation damping failed to restore orientation")
-    deformation.validate(elems=deformation.deformed_children[
-        active[deformation.deformed_children]])
+    deformation.validate(elems=check)
     return deformation
 
 
@@ -464,6 +486,10 @@ def _groups(elems: np.ndarray, xhat: np.ndarray, weights: np.ndarray):
 class CutQuadrature:
     """All quadrature data of one cut configuration.
 
+    The rules of degree `order` (the patch rule: `patch_order`) are derived
+    from the mapping and `DiscreteLevelSet.subdivision` when the object is
+    built; `dataclasses.replace(quad, order=m)` gives another degree.
+
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
     children share `ref_rule`, and the cut children are stacked by the point
@@ -478,16 +504,52 @@ class CutQuadrature:
     mapping: MappingData
     order: int
     patch_order: int
-    inside_elems: np.ndarray
-    cut_elems: np.ndarray
-    ref_rule: tuple[np.ndarray, np.ndarray]
-    patch_rule: tuple[np.ndarray, np.ndarray]
-    cut_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    interface_rule: InterfaceRule
-    band_normals: np.ndarray
-    area_inside: float
-    area_bulk: float
-    interface_length: float
+    inside_elems: np.ndarray = field(init=False)
+    cut_elems: np.ndarray = field(init=False)
+    ref_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
+    patch_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
+    cut_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(init=False)
+    interface_rule: InterfaceRule = field(init=False)
+    band_normals: np.ndarray = field(init=False)
+    area_inside: float = field(init=False)
+    area_bulk: float = field(init=False)
+    interface_length: float = field(init=False)
+
+    def __post_init__(self):
+        mapping = self.mapping
+        self.cut_elems = cut = self.sets.alfeld_cut
+        subtriangles, seg = self.phi_p1.subdivision(cut)
+        self.ref_rule = triangle_rule(self.order)
+        self.patch_rule = triangle_rule(self.patch_order)
+        seg_pts, seg_wts = segment_rule(self.order)
+        self.inside_elems = np.flatnonzero(self.sets.child_class == 0)
+        self.cut_groups = [(elems, *_map_rule_to_subtris(*self.ref_rule, tris))
+                           for elems, tris in subtriangles]
+
+        d = seg[:, 1] - seg[:, 0]
+        xh = seg[:, None, 0] + seg_pts[None, :, None] * d[:, None]
+        F, _ = mapping.jacobians(cut, xh)
+        dsw = seg_wts * np.linalg.norm(np.einsum("eqij,ej->eqi", F, d), axis=-1)
+        bad = cut[~(dsw > 0).all(axis=-1)]
+        if bad.size:
+            raise GeometryError(f"degenerate interface segment on element {bad[0]}")
+        ghat = self.phi_p1.ref_gradient(cut)[:, None]
+        normals = _unit_rows(_inv_transpose_apply(F, ghat))
+        self.interface_rule = InterfaceRule(cut, xh, dsw, normals, mapping.phys(cut, xh))
+        self.interface_length = float(dsw.sum())
+        Fb, _ = mapping.jacobians(cut, self.ref_rule[0])
+        self.band_normals = _unit_rows(_inv_transpose_apply(Fb, ghat))
+
+        self.area_inside = self.area_bulk = 0.0
+        for elems, xh, w in self.volume_groups():
+            _, J = mapping.jacobians(elems, xh)
+            bad = elems[(J <= 0).any(axis=-1)]
+            if bad.size:
+                raise GeometryError(
+                    f"nonpositive Jacobian in volume rule of element {bad[0]}")
+            self.area_inside += float((w * J).sum())
+        for elems, xh, w in self.bulk_groups():
+            self.area_bulk += float((w * mapping.jacobians(elems, xh)[1]).sum())
 
     def volume_groups(self):
         """Yield (elems, xhat, weights) groups covering the fluid domain."""
@@ -522,11 +584,15 @@ def _unit_rows(w: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
-def _map_rule_to_subtri(pts: np.ndarray, wts: np.ndarray, tri: np.ndarray):
-    a, b, c = tri
-    area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    x = a[None, :] + np.outer(pts[:, 0], b - a) + np.outer(pts[:, 1], c - a)
-    return x, wts * 2.0 * abs(0.5 * area2)
+def _map_rule_to_subtris(pts: np.ndarray, wts: np.ndarray, tris: np.ndarray):
+    """A reference rule mapped onto the sub-triangles tris (ne, n, 3, 2):
+    points (ne, n * nq, 2) and weights (ne, n * nq)."""
+    a, b, c = (tris[..., i, None, :] for i in range(3))
+    area2 = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+             - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+    x = a + pts[:, 0, None] * (b - a) + pts[:, 1, None] * (c - a)
+    w = wts * 2.0 * abs(0.5 * area2)
+    return x.reshape(tris.shape[0], -1, 2), w.reshape(tris.shape[0], -1)
 
 
 def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSet,
@@ -534,52 +600,6 @@ def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSe
                       patch_order: int | None = None) -> CutQuadrature:
     """Generate volume, interface, band and patch rules for one configuration."""
     k = deformation.degree
-    if order is None:
-        order = 2 * k + 2
-    if patch_order is None:
-        patch_order = 4 * k
-    mapping = MappingData(am, deformation)
-    ref_rule = triangle_rule(order)
-    patch_rule = triangle_rule(patch_order)
-    seg_pts, seg_wts = segment_rule(order)
-
-    inside = np.flatnonzero(sets.child_class == 0)
-    cut = sets.alfeld_cut
-    parts: dict[int, list] = {}
-    seg = np.empty((cut.size, 2, 2))
-    for i, e in enumerate(cut):
-        tris, seg[i] = cut_subdivide(phi_p1.child_values(int(e)))
-        x, w = zip(*(_map_rule_to_subtri(*ref_rule, tri) for tri in tris))
-        parts.setdefault(len(tris), []).append((e, np.vstack(x), np.concatenate(w)))
-    cut_groups = [tuple(np.stack(a) for a in zip(*parts[n])) for n in sorted(parts)]
-
-    d = seg[:, 1] - seg[:, 0]
-    xh = seg[:, None, 0] + seg_pts[None, :, None] * d[:, None]
-    F, _ = mapping.jacobians(cut, xh)
-    dsw = seg_wts * np.linalg.norm(np.einsum("eqij,ej->eqi", F, d), axis=-1)
-    bad = cut[~(dsw > 0).all(axis=-1)]
-    if bad.size:
-        raise GeometryError(f"degenerate interface segment on element {bad[0]}")
-    ghat = phi_p1.ref_gradient(cut)[:, None]
-    normals = _unit_rows(_inv_transpose_apply(F, ghat))
-    interface = InterfaceRule(cut, xh, dsw, normals, mapping.phys(cut, xh))
-    Fb, _ = mapping.jacobians(cut, ref_rule[0])
-    band_normals = _unit_rows(_inv_transpose_apply(Fb, ghat))
-
-    quad = CutQuadrature(
-        am=am, sets=sets, phi_p1=phi_p1, mapping=mapping, order=order,
-        patch_order=patch_order, inside_elems=inside, cut_elems=cut,
-        ref_rule=ref_rule, patch_rule=patch_rule, cut_groups=cut_groups,
-        interface_rule=interface, band_normals=band_normals,
-        area_inside=0.0, area_bulk=0.0, interface_length=float(dsw.sum()),
-    )
-    for elems, xh, w in quad.volume_groups():
-        _, J = mapping.jacobians(elems, xh)
-        bad = elems[(J <= 0).any(axis=-1)]
-        if bad.size:
-            raise GeometryError(
-                f"nonpositive Jacobian in volume rule of element {bad[0]}")
-        quad.area_inside += float((w * J).sum())
-    for elems, xh, w in quad.bulk_groups():
-        quad.area_bulk += float((w * mapping.jacobians(elems, xh)[1]).sum())
-    return quad
+    return CutQuadrature(am, sets, phi_p1, MappingData(am, deformation),
+                         2 * k + 2 if order is None else order,
+                         4 * k if patch_order is None else patch_order)

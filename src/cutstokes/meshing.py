@@ -158,21 +158,10 @@ class NodeSet:
     coords: np.ndarray
     elem2node: np.ndarray
     n_vertex_nodes: int
-    n_edge_nodes: int
 
     @property
     def n_nodes(self) -> int:
         return self.coords.shape[0]
-
-    def facet_nodes(self, am: "AlfeldMesh", fid: int) -> np.ndarray:
-        """Global node ids lying on child facet `fid` (endpoints + edge nodes)."""
-        a, b = am.child_mesh.facets[fid]
-        k = self.degree
-        ids = [a, b]
-        if k >= 2:
-            base = self.n_vertex_nodes + fid * (k - 1)
-            ids.extend(range(base, base + k - 1))
-        return np.asarray(ids, dtype=np.int64)
 
 
 class AlfeldMesh:
@@ -250,7 +239,7 @@ class AlfeldMesh:
             start = nv + n_edge
             e2n[:, 3 + 3 * (k - 1):] = (start + n_int_per * np.arange(ne)[:, None]
                                         + np.arange(n_int_per)[None, :])
-        ns = NodeSet(k, coords, e2n, n_vertex_nodes=nv, n_edge_nodes=n_edge)
+        ns = NodeSet(k, coords, e2n, n_vertex_nodes=nv)
         assert ns.n_nodes == nv + n_edge + n_int_total
         self._nodes[k] = ns
         return ns

@@ -5,8 +5,12 @@ import scipy.sparse.linalg as spla
 
 from cutstokes.meshing import (_orientations, alfeld_split, build_background_mesh,
                                classify_elements)
-from cutstokes.geometry import (GeometryError, LevelSet, interpolate_p1,
+from cutstokes.forms import _Triplets, _affine_coords, _extensions, _sym
+from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet,
+                                _damped_deformation, interpolate_p1,
                                 build_deformation, build_quadratures)
+from cutstokes.reference import reference_element
+from cutstokes.spaces import VelocitySpace
 from cutstokes.harness import StudyConfig, exact_example1, solve_level
 from cutstokes.solver import SEED, _rayleigh_iterate
 
@@ -72,9 +76,17 @@ def child_areas(am) -> np.ndarray:
     return 0.5 * _orientations(am.vertices, am.children)
 
 
+def facet_nodes(ns, am, fid: int) -> np.ndarray:
+    """Global ids of the nodes of NodeSet `ns` on child facet `fid`
+    (endpoints + edge nodes)."""
+    a, b = am.child_mesh.facets[fid]
+    base = ns.n_vertex_nodes + fid * (ns.degree - 1)
+    return np.array([a, b, *range(base, base + ns.degree - 1)], dtype=np.int64)
+
+
 def boundary_dofs(vs) -> np.ndarray:
     """Velocity dofs of the nodes lying on the boundary of the active mesh."""
-    ids = [vs.node_set.facet_nodes(vs.am, int(fid))
+    ids = [facet_nodes(vs.node_set, vs.am, int(fid))
            for fid in vs.sets.active_boundary_facets]
     gids = np.unique(np.concatenate(ids)) if ids else np.array([], dtype=np.int64)
     cg = vs._comp[gids]
@@ -113,6 +125,150 @@ def pinned_factor(system):
     r = -M[:n, [i]].toarray().ravel()
     r[i] = 1.0
     return lu, lu.solve(r)
+
+
+def per_facet_ghost_penalty(params, quad, space, facets=None) -> sp.csr_matrix:
+    """`assemble_ghost_penalty` one facet and one owner at a time, folding
+    the jump onto the patch dofs with `np.unique`: the oracle for the
+    batched facet groups."""
+    vector = isinstance(space, VelocitySpace)
+    mp = quad.mapping
+    if facets is None:
+        facets = quad.sets.gp_facets
+    scale = params.gamma_gp / quad.am.macro.h ** 2
+    pts, wts = quad.patch_rule
+    sides = [tuple(int(t) for t in quad.am.child_mesh.facet_tris[int(f)])
+             for f in facets]
+    if vector:
+        owners = sorted({e for s in sides for e in s})
+        arrays = _extensions(quad, space, np.array(owners))
+        ext = {e: tuple(a[i] for a in arrays) for i, e in enumerate(owners)}
+    tri = _Triplets()
+    for e1, e2 in sides:
+        dofs = np.concatenate([space.elem_dofs[space.element_row[e1]],
+                               space.elem_dofs[space.element_row[e2]]])
+        udofs, fold = np.unique(dofs, return_inverse=True)
+        for ei, ej in ((e1, e2), (e2, e1)):
+            if vector:
+                x, Jw, vi, _ = ext[ei]
+                vj = np.einsum("qa,adc->qdc",
+                               space.ref.eval(_affine_coords(mp, ej, x)), ext[ej][3])
+            else:
+                xt = mp.v0[ei] + pts @ mp.A[ei].T
+                Jw = wts * mp.jacobians(ei, pts)[1]
+                vi = space.ref.eval(pts)[:, :, None]
+                vj = space.ref.eval(_affine_coords(mp, ej, xt))[:, :, None]
+            if ei == e1:
+                jump = np.concatenate([vi, -vj], axis=1)
+            else:
+                jump = np.concatenate([-vj, vi], axis=1)
+            folded = np.zeros((jump.shape[0], udofs.size, jump.shape[2]))
+            np.add.at(folded, (slice(None), fold), jump)
+            loc = _sym(np.einsum("q,qdc,qec->de", Jw * scale, folded, folded))
+            tri.add(udofs[None], udofs[None], loc[None])
+    n = space.n_dofs
+    return tri.matrix(n, n)
+
+
+def _scalar_newton_bisect(g, dg, lo: float, hi: float) -> float:
+    """Root of one scalar g in [lo, hi]: Newton from 0 with bisection
+    fallback; raises GeometryError like the batched solve reports."""
+    x = 0.0
+    gx = g(x)
+    if abs(gx) <= ROOT_TOL:
+        return x
+    glo, ghi = g(lo), g(hi)
+    have_bracket = glo * ghi <= 0.0
+    blo, bhi = lo, hi
+    if have_bracket and glo * gx <= 0.0:
+        bhi = x
+    elif have_bracket:
+        blo = x
+    for _ in range(ROOT_MAX_ITER):
+        d = dg(x)
+        step_ok = d != 0.0
+        if step_ok:
+            xn = x - gx / d
+            step_ok = lo <= xn <= hi
+        if not step_ok:
+            if not have_bracket:
+                raise GeometryError(f"root not bracketed in [{lo:.3e}, {hi:.3e}]")
+            xn = 0.5 * (blo + bhi)
+        x = xn
+        gx = g(x)
+        if abs(gx) <= ROOT_TOL:
+            return x
+        if have_bracket:
+            if g(blo) * gx <= 0.0:
+                bhi = x
+            else:
+                blo = x
+    raise GeometryError("root solve did not converge")
+
+
+def per_node_deformation(ls, phi_p1, am, sets, degree: int,
+                         allow_unresolved: bool = False):
+    """`build_deformation` with one scalar root solve per (cut child, node)
+    pair: the oracle for the batched iteration.  The damping is shared."""
+    ns = am.lagrange_nodes(degree)
+    ref = reference_element(degree)
+    h = am.macro.h
+    lo, hi = -0.5 * h, 0.5 * h
+    sums = np.zeros((ns.n_nodes, 2))
+    counts = np.zeros(ns.n_nodes)
+    failures = {"interpolant": 0, "exact": 0}
+    kept: set[int] = set()
+    for e in sets.alfeld_cut:
+        gids = ns.elem2node[e]
+        pos = ns.coords[gids]
+        va, vb, vc = am.child_vertices(int(e))
+        Ainv = np.linalg.inv(np.column_stack([vb - va, vc - va]))
+        interp_vals = ls.value(pos)
+        pv = phi_p1.child_values(int(e))
+        xref = (pos - va) @ Ainv.T
+        targets = pv[0] * (1 - xref[:, 0] - xref[:, 1]) + pv[1] * xref[:, 0] + pv[2] * xref[:, 1]
+        grads = ls.gradient(pos)
+        for m, gid in enumerate(gids):
+            gn = np.linalg.norm(grads[m])
+            if gn < 1e-12:
+                raise GeometryError(f"vanishing level-set gradient at node {gid}")
+            G = grads[m] / gn
+            GA = Ainv @ G
+
+            def g(d, m=m, GA=GA):
+                xh = xref[m] + d * GA
+                return float(ref.eval(xh[None, :])[0] @ interp_vals) - targets[m]
+
+            def dg(d, m=m, GA=GA):
+                gr = ref.grad((xref[m] + d * GA)[None, :])[0]
+                return float((gr.T @ interp_vals) @ GA)
+
+            try:
+                delta = _scalar_newton_bisect(g, dg, lo, hi)
+            except GeometryError as err:
+                if not allow_unresolved:
+                    raise GeometryError(f"{err} at node {gid} at {pos[m]}") from None
+                failures["interpolant"] += 1
+
+                def ge(d, m=m, G=G):
+                    return float(ls.value(pos[m] + d * G)[0]) - targets[m]
+
+                def dge(d, m=m, G=G):
+                    return float(ls.gradient(pos[m] + d * G)[0] @ G)
+
+                try:
+                    delta = _scalar_newton_bisect(ge, dge, lo, hi)
+                except GeometryError:
+                    failures["exact"] += 1
+                    kept.add(int(gid))
+                    delta = 0.0
+            sums[gid] += delta * G
+            counts[gid] += 1.0
+    moved = counts > 0
+    disp = np.zeros((ns.n_nodes, 2))
+    disp[moved] = sums[moved] / counts[moved, None]
+    return _damped_deformation(am, sets, degree, disp, root_failures=failures,
+                               kept_nodes=np.array(sorted(kept), dtype=np.int64))
 
 
 @pytest.fixture(scope="session")

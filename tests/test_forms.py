@@ -7,12 +7,15 @@ from cutstokes.forms import (FormParams, assemble_a, assemble_b, assemble_c,
                              build_saddle_system, pressure_mean_vector)
 from cutstokes.geometry import IsoDeformation, build_quadratures
 from cutstokes.harness import StudyConfig, exact_example1, fit_rate, solve_level
-from cutstokes.spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
+from cutstokes.postprocess import pressure_gp_facets
+from cutstokes.spaces import (ContinuousPressureSpace, MultiplierSpace,
+                              PressureSpace, VelocitySpace,
                               VelocityField, interpolate_scalar,
                               interpolate_velocity, velocity_tables)
 from cutstokes.reference import triangle_rule
 from tests.conftest import (boundary_dofs, build_case, circle_levelset,
-                            pinned_factor, quartic_levelset)
+                            per_facet_ghost_penalty, pinned_factor,
+                            quartic_levelset)
 from tests.test_geometry import quartic_area
 
 
@@ -207,6 +210,34 @@ def test_gp_interpolant_decay():
             energy[mode].append(u @ (assemble_ghost_penalty(params, q, vs) @ u))
     for mode, js in energy.items():
         assert fit_rate(hs, js) >= 4.5, (mode, js)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.15])
+def test_gp_batched_matches_per_facet(h):
+    # the stacked facet groups give the facet-by-facet matrix: same stored
+    # entries, values to round-off, exactly symmetric
+    params = FormParams()
+    am, phi, sets, defo, quad = build_case(quartic_levelset(), h, 2)
+    flat = build_quadratures(am, sets, phi, IsoDeformation.identity(am, 2))
+    for q in (quad, flat):
+        for space, facets in (
+                (VelocitySpace(am, sets, q.mapping, 2), None),
+                (ContinuousPressureSpace(am, sets, q.mapping, 1), pressure_gp_facets(q))):
+            G = assemble_ghost_penalty(params, q, space, facets)
+            O = per_facet_ghost_penalty(params, q, space, facets)
+            assert np.array_equal(G.indptr, O.indptr)
+            assert np.array_equal(G.indices, O.indices)
+            assert np.abs(G.data - O.data).max() <= 1e-13 * np.abs(O.data).max()
+            assert (G != G.T).nnz == 0
+
+
+def test_gp_rejects_boundary_facet(quartic_case_h03):
+    am, phi, sets, defo, quad = quartic_case_h03
+    vs = VelocitySpace(am, sets, quad.mapping, 2)
+    boundary = np.flatnonzero(am.child_mesh.facet_tris[:, 1] < 0)
+    facets = np.concatenate([sets.gp_facets[:3], boundary[[4, 2]]])
+    with pytest.raises(ValueError, match=rf"^facet {boundary[4]} is not interior$"):
+        assemble_ghost_penalty(FormParams(), quad, vs, facets)
 
 
 def test_gp_deformed_bounded_by_p1():

@@ -8,7 +8,7 @@ from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 MappingData, cut_subdivide, build_quadratures,
                                 REF_VERTS)
 from tests.conftest import (build_case, circle_levelset, eval_ref, gradient_fd_error,
-                            inverse_map, quartic_levelset)
+                            inverse_map, per_node_deformation, quartic_levelset)
 
 
 def quartic_area() -> float:
@@ -202,6 +202,45 @@ def test_deformation_damps_on_coarse_mesh():
     check = defo.deformed_children[active[defo.deformed_children]]
     _, J = mapping.jacobians(check, pts)
     assert (J > 0).all()
+    assert defo.damping_rounds > 0
+
+
+def test_deformation_resolved_case_needs_no_damping(quartic_case_h015):
+    assert quartic_case_h015[3].damping_rounds == 0
+
+
+def _oscillating_levelset() -> LevelSet:
+    return LevelSet(lambda p: p[:, 1] - 0.45 + 0.2 * np.sin(15 * p[:, 0]),
+                    lambda p: np.column_stack([3.0 * np.cos(15 * p[:, 0]),
+                                               np.ones(len(p))]))
+
+
+def test_deformation_batched_matches_per_node():
+    # the masked iteration over all (cut child, node) pairs finds the roots
+    # and the fallbacks of the node-by-node solves
+    from cutstokes.harness import exact_example2
+    cases = [(quartic_levelset(), 0.3, False), (quartic_levelset(), 0.15, False),
+             (_oscillating_levelset(), 0.5, True),
+             (exact_example2().levelset, 0.3, True)]
+    for ls, h, allow in cases:
+        am = alfeld_split(build_background_mesh((-1, 1, -1, 1), h))
+        phi = interpolate_p1(ls, am)
+        sets = classify_elements(am, phi)
+        got = build_deformation(ls, phi, am, sets, 2, allow_unresolved=allow)
+        ref = per_node_deformation(ls, phi, am, sets, 2, allow_unresolved=allow)
+        assert np.abs(got.node_disp - ref.node_disp).max() <= 1e-13 * h
+        assert np.array_equal(got.deformed_children, ref.deformed_children)
+        assert got.root_failures == ref.root_failures
+        assert np.array_equal(got.kept_nodes, ref.kept_nodes)
+        assert got.damping_rounds == ref.damping_rounds
+        if allow:
+            # without the fallback both name the same first failing node
+            msgs = []
+            for build in (build_deformation, per_node_deformation):
+                with pytest.raises(GeometryError) as err:
+                    build(ls, phi, am, sets, 2)
+                msgs.append(str(err.value))
+            assert msgs[0] == msgs[1]
 
 
 def test_deformation_requires_cut_band():
@@ -373,6 +412,32 @@ def test_quadrature_monomial_exactness():
                 val += ((w * J) * (x[..., 0] ** p * x[..., 1] ** q)).sum()
             exact = box_int(p, q)
             assert abs(val - exact) <= 1e-13 * max(1.0, abs(exact))
+
+
+def test_quadrature_other_order_reuses_subdivision(quartic_case_h03, monkeypatch):
+    # a rule of another degree is mapped onto the kept cut subdivision and is
+    # bit for bit the rule that a fresh subdivision gives
+    from dataclasses import replace
+    from cutstokes import geometry
+    am, phi, sets, defo, quad = quartic_case_h03
+    want = build_quadratures(am, sets, DiscreteLevelSet(am, phi.vertex_values), defo,
+                             order=8)
+
+    def no_subdivision(*args):
+        raise AssertionError("cut subdivision recomputed")
+
+    monkeypatch.setattr(geometry, "cut_subdivide", no_subdivision)
+    for got in (build_quadratures(am, sets, phi, defo, order=8), replace(quad, order=8)):
+        pairs = list(zip(got.volume_groups(), want.volume_groups()))
+        assert len(pairs) == len(list(want.volume_groups()))
+        for a, b in pairs:
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        for name in ("elems", "xhat", "weights", "normals", "xphys"):
+            assert np.array_equal(getattr(got.interface_rule, name),
+                                  getattr(want.interface_rule, name))
+        assert np.array_equal(got.band_normals, want.band_normals)
+        assert (got.area_inside, got.area_bulk, got.interface_length) == (
+            want.area_inside, want.area_bulk, want.interface_length)
 
 
 def test_quadrature_area_convergence():

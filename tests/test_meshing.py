@@ -4,7 +4,7 @@ import pytest
 from cutstokes.meshing import (MacroMesh, EmptyActiveDomainError, build_background_mesh,
                                alfeld_split, classify_elements, snap_values, SNAP_REL)
 from cutstokes.reference import reference_nodes
-from tests.conftest import child_areas, quartic_levelset
+from tests.conftest import child_areas, facet_nodes, quartic_levelset
 from cutstokes.geometry import interpolate_p1
 
 
@@ -104,7 +104,7 @@ def test_facet_nodes_shared_between_owners():
         t0, t1 = cm.facet_tris[fid]
         if t1 < 0:
             continue
-        fn = set(ns.facet_nodes(am, fid).tolist())
+        fn = set(facet_nodes(ns, am, fid).tolist())
         assert fn <= set(ns.elem2node[t0].tolist())
         assert fn <= set(ns.elem2node[t1].tolist())
 
