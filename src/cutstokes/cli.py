@@ -92,7 +92,8 @@ def _cmd_noflow(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    h = args.h0 if args.h0 is not None else 0.1
+    # the sweep runs at h0 from --h0 or the config file, else at h = 0.1
+    h = cfg.h0 if args.h0 is not None or args.config else 0.1
     out = run_interface_sweep(cfg, h=h, n=args.shifts)
     kappas = np.array([k for _, _, k in out])
     print(f"{len(out)} shifts at h={h}: kappa min {kappas.min():.4e} "

@@ -40,26 +40,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormParams:
-    """Weights and degrees of the discrete problem.
-
-    `gamma_n` is the Nitsche penalty, `gamma_gp` the ghost-penalty weight and
-    `gamma_lambda` the multiplier stabilization weight; `k` and `k_lambda`
-    are the velocity and multiplier degrees.
+    """Weights of the discrete problem: `gamma_n` is the Nitsche penalty,
+    `gamma_gp` the ghost-penalty weight and `gamma_lambda` the multiplier
+    stabilization weight.  The degrees are those of the spaces assembled on.
     """
 
     gamma_n: float = 40.0
     gamma_gp: float = 0.1
     gamma_lambda: float = 0.1
-    k: int = 2
-    k_lambda: int = 1
 
     def __post_init__(self):
         if self.gamma_n <= 0:
             raise ValueError("gamma_n must be positive")
-        if self.k < 2:
-            raise ValueError("velocity degree must be >= 2")
-        if self.k_lambda < 1:
-            raise ValueError("multiplier degree must be >= 1")
 
 
 class _Triplets:
@@ -122,8 +114,6 @@ def _inv2(A: np.ndarray) -> np.ndarray:
 def assemble_a(params: FormParams, quad: CutQuadrature,
                vs: VelocitySpace) -> sp.csr_matrix:
     """Viscous volume term plus the symmetric Nitsche boundary terms."""
-    if params.k != vs.degree:
-        raise ValueError("params.k does not match the velocity space degree")
     mp = quad.mapping
     h = quad.am.macro.h
     tri = _Triplets()
@@ -267,8 +257,6 @@ def assemble_j(params: FormParams, quad: CutQuadrature,
                ms: MultiplierSpace) -> sp.csr_matrix:
     """Normal-gradient stabilization -h gamma_lambda (n.grad l, n.grad m)
     over the cut band, with the normal extended off the interface."""
-    if params.k_lambda != ms.degree:
-        raise ValueError("params.k_lambda does not match the multiplier degree")
     h = quad.am.macro.h
     pts, wts = quad.ref_rule
     cut = quad.cut_elems

@@ -42,10 +42,9 @@ class LevelSet:
     """Analytic level set with values and gradients at physical points."""
 
     def __init__(self, value: Callable[[np.ndarray], np.ndarray],
-                 gradient: Callable[[np.ndarray], np.ndarray], name: str = "levelset"):
+                 gradient: Callable[[np.ndarray], np.ndarray]):
         self._value = value
         self._gradient = gradient
-        self.name = name
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self._value(np.atleast_2d(pts)), dtype=float)
@@ -486,9 +485,10 @@ def _groups(elems: np.ndarray, xhat: np.ndarray, weights: np.ndarray):
 class CutQuadrature:
     """All quadrature data of one cut configuration.
 
-    The rules of degree `order` (the patch rule: `patch_order`) are derived
-    from the mapping and `DiscreteLevelSet.subdivision` when the object is
-    built; `dataclasses.replace(quad, order=m)` gives another degree.
+    The rules of degree `order` are derived from the mapping and
+    `DiscreteLevelSet.subdivision` when the object is built;
+    `dataclasses.replace(quad, order=m)` gives another degree.  The patch
+    rule of the ghost penalties has degree `patch_order` = 4 * mapping degree.
 
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
@@ -503,7 +503,7 @@ class CutQuadrature:
     phi_p1: DiscreteLevelSet
     mapping: MappingData
     order: int
-    patch_order: int
+    patch_order: int = field(init=False)
     inside_elems: np.ndarray = field(init=False)
     cut_elems: np.ndarray = field(init=False)
     ref_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
@@ -520,6 +520,7 @@ class CutQuadrature:
         self.cut_elems = cut = self.sets.alfeld_cut
         subtriangles, seg = self.phi_p1.subdivision(cut)
         self.ref_rule = triangle_rule(self.order)
+        self.patch_order = 4 * mapping.degree
         self.patch_rule = triangle_rule(self.patch_order)
         seg_pts, seg_wts = segment_rule(self.order)
         self.inside_elems = np.flatnonzero(self.sets.child_class == 0)
@@ -596,10 +597,9 @@ def _map_rule_to_subtris(pts: np.ndarray, wts: np.ndarray, tris: np.ndarray):
 
 
 def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSet,
-                      deformation: IsoDeformation, order: int | None = None,
-                      patch_order: int | None = None) -> CutQuadrature:
-    """Generate volume, interface, band and patch rules for one configuration."""
-    k = deformation.degree
+                      deformation: IsoDeformation) -> CutQuadrature:
+    """Volume, interface, band and patch rules for one configuration, of
+    degree 2k+2 for the deformation degree k; `dataclasses.replace(quad,
+    order=m)` maps a rule of another degree onto the same subdivision."""
     return CutQuadrature(am, sets, phi_p1, MappingData(am, deformation),
-                         2 * k + 2 if order is None else order,
-                         4 * k if patch_order is None else patch_order)
+                         2 * deformation.degree + 2)

@@ -117,8 +117,7 @@ def exact_example1() -> ExactCase:
         gp = grad_p(x)
         return np.column_stack([-lap1 + gp[:, 0], -lap2 + gp[:, 1]])
 
-    return ExactCase("example1", LevelSet(phi, dphi, name="quartic"),
-                     u, grad_u, p, grad_p, f)
+    return ExactCase("example1", LevelSet(phi, dphi), u, grad_u, p, grad_p, f)
 
 
 def exact_example2() -> ExactCase:
@@ -158,11 +157,14 @@ def exact_example2() -> ExactCase:
     def grad_p(x):
         return np.column_stack([5.0 * x[:, 0] ** 4, 5.0 * x[:, 1] ** 4])
 
-    return ExactCase("example2", LevelSet(phi, dphi, name="star"),
-                     u, grad_u, p, grad_p, grad_p, allow_unresolved=True)
+    return ExactCase("example2", LevelSet(phi, dphi), u, grad_u, p, grad_p,
+                     grad_p, allow_unresolved=True)
 
 
 _EXAMPLES = {1: exact_example1, 2: exact_example2}
+
+# background box (xmin, xmax, ymin, ymax) of every study
+BOX = (-1.0, 1.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,6 @@ class StudyConfig:
     gamma_gp: float = 0.1
     gamma_lambda: float = 0.1
     geom: str = "ho"
-    volume_order: int = 0          # 0 picks the 2k+2 default
-    patch_order: int = 0           # 0 picks the 4k default
-    error_order: int = 0           # 0 picks 2k+4
-    box: tuple = (-1.0, 1.0, -1.0, 1.0)
-    curl_sign: float = -1.0
     with_condest: bool = False
     out: str = ""
     vtk: bool = False
@@ -199,8 +196,7 @@ class StudyConfig:
 
     def form_params(self) -> FormParams:
         return FormParams(gamma_n=self.gamma_n, gamma_gp=self.gamma_gp,
-                          gamma_lambda=self.gamma_lambda, k=self.k,
-                          k_lambda=self.k_lambda)
+                          gamma_lambda=self.gamma_lambda)
 
 
 @dataclass
@@ -250,7 +246,7 @@ def build_geometry(cfg: StudyConfig, exact: ExactCase, h: float) -> CutQuadratur
     """Cut geometry of one level with mesh size h: background mesh, Alfeld
     split, P1 level set, classification, isoparametric deformation (the
     identity for geom="p1") and the quadrature rules."""
-    am = alfeld_split(build_background_mesh(cfg.box, h))
+    am = alfeld_split(build_background_mesh(BOX, h))
     phi1 = interpolate_p1(exact.levelset, am)
     sets = classify_elements(am, phi1)
     if cfg.geom == "ho":
@@ -258,9 +254,7 @@ def build_geometry(cfg: StudyConfig, exact: ExactCase, h: float) -> CutQuadratur
                                  allow_unresolved=exact.allow_unresolved)
     else:
         defo = IsoDeformation.identity(am, cfg.k)
-    return build_quadratures(am, sets, phi1, defo,
-                             order=cfg.volume_order or None,
-                             patch_order=cfg.patch_order or None)
+    return build_quadratures(am, sets, phi1, defo)
 
 
 def assemble_level(cfg: StudyConfig, quad: CutQuadrature, f=None):
@@ -299,7 +293,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     params = cfg.form_params()
     qs = ContinuousPressureSpace(quad.am, quad.sets, quad.mapping, cfg.k - 1)
     uh = VelocityField(vs, sol.u)
-    pc = recover_pressure(params, quad, qs, uh, exact.f, cfg.curl_sign)
+    pc = recover_pressure(params, quad, qs, uh, exact.f)
     pstar = ScalarField(qs, pc)
     wall = time.perf_counter() - t0
 
@@ -316,15 +310,13 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
 
 
 def compute_errors(state: LevelState) -> dict:
-    """Error norms on a finer cut rule: L2/H1 over the fluid domain, the
-    divergence over the whole active mesh, |phi| along the discrete
-    interface.  The exact pressure is compared after removing its discrete
-    mean, matching the zero-mean normalization of the recovered one."""
+    """Error norms on the cut rule of degree 2k+4, mapped onto the level's
+    subdivision: L2/H1 over the fluid domain, the divergence over the whole
+    active mesh, |phi| along the discrete interface.  The exact pressure is
+    compared after removing its discrete mean, matching the zero-mean
+    normalization of the recovered one."""
     cfg, exact, quad = state.cfg, state.exact, state.quad
-    order = cfg.error_order or (2 * cfg.k + 4)
-    equad = build_quadratures(quad.am, quad.sets, quad.phi_p1,
-                              quad.mapping.deformation, order=order,
-                              patch_order=cfg.patch_order or None)
+    equad = replace(quad, order=2 * cfg.k + 4)
     mp = equad.mapping
 
     area = vol_p = 0.0
@@ -391,7 +383,7 @@ def _shifted_quartic(x0: float) -> LevelSet:
     def dphi(x):
         return np.column_stack([4.0 * (x[:, 0] - x0) ** 3, 4.0 * x[:, 1] ** 3])
 
-    return LevelSet(phi, dphi, name=f"quartic_shift_{x0:+.3f}")
+    return LevelSet(phi, dphi)
 
 
 def _sweep_one(args) -> tuple[int, float, float]:
@@ -407,8 +399,11 @@ def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
     """Condition numbers for n+1 horizontal shifts of the quartic interface.
 
     Returns the list of (index, shift, kappa) tuples ordered by index; the
-    shifts are independent, so they fan out over cfg.workers processes.
+    shifts are independent, so they fan out over cfg.workers processes.  The
+    manifest records the mesh size h as `h0`.
     """
+    if n < 1:
+        raise ValueError(f"the sweep needs n >= 1 shift steps, got n = {n}")
     items = [(cfg, i, h, n) for i in range(n + 1)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -421,7 +416,7 @@ def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
         lines = ["# i x kappa"]
         lines += [f"{i} {_fmt(x0)} {_fmt(k)}" for i, x0, k in out]
         _write_text(os.path.join(cfg.out, "sweep.data"), lines)
-        write_config(os.path.join(cfg.out, "sweep.manifest"), cfg)
+        write_config(os.path.join(cfg.out, "sweep.manifest"), replace(cfg, h0=h))
     return out
 
 
@@ -472,13 +467,7 @@ def write_data(path: str, rows, with_condest: bool = False) -> None:
 
 
 def write_config(path: str, cfg: StudyConfig) -> None:
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "box":
-            v = ",".join(repr(float(c)) for c in v)
-        lines.append(f"{f.name} = {v}")
-    _write_text(path, lines)
+    _write_text(path, [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)])
 
 
 def read_config(path: str) -> StudyConfig:
@@ -510,8 +499,6 @@ def _parse_field(ftype: str, val: str):
         if val.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {val!r}")
-    if ftype == "tuple":
-        return tuple(float(c) for c in val.split(","))
     return val
 
 

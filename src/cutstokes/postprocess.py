@@ -10,8 +10,8 @@ zero-mean constraint over the fluid domain.
 The boundary term is assembled from the scalar curl w = d1 u2 - d2 u1 via
 the in-plane identity n x (curl u) . grad q = w (n2 d1 q - n1 d2 q); the
 sign of that identity depends on the orientation convention for the cross
-product, so it is exposed as `curl_sign` (-1 matches the convention used
-everywhere else here, and the convergence tests pin it down).
+product.  `CURL_SIGN` = -1 matches the convention used everywhere else here,
+and the convergence tests pin it down.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .solver import solve_direct
 from .spaces import ContinuousPressureSpace, VelocityField, scalar_tables
 
 __all__ = ["pressure_gp_facets", "recover_pressure"]
+
+# sign of the curl identity in the interface term
+CURL_SIGN = -1.0
 
 
 def pressure_gp_facets(quad: CutQuadrature) -> np.ndarray:
@@ -45,8 +48,7 @@ def pressure_gp_facets(quad: CutQuadrature) -> np.ndarray:
 
 
 def recover_pressure(params: FormParams, quad: CutQuadrature,
-                     qs: ContinuousPressureSpace, uh: VelocityField, f,
-                     curl_sign: float = -1.0) -> np.ndarray:
+                     qs: ContinuousPressureSpace, uh: VelocityField, f) -> np.ndarray:
     """Solve for the recovered pressure; returns its nodal coefficients."""
     mp = quad.mapping
     n = qs.n_dofs
@@ -70,7 +72,7 @@ def recover_pressure(params: FormParams, quad: CutQuadrature,
     rot = (r.normals[..., 1, None] * grad[..., 0]
            - r.normals[..., 0, None] * grad[..., 1])
     rhs += _scatter(n, qs.elem_dofs[qs.element_row[r.elems]],
-                    curl_sign * np.einsum("eq,eq,eqi->ei", r.weights, wcurl, rot))
+                    CURL_SIGN * np.einsum("eq,eq,eqi->ei", r.weights, wcurl, rot))
 
     K = tri.matrix(n, n)
     K = K + assemble_ghost_penalty(params, quad, qs,

@@ -17,13 +17,12 @@ from cutstokes.solver import SEED, _rayleigh_iterate
 
 def quartic_levelset() -> LevelSet:
     return LevelSet(lambda p: p[:, 0] ** 4 + p[:, 1] ** 4 - 0.25,
-                    lambda p: np.column_stack([4 * p[:, 0] ** 3, 4 * p[:, 1] ** 3]),
-                    name="quartic")
+                    lambda p: np.column_stack([4 * p[:, 0] ** 3, 4 * p[:, 1] ** 3]))
 
 
 def circle_levelset(r: float) -> LevelSet:
     return LevelSet(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - r * r,
-                    lambda p: 2 * p, name="circle")
+                    lambda p: 2 * p)
 
 
 def build_case(ls: LevelSet, h: float, k: int, box=(-1, 1, -1, 1)):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad1d
@@ -396,7 +398,7 @@ def test_quadrature_monomial_exactness():
     phi = DiscreteLevelSet(am, -np.ones(am.vertices.shape[0]))
     defo = IsoDeformation.identity(am, 2)
     order = 6
-    quad = build_quadratures(am, sets, phi, defo, order=order)
+    quad = replace(build_quadratures(am, sets, phi, defo), order=order)
 
     def box_int(p, q):
         ix = (1 - (-1) ** (p + 1)) / (p + 1)
@@ -417,17 +419,17 @@ def test_quadrature_monomial_exactness():
 def test_quadrature_other_order_reuses_subdivision(quartic_case_h03, monkeypatch):
     # a rule of another degree is mapped onto the kept cut subdivision and is
     # bit for bit the rule that a fresh subdivision gives
-    from dataclasses import replace
     from cutstokes import geometry
     am, phi, sets, defo, quad = quartic_case_h03
-    want = build_quadratures(am, sets, DiscreteLevelSet(am, phi.vertex_values), defo,
-                             order=8)
+    want = replace(build_quadratures(am, sets, DiscreteLevelSet(am, phi.vertex_values),
+                                     defo), order=8)
 
     def no_subdivision(*args):
         raise AssertionError("cut subdivision recomputed")
 
     monkeypatch.setattr(geometry, "cut_subdivide", no_subdivision)
-    for got in (build_quadratures(am, sets, phi, defo, order=8), replace(quad, order=8)):
+    for got in (replace(build_quadratures(am, sets, phi, defo), order=8),
+                replace(quad, order=8)):
         pairs = list(zip(got.volume_groups(), want.volume_groups()))
         assert len(pairs) == len(list(want.volume_groups()))
         for a, b in pairs:

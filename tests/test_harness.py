@@ -1,15 +1,17 @@
 import filecmp
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from cutstokes import harness
 from cutstokes.cli import main as cli_main
 from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, compute_eoc,
                                exact_example1, exact_example2, fit_rate,
-                               read_config, run_convergence, solve_level,
-                               write_config, write_data)
+                               read_config, run_convergence,
+                               run_interface_sweep, solve_level, write_config,
+                               write_data, write_vtk)
 from cutstokes.solver import condition_estimate
 
 
@@ -118,12 +120,25 @@ def test_result_row_validation():
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = StudyConfig(example=2, k_lambda=2, h0=0.25, levels=3,
-                      gamma_n=25.0, geom="p1", box=(-2.0, 2.0, -1.0, 1.0),
-                      vtk=True, out="somewhere")
+    # every field off its default: the int, float, bool and str parsing
+    cfg = StudyConfig(example=2, k=3, k_lambda=2, h0=0.25, levels=3,
+                      gamma_n=25.0, gamma_gp=0.5, gamma_lambda=0.2, geom="p1",
+                      with_condest=True, out="somewhere", vtk=True, seed=7,
+                      workers=2)
+    off = [f.name for f in fields(StudyConfig) if getattr(cfg, f.name) == f.default]
+    assert not off, off
     path = str(tmp_path / "study.cfg")
     write_config(path, cfg)
     assert read_config(path) == cfg
+
+
+def test_config_rejects_removed_key(tmp_path):
+    # a manifest that still sets a derived quadrature order is refused
+    path = str(tmp_path / "old.manifest")
+    with open(path, "w") as fh:
+        fh.write("example = 1\nvolume_order = 0\n")
+    with pytest.raises(ValueError, match=":2: unknown key 'volume_order'"):
+        read_config(path)
 
 
 def test_config_unknown_key(tmp_path):
@@ -211,18 +226,6 @@ def test_cli_dump_geom(tmp_path):
     assert np.abs(np.hypot(body[:, 2], body[:, 3]) - 1).max() <= 1e-9
 
 
-def test_cli_dump_geom_uses_volume_order(tmp_path):
-    # the order-10 segment rule has 6 points; h0=0.3 cuts 78 children
-    cfgpath = str(tmp_path / "geom.cfg")
-    write_config(cfgpath, StudyConfig(volume_order=10))
-    out = str(tmp_path / "geom")
-    rc = cli_main(["dump-geom", "--config", cfgpath, "--out", out])
-    assert rc == 0
-    path = os.path.join(out, "geom_ex1_ho_lvl0_interface.data")
-    lines = open(path).read().strip().split("\n")
-    assert len(lines) - 1 == 6 * 78 == 468
-
-
 def test_sweep_shift_matches_solve_level_system():
     # shift index 1 of 2 is x0 = 0, the unshifted quartic of example 1
     cfg = StudyConfig()
@@ -241,6 +244,36 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 4
     kappas = [float(ln.split()[2]) for ln in lines[1:]]
     assert all(np.isfinite(k) and k > 0 for k in kappas)
+    # the manifest records the mesh size the sweep ran at, so it reproduces
+    manifest = os.path.join(out, "sweep.manifest")
+    assert read_config(manifest).h0 == 0.25
+    again = str(tmp_path / "again")
+    rc = cli_main(["sweep", "--config", manifest, "--shifts", "2", "--out", again])
+    assert rc == 0
+    assert filecmp.cmp(os.path.join(out, "sweep.data"),
+                       os.path.join(again, "sweep.data"), shallow=False)
+
+
+def test_sweep_manifest_records_run_mesh_size(tmp_path):
+    # h is an argument of the sweep, not the config's h0
+    out = str(tmp_path / "sweep")
+    run_interface_sweep(StudyConfig(h0=0.3, out=out), h=0.25, n=1)
+    assert read_config(os.path.join(out, "sweep.manifest")).h0 == 0.25
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sweep_rejects_no_shift_steps(tmp_path, monkeypatch, n):
+    # refused before any shift runs or the worker pool starts
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(harness, "_sweep_one", never)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", never)
+    for workers in (1, 2):
+        cfg = StudyConfig(workers=workers, out=str(tmp_path / "sweep"))
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            run_interface_sweep(cfg, h=0.25, n=n)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_config_file(tmp_path):
@@ -253,6 +286,35 @@ def test_cli_config_file(tmp_path):
     assert os.path.exists(os.path.join(out, "converge_ex1_p1.data"))
     got = read_config(os.path.join(out, "converge_ex1_p1.manifest"))
     assert got.h0 == 0.6 and got.geom == "p1" and got.levels == 1
+
+
+def _vtk_block(lines, head, n):
+    """The n rows after the line `head` of a legacy VTK file, as floats."""
+    i = lines.index(head) + 1
+    return np.array([[float(c) for c in ln.split()] for ln in lines[i:i + n]])
+
+
+def test_write_vtk(tmp_path):
+    # example 1, level 0: 144 active children, 6 lattice points and 4
+    # triangles each for k = 2
+    _, state = solve_level(StudyConfig(levels=1), 0)
+    path = str(tmp_path / "lvl0.vtk")
+    write_vtk(path, state)
+    lines = open(path).read().split("\n")
+    assert "POINTS 864 double" in lines
+    assert "CELLS 576 2304" in lines
+    elems = state.quad.sets.active_children
+    assert elems.size == 144
+    xhat = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                     [0.0, 0.5], [0.5, 0.5], [0.0, 1.0]])
+    u = state.uh.at(elems, xhat)[0].reshape(-1, 2)
+    p = state.pstar.at(elems, xhat, derivs=False)[0].ravel()
+    # the file prints %.10e
+    vel = _vtk_block(lines, "VECTORS velocity double", 864)
+    assert np.array_equal(vel[:, 2], np.zeros(864))
+    np.testing.assert_allclose(vel[:, :2], u, rtol=1e-9, atol=0)
+    pres = _vtk_block(lines, "LOOKUP_TABLE default", 864)[:, 0]
+    np.testing.assert_allclose(pres, p, rtol=1e-9, atol=0)
 
 
 # ---------------------------------------------------------------------------

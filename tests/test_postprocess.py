@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cutstokes import postprocess
 from cutstokes.forms import FormParams
 from cutstokes.geometry import IsoDeformation, build_quadratures
 from cutstokes.harness import exact_example1, fit_rate
@@ -101,7 +102,7 @@ def test_mean_zero(quartic_case_h015):
     assert abs(mean) <= 1e-10 * quad.area_inside * np.sqrt(norm2)
 
 
-def test_curl_sign(quartic_case_h015):
+def test_curl_sign(quartic_case_h015, monkeypatch):
     # flipping the boundary-term sign must stall the error at O(1)
     am, phi, sets, defo, quad = quartic_case_h015
     qs = ContinuousPressureSpace(am, sets, quad.mapping, 1)
@@ -109,8 +110,8 @@ def test_curl_sign(quartic_case_h015):
     uh = _ExactVelocity(quad.mapping, ex.grad_u)
     errs = {}
     for sign in (-1.0, 1.0):
-        pc = recover_pressure(FormParams(), quad, qs, uh, ex.f,
-                              curl_sign=sign)
+        monkeypatch.setattr(postprocess, "CURL_SIGN", sign)
+        pc = recover_pressure(FormParams(), quad, qs, uh, ex.f)
         errs[sign] = _l2_error(quad, qs, pc, ex.p)
     assert errs[1.0] > 0.1
     assert errs[-1.0] <= 0.2 * errs[1.0]
