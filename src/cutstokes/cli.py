@@ -18,9 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import (StudyConfig, build_geometry, compute_eoc, read_config,
-                      run_convergence, run_interface_sweep, write_geometry,
-                      _EXAMPLES)
+from .harness import (StudyConfig, build_geometry, compute_eoc, run_convergence,
+                      run_interface_sweep, write_geometry, _EXAMPLES, _config_items)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -43,8 +42,11 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    dest="with_condest")
 
 
-def _resolve(args: argparse.Namespace, **forced) -> StudyConfig:
-    cfg = read_config(args.config) if args.config else StudyConfig()
+def _resolve(args: argparse.Namespace, base: StudyConfig = StudyConfig(),
+             **forced) -> StudyConfig:
+    """`base`, overridden by the fields the --config file sets, then by the
+    flags given and `forced`."""
+    cfg = replace(base, **_config_items(args.config)) if args.config else base
     names = ("example", "levels", "k", "k_lambda", "h0", "geom", "gamma_n",
              "gamma_gp", "gamma_lambda", "out", "vtk", "seed", "workers",
              "with_condest")
@@ -91,12 +93,11 @@ def _cmd_noflow(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve(args)
-    # the sweep runs at h0 from --h0 or the config file, else at h = 0.1
-    h = cfg.h0 if args.h0 is not None or args.config else 0.1
-    out = run_interface_sweep(cfg, h=h, n=args.shifts)
+    # the sweep runs at h0 from --h0, else from the config file, else at 0.1
+    cfg = _resolve(args, StudyConfig(h0=0.1))
+    out = run_interface_sweep(cfg, h=cfg.h0, n=args.shifts)
     kappas = np.array([k for _, _, k in out])
-    print(f"{len(out)} shifts at h={h}: kappa min {kappas.min():.4e} "
+    print(f"{len(out)} shifts at h={cfg.h0}: kappa min {kappas.min():.4e} "
           f"median {np.median(kappas):.4e} max {kappas.max():.4e}")
     return 0
 

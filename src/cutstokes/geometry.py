@@ -488,7 +488,7 @@ class CutQuadrature:
     The rules of degree `order` are derived from the mapping and
     `DiscreteLevelSet.subdivision` when the object is built;
     `dataclasses.replace(quad, order=m)` gives another degree.  The patch
-    rule of the ghost penalties has degree `patch_order` = 4 * mapping degree.
+    rule of the ghost penalties has degree 4 * mapping degree.
 
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
@@ -503,7 +503,6 @@ class CutQuadrature:
     phi_p1: DiscreteLevelSet
     mapping: MappingData
     order: int
-    patch_order: int = field(init=False)
     inside_elems: np.ndarray = field(init=False)
     cut_elems: np.ndarray = field(init=False)
     ref_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
@@ -520,8 +519,7 @@ class CutQuadrature:
         self.cut_elems = cut = self.sets.alfeld_cut
         subtriangles, seg = self.phi_p1.subdivision(cut)
         self.ref_rule = triangle_rule(self.order)
-        self.patch_order = 4 * mapping.degree
-        self.patch_rule = triangle_rule(self.patch_order)
+        self.patch_rule = triangle_rule(4 * mapping.degree)
         seg_pts, seg_wts = segment_rule(self.order)
         self.inside_elems = np.flatnonzero(self.sets.child_class == 0)
         self.cut_groups = [(elems, *_map_rule_to_subtris(*self.ref_rule, tris))

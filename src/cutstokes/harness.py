@@ -472,6 +472,11 @@ def write_config(path: str, cfg: StudyConfig) -> None:
 
 def read_config(path: str) -> StudyConfig:
     """Parse a flat key=value file; unknown keys are an error."""
+    return StudyConfig(**_config_items(path))
+
+
+def _config_items(path: str) -> dict:
+    """The fields a key=value file sets, parsed to their types."""
     by_name = {f.name: f for f in fields(StudyConfig)}
     kw = {}
     with open(path) as fh:
@@ -485,7 +490,7 @@ def read_config(path: str) -> StudyConfig:
             if key not in by_name:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
             kw[key] = _parse_field(by_name[key].type, val)
-    return StudyConfig(**kw)
+    return kw
 
 
 def _parse_field(ftype: str, val: str):

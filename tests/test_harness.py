@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cutstokes import harness
+from cutstokes import cli, harness
 from cutstokes.cli import main as cli_main
 from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, compute_eoc,
                                exact_example1, exact_example2, fit_rate,
@@ -252,6 +252,24 @@ def test_cli_sweep(tmp_path):
     assert rc == 0
     assert filecmp.cmp(os.path.join(out, "sweep.data"),
                        os.path.join(again, "sweep.data"), shallow=False)
+
+
+def test_cli_sweep_mesh_size_source(tmp_path, monkeypatch):
+    # --h0, else the h0 line of the config file, else 0.1; no solve runs
+    seen = []
+
+    def record(cfg, h, n):
+        seen.append(h)
+        return [(0, 0.0, 1.0)]
+
+    monkeypatch.setattr(cli, "run_interface_sweep", record)
+    bare, with_h0 = tmp_path / "bare.cfg", tmp_path / "h0.cfg"
+    bare.write_text("example = 1\nlevels = 2\n")
+    with_h0.write_text("h0 = 0.25\n")
+    for extra in ([], ["--config", str(bare)], ["--config", str(with_h0)],
+                  ["--config", str(with_h0), "--h0", "0.2"], ["--h0", "0.2"]):
+        assert cli_main(["sweep", "--shifts", "1"] + extra) == 0
+    assert seen == [0.1, 0.1, 0.25, 0.2, 0.2]
 
 
 def test_sweep_manifest_records_run_mesh_size(tmp_path):
