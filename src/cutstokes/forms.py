@@ -270,15 +270,16 @@ def assemble_j(params: FormParams, quad: CutQuadrature,
 
 
 def assemble_rhs(quad: CutQuadrature, vs: VelocitySpace, f) -> np.ndarray:
-    """Load vector (f, v) over the fluid part of the mesh."""
+    """Load vector (f, v) over the fluid part, without basis tables: the Piola
+    1/J cancels the weight's J, so loc_emc = sum_kq B_emkc psi_qm (w F^T f)_qk."""
     mp = quad.mapping
     rhs = np.zeros(vs.n_dofs)
     for elems, xh, w in quad.volume_groups():
-        val = velocity_tables(vs, elems, xh, derivs=False)[0]
-        wj = w * mp.jacobians(elems, xh)[1]
         fx = _pointwise(f, mp.phys(elems, xh))
-        rhs += _scatter(vs.n_dofs, vs.elem_dofs[vs.element_row[elems]],
-                        np.einsum("eq,eqdc,eqc->ed", wj, val, fx))
+        g = w[..., None] * (fx[..., None, :] @ mp.jacobians(elems, xh)[0])[..., 0, :]
+        pg = np.swapaxes(vs.ref.eval(xh), -1, -2) @ g
+        loc = (pg[..., None, :] @ vs.nodal_blocks[vs.element_row[elems]])[..., 0, :]
+        rhs += _scatter(vs.n_dofs, vs.elem_dofs[vs.element_row[elems]], loc)
     return rhs
 
 

@@ -391,16 +391,12 @@ class MappingData:
         elems, xhat, scalar = _batch(e, xhat)
         nq = xhat.shape[1]
         F = np.repeat(self.A[elems, None], nq, axis=1)
-        moved = self.is_deformed[elems].any()
-        if moved:
+        if self.is_deformed[elems].any():
             F += self._displace(elems, self.ref.grad(xhat))
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
         if not derivs:
             return _unbatch(scalar, F, J)
-        if moved:
-            dF = self._displace(elems, self.ref.hess(xhat))
-        else:
-            dF = np.zeros(F.shape + (2,))
+        dF = self._displace(elems, self.ref.hess(xhat))
         dJ = (dF[..., 0, 0, :] * F[..., 1, 1, None]
               + F[..., 0, 0, None] * dF[..., 1, 1, :]
               - dF[..., 0, 1, :] * F[..., 1, 0, None]
@@ -493,7 +489,10 @@ class CutQuadrature:
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
     children share `ref_rule`, and the cut children are stacked by the point
-    count of their cut parts (one or two sub-triangles).  `band_normals`
+    count of their cut parts (one or two sub-triangles).  The groups on
+    `ref_rule` hold undeformed children first, then deformed ones, never
+    both: the deformation moves only the cut band's nodes, and only a group
+    with a moved child pays for the curved map.  `band_normals`
     (per cut child, on `ref_rule`) and `interface_rule` are stacked in the
     order of `cut_elems`.
     """
@@ -550,15 +549,21 @@ class CutQuadrature:
         for elems, xh, w in self.bulk_groups():
             self.area_bulk += float((w * mapping.jacobians(elems, xh)[1]).sum())
 
+    def _split_groups(self, elems: np.ndarray):
+        """`ref_rule` groups over `elems`, the undeformed children first."""
+        bent = self.mapping.is_deformed[elems]
+        for part in (elems[~bent], elems[bent]):
+            yield from _groups(part, *self.ref_rule)
+
     def volume_groups(self):
         """Yield (elems, xhat, weights) groups covering the fluid domain."""
-        yield from _groups(self.inside_elems, *self.ref_rule)
+        yield from self._split_groups(self.inside_elems)
         for group in self.cut_groups:
             yield from _groups(*group)
 
     def bulk_groups(self):
         """Yield (elems, xhat, weights) groups covering the whole active mesh."""
-        yield from _groups(self.sets.active_children, *self.ref_rule)
+        yield from self._split_groups(self.sets.active_children)
 
     @property
     def interface(self) -> dict[int, InterfaceRule]:

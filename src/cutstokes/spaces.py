@@ -12,7 +12,11 @@ Basis tables and field evaluations follow the element-array convention of
 shared, shape (nq, 2), or per element, shape (ne, nq, 2); an array adds a
 leading ne axis to every result.  A field is contracted with its local
 coefficients on the reference element before it is mapped, so evaluating it
-never builds per-basis tables.
+never builds per-basis tables.  The terms with derivatives of F and J are
+computed only for arrays that hold a moved child (`CutQuadrature` groups
+keep the others apart).  The tables form F W elementwise, which keeps the
+exact zeros of the affine Lagrange basis; field contractions, vectors rather
+than matrix entries, use `matmul`.
 """
 
 from __future__ import annotations
@@ -127,8 +131,8 @@ def velocity_tables(vs: VelocitySpace, e, xhat: np.ndarray, derivs: bool = True)
     div v = (1/J) div_ref v_ref, not from the gradient trace.
     """
     elems, xhat, scalar = _batch(e, xhat)
-    geo = vs.mapping.jacobians(elems, xhat, derivs=derivs)
-    F, J = geo[:2]
+    bent = derivs and vs.mapping.is_deformed[elems].any()
+    F, J, *curv = vs.mapping.jacobians(elems, xhat, derivs=bent)
     # W[e, m, c, :] = B_m e_c: the reference field of dof (m, c) is psi_m W[m, c]
     W = np.swapaxes(vs.nodal_blocks[_rows(vs, elems)], -1, -2)[:, None]
     psi = vs.ref.eval(xhat)[..., None, None]
@@ -145,12 +149,13 @@ def velocity_tables(vs: VelocitySpace, e, xhat: np.ndarray, derivs: bool = True)
     shape = val.shape[:2] + (vs.n_local,)
     grad = None
     if derivs:
-        dF, dJ = geo[2:]
-        # (dF W)_cis = dF_iks W_ck with dF arranged as (k, (i, s))
-        dFW = W @ np.swapaxes(dF, 2, 3).reshape(J.shape + (1, 2, 4))
-        up = ((dpsi[..., None, None, :] * FW[..., None]
-               + psi[..., None] * dFW.reshape(FW.shape + (2,))) / Jq[..., None]
-              - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
+        up = dpsi[..., None, None, :] * FW[..., None] / Jq[..., None]
+        if bent:    # the dF and dJ terms, exact zeros without a moved child
+            dF, dJ = curv
+            # (dF W)_cis = dF_iks W_ck with dF arranged as (k, (i, s))
+            dFW = W @ np.swapaxes(dF, 2, 3).reshape(J.shape + (1, 2, 4))
+            up += (psi[..., None] * dFW.reshape(FW.shape + (2,)) / Jq[..., None]
+                   - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
         Finv = _adjugate(F) / J[..., None, None]
         grad = (up @ Finv[:, :, None, None]).reshape(shape + (2, 2))
     return _unbatch(scalar, val.reshape(shape + (2,)), grad, div.reshape(shape))
@@ -253,16 +258,20 @@ def eval_velocity(vs: VelocitySpace, e, coeffs: np.ndarray, xhat: np.ndarray):
     v_ref is Piola mapped; the divergence is (1/J) div_ref v_ref.
     """
     elems, xhat, scalar = _batch(e, xhat)
-    F, J, dF, dJ = vs.mapping.jacobians(elems, xhat, derivs=True)
-    c = np.asarray(coeffs).reshape(elems.size, -1, 2)
-    a = np.einsum("emkc,emc->emk", vs.nodal_blocks[_rows(vs, elems)], c)
-    vref = np.einsum("eqm,emk->eqk", vs.ref.eval(xhat), a)
-    dref = np.einsum("eqms,emk->eqks", vs.ref.grad(xhat), a)
+    bent = vs.mapping.is_deformed[elems].any()
+    F, J, *curv = vs.mapping.jacobians(elems, xhat, derivs=bent)
+    c = np.asarray(coeffs).reshape(elems.size, -1, 2, 1)
+    a = (vs.nodal_blocks[_rows(vs, elems)] @ c)[..., 0]
+    vref = vs.ref.eval(xhat) @ a
+    dref = np.swapaxes(a, 1, 2)[:, None] @ vs.ref.grad(xhat)
     Jq = J[..., None]
     val = (F @ vref[..., None])[..., 0] / Jq
     div = (dref[..., 0, 0] + dref[..., 1, 1]) / J
-    up = ((np.einsum("eqiks,eqk->eqis", dF, vref) + F @ dref) / Jq[..., None]
-          - val[..., None] * (dJ / Jq)[:, :, None, :])
+    up = F @ dref / Jq[..., None]
+    if bent:
+        dF, dJ = curv
+        up += (np.einsum("eqiks,eqk->eqis", dF, vref) / Jq[..., None]
+               - val[..., None] * (dJ / Jq)[:, :, None, :])
     grad = up @ (_adjugate(F) / Jq[..., None])
     return _unbatch(scalar, val, grad, div)
 
@@ -293,12 +302,12 @@ class ScalarField:
         elems, xhat, scalar = _batch(e, xhat)
         space = self.space
         c = self.local_coeffs(elems)
-        val = np.einsum("eqm,em->eq", space.ref.eval(xhat), c)
+        val = (space.ref.eval(xhat) @ c[..., None])[..., 0]
         grad = None
         if derivs:
             F, J = space.mapping.jacobians(elems, xhat)
-            dref = np.einsum("eqms,em->eqs", space.ref.grad(xhat), c)
-            grad = np.einsum("eqs,eqsj->eqj", dref, _adjugate(F) / J[..., None, None])
+            dref = c[:, None, None] @ space.ref.grad(xhat)
+            grad = (dref @ (_adjugate(F) / J[..., None, None]))[..., 0, :]
         return _unbatch(scalar, val, grad)
 
 

@@ -5,13 +5,13 @@ import scipy.sparse.linalg as spla
 
 from cutstokes.meshing import (_orientations, alfeld_split, build_background_mesh,
                                classify_elements)
-from cutstokes.forms import _Triplets, _affine_coords, _extensions, _sym
+from cutstokes.forms import _Triplets, _affine_coords, _extensions, _scatter, _sym
 from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet,
-                                _damped_deformation, interpolate_p1,
+                                _damped_deformation, _pointwise, interpolate_p1,
                                 build_deformation, build_quadratures)
 from cutstokes.reference import reference_element
-from cutstokes.spaces import VelocitySpace
-from cutstokes.harness import StudyConfig, exact_example1, solve_level
+from cutstokes.spaces import VelocitySpace, velocity_tables
+from cutstokes.harness import StudyConfig, build_geometry, exact_example1, solve_level
 from cutstokes.solver import SEED, _rayleigh_iterate
 
 
@@ -169,6 +169,20 @@ def per_facet_ghost_penalty(params, quad, space, facets=None) -> sp.csr_matrix:
     return tri.matrix(n, n)
 
 
+def rhs_by_tables(quad, vs, f) -> np.ndarray:
+    """The load vector (f, v) contracted with the velocity basis tables of
+    every volume group: the oracle for `assemble_rhs`."""
+    mp = quad.mapping
+    rhs = np.zeros(vs.n_dofs)
+    for elems, xh, w in quad.volume_groups():
+        val = velocity_tables(vs, elems, xh, derivs=False)[0]
+        wj = w * mp.jacobians(elems, xh)[1]
+        fx = _pointwise(f, mp.phys(elems, xh))
+        rhs += _scatter(vs.n_dofs, vs.elem_dofs[vs.element_row[elems]],
+                        np.einsum("eq,eqdc,eqc->ed", wj, val, fx))
+    return rhs
+
+
 def _scalar_newton_bisect(g, dg, lo: float, hi: float) -> float:
     """Root of one scalar g in [lo, hi]: Newton from 0 with bisection
     fallback; raises GeometryError like the batched solve reports."""
@@ -279,6 +293,14 @@ def quartic_case_h03():
 @pytest.fixture(scope="session")
 def quartic_case_h015():
     return build_case(quartic_levelset(), 0.15, 2)
+
+
+@pytest.fixture(scope="session")
+def ex1_quads():
+    """Example 1, high-order geometry: the quadratures of levels 0 and 1,
+    which hold undeformed, deformed and cut children."""
+    cfg, exact = StudyConfig(example=1), exact_example1()
+    return [build_geometry(cfg, exact, cfg.h0 / 2 ** lvl) for lvl in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from cutstokes.spaces import (ContinuousPressureSpace, MultiplierSpace,
 from cutstokes.reference import triangle_rule
 from tests.conftest import (boundary_dofs, build_case, circle_levelset,
                             per_facet_ghost_penalty, pinned_factor,
-                            quartic_levelset)
+                            quartic_levelset, rhs_by_tables)
 from tests.test_geometry import quartic_area
 
 
@@ -308,6 +308,17 @@ def test_rhs_two_route(case):
         total += float(((w * J) * (v * fx).sum(-1)).sum())
     got = r @ cv
     assert abs(got - total) <= 1e-11 * max(abs(total), 1.0)
+
+
+def test_rhs_matches_tables(ex1_quads):
+    # the load contracted without tables equals the table contraction over
+    # undeformed, deformed and cut groups
+    f = exact_example1().f
+    for quad in ex1_quads:
+        vs = VelocitySpace(quad.am, quad.sets, quad.mapping, 2)
+        want = rhs_by_tables(quad, vs, f)
+        got = assemble_rhs(quad, vs, f)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_saddle_layout(case, solved_lvl0):

@@ -442,6 +442,30 @@ def test_quadrature_other_order_reuses_subdivision(quartic_case_h03, monkeypatch
             want.area_inside, want.area_bulk, want.interface_length)
 
 
+def test_groups_never_mix_deformed_and_undeformed(ex1_quads):
+    # only a group with a moved child pays for the curved map, so no group
+    # may hold both kinds; the split changes neither the cover nor the areas
+    # (inside and bulk, as summed over the groups of index order)
+    pinned = [(1.8496455561953429, 2.0180766812445805),
+              (1.8543612934917122, 2.025042626752238)]
+    for base, areas in zip(ex1_quads, pinned):
+        mp = base.mapping
+        fluid = np.concatenate([base.inside_elems, base.cut_elems])
+        for quad in (base, replace(base, order=2 * mp.degree + 4)):
+            for groups, cover in ((quad.volume_groups(), fluid),
+                                  (quad.bulk_groups(), quad.sets.active_children)):
+                elems = []
+                for e, xh, w in groups:
+                    bent = mp.is_deformed[e]
+                    assert bent.all() or not bent.any()
+                    elems.append(e)
+                elems = np.concatenate(elems)
+                assert elems.size == cover.size
+                assert np.array_equal(np.sort(elems), np.sort(cover))
+            for got, want in zip((quad.area_inside, quad.area_bulk), areas):
+                assert abs(got - want) <= 1e-14 * want
+
+
 def test_quadrature_area_convergence():
     ls = quartic_levelset()
     exact = quartic_area()

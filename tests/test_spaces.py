@@ -64,10 +64,12 @@ def test_undeformed_tables_keep_exact_zeros(case):
     inside = quad.inside_elems
     plain = ~quad.mapping.is_deformed[inside]
     assert plain.any() and not plain.all()
-    val, grad, _ = velocity_tables(vs, inside, quad.ref_rule[0])
-    val, grad = val[plain], grad[plain]
-    assert (val[..., 0::2, 1] == 0).all() and (val[..., 1::2, 0] == 0).all()
-    assert (grad[..., 0::2, 1, :] == 0).all() and (grad[..., 1::2, 0, :] == 0).all()
+    # a mixed group (full path) and an all-undeformed one (no curvature terms)
+    for elems, rows in ((inside, plain), (inside[plain], slice(None))):
+        val, grad, _ = velocity_tables(vs, elems, quad.ref_rule[0])
+        val, grad = val[rows], grad[rows]
+        assert (val[..., 0::2, 1] == 0).all() and (val[..., 1::2, 0] == 0).all()
+        assert (grad[..., 0::2, 1, :] == 0).all() and (grad[..., 1::2, 0, :] == 0).all()
 
 
 def test_constant_field_on_undeformed_element(case):
@@ -287,6 +289,21 @@ def test_batched_path_matches_per_element(case):
     for call in calls:
         _assert_rows_match(call(elems, pts),
                            call(elems, np.broadcast_to(pts, (elems.size,) + pts.shape)))
+
+
+def test_undeformed_group_skips_curvature_exactly(case):
+    # a group without a moved child skips the dF and dJ terms, which are
+    # exact zeros on its children: the same rows as inside a mixed group
+    am, phi, sets, defo, quad, vs = case
+    elems, xhat = _mixed_group(quad)
+    plain = ~quad.mapping.is_deformed[elems]
+    assert plain.sum() >= 3 and not plain.all()
+    uf = VelocityField(vs, np.random.default_rng(13).standard_normal(vs.n_dofs))
+    for call in (lambda e, x: velocity_tables(vs, e, x), uf.at):
+        mixed = call(elems, xhat)
+        alone = call(elems[plain], xhat[plain])
+        for m, a in zip(mixed, alone):
+            assert np.array_equal(m[plain], a)
 
 
 def test_batched_divergence_from_reference_identity(case):
