@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-lambda", type=float, dest="gamma_lambda")
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--vtk", action="store_true", default=None)
-    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--condest", action="store_true", default=None,
                    dest="with_condest")
@@ -47,11 +46,8 @@ def _resolve(args: argparse.Namespace, base: StudyConfig = StudyConfig(),
     """`base`, overridden by the fields the --config file sets, then by the
     flags given and `forced`."""
     cfg = replace(base, **_config_items(args.config)) if args.config else base
-    names = ("example", "levels", "k", "k_lambda", "h0", "geom", "gamma_n",
-             "gamma_gp", "gamma_lambda", "out", "vtk", "seed", "workers",
-             "with_condest")
-    given = {n: getattr(args, n) for n in names
-             if getattr(args, n, None) is not None}
+    given = {f.name: getattr(args, f.name) for f in fields(StudyConfig)
+             if getattr(args, f.name, None) is not None}
     given.update(forced)
     return replace(cfg, **given)
 

@@ -23,7 +23,7 @@ from .geometry import (CutQuadrature, IsoDeformation, LevelSet,
                        build_deformation, build_quadratures, interpolate_p1)
 from .meshing import alfeld_split, build_background_mesh, classify_elements
 from .postprocess import recover_pressure
-from .solver import SEED, condition_estimate, solve_saddle
+from .solver import condition_estimate, solve_saddle
 from .spaces import (ContinuousPressureSpace, MultiplierSpace, PressureSpace,
                      ScalarField, VelocityField, VelocitySpace)
 
@@ -181,7 +181,6 @@ class StudyConfig:
     with_condest: bool = False
     out: str = ""
     vtk: bool = False
-    seed: int = SEED
     workers: int = 1
 
     def __post_init__(self):
@@ -288,7 +287,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     sol = solve_saddle(system)
     cond = float("nan")
     if cfg.with_condest:
-        cond = condition_estimate(system, seed=cfg.seed)
+        cond = condition_estimate(system)
 
     params = cfg.form_params()
     qs = ContinuousPressureSpace(quad.am, quad.sets, quad.mapping, cfg.k - 1)
@@ -391,7 +390,7 @@ def _sweep_one(args) -> tuple[int, float, float]:
     x0 = -0.2 + 0.4 * i / n
     exact = replace(exact_example1(), levelset=_shifted_quartic(x0))
     system = assemble_level(cfg, build_geometry(cfg, exact, h))[3]
-    kappa = condition_estimate(system, seed=cfg.seed)
+    kappa = condition_estimate(system)
     return i, x0, kappa
 
 

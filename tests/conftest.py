@@ -12,7 +12,6 @@ from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet
 from cutstokes.reference import reference_element
 from cutstokes.spaces import VelocitySpace, velocity_tables
 from cutstokes.harness import StudyConfig, build_geometry, exact_example1, solve_level
-from cutstokes.solver import SEED, _rayleigh_iterate
 
 
 def quartic_levelset() -> LevelSet:
@@ -93,17 +92,11 @@ def boundary_dofs(vs) -> np.ndarray:
     return np.concatenate([2 * cg, 2 * cg + 1])
 
 
-def whole_condition_estimate(M, seed: int = SEED) -> float:
-    """kappa of a plain symmetric matrix by the iterations of
-    `condition_estimate`, with the inverse power steps through an LU of the
-    whole matrix: the oracle for the saddle path."""
-    M = sp.csc_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    v0 = np.random.default_rng(seed).standard_normal(M.shape[0])
-    lam_max = _rayleigh_iterate(lambda v: M @ v, M, v0, "power")
-    lam_min = _rayleigh_iterate(spla.splu(M).solve, M, v0, "inverse power")
-    return abs(lam_max) / abs(lam_min)
+def dense_condition_number(M) -> float:
+    """|lambda|_max / |lambda|_min of a symmetric sparse matrix from all its
+    eigenvalues (LAPACK): the oracle for `condition_estimate`."""
+    w = np.abs(np.linalg.eigvalsh(M.toarray()))
+    return w.max() / w.min()
 
 
 def pinned_factor(system):

@@ -123,8 +123,7 @@ def test_config_roundtrip(tmp_path):
     # every field off its default: the int, float, bool and str parsing
     cfg = StudyConfig(example=2, k=3, k_lambda=2, h0=0.25, levels=3,
                       gamma_n=25.0, gamma_gp=0.5, gamma_lambda=0.2, geom="p1",
-                      with_condest=True, out="somewhere", vtk=True, seed=7,
-                      workers=2)
+                      with_condest=True, out="somewhere", vtk=True, workers=2)
     off = [f.name for f in fields(StudyConfig) if getattr(cfg, f.name) == f.default]
     assert not off, off
     path = str(tmp_path / "study.cfg")
@@ -132,12 +131,15 @@ def test_config_roundtrip(tmp_path):
     assert read_config(path) == cfg
 
 
-def test_config_rejects_removed_key(tmp_path):
-    # a manifest that still sets a derived quadrature order is refused
+@pytest.mark.parametrize("key, value", [("volume_order", "0"), ("seed", "24301")],
+                         ids=["volume_order", "seed"])
+def test_config_rejects_removed_key(tmp_path, key, value):
+    # a manifest that still sets a derived quadrature order, or the seed of
+    # the start vector of the old condition estimate, is refused
     path = str(tmp_path / "old.manifest")
     with open(path, "w") as fh:
-        fh.write("example = 1\nvolume_order = 0\n")
-    with pytest.raises(ValueError, match=":2: unknown key 'volume_order'"):
+        fh.write(f"example = 1\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=f":2: unknown key '{key}'"):
         read_config(path)
 
 
@@ -232,7 +234,18 @@ def test_sweep_shift_matches_solve_level_system():
     _, x0, kappa = _sweep_one((cfg, 1, 0.3, 2))
     assert x0 == 0.0
     _, state = solve_level(replace(cfg, h0=0.3), 0)
-    assert kappa == condition_estimate(state.system, seed=cfg.seed)
+    assert kappa == condition_estimate(state.system)
+
+
+def test_sweep_mirrored_shifts_equal_kappa():
+    # shifts 0 and 2 of 2 are x0 = -0.2 and 0.2: the point reflection
+    # (x, y) -> (-x, -y) maps the mesh onto itself and one shifted quartic
+    # onto the other, so the two saddle matrices differ only in dof order
+    cfg = StudyConfig()
+    _, x_left, k_left = _sweep_one((cfg, 0, 0.3, 2))
+    _, x_right, k_right = _sweep_one((cfg, 2, 0.3, 2))
+    assert x_left == -x_right == -0.2
+    assert abs(k_left - k_right) <= 1e-12 * k_right
 
 
 def test_cli_sweep(tmp_path):
