@@ -13,7 +13,8 @@ ne of them, with reference points either shared, shape (nq, 2), or per
 element, shape (ne, nq, 2).  An array yields results with a leading ne axis;
 a scalar index yields the same results without it.  The quadrature groups
 the children that share a rule size, so each group is evaluated in one array
-operation.
+operation, and the P1 subdivision of the cut children is one array pass,
+redone by every quadrature that is built.
 """
 
 from __future__ import annotations
@@ -62,27 +63,11 @@ class DiscreteLevelSet:
             raise ValueError("need one value per Alfeld vertex")
         self.am = am
         self.vertex_values = vertex_values
-        self._subdivision = None
 
     def child_values(self, elems) -> np.ndarray:
         """Vertex values per child, snapped away from zero, shape (..., 3)."""
         vals = self.vertex_values[self.am.children[elems]]
         return snap_values(vals, self.am.macro.h)
-
-    def subdivision(self, cut: np.ndarray):
-        """`cut_subdivide` of the children `cut` in reference coordinates:
-        (elems, sub-triangles (ne, n, 3, 2)) per piece count n, and the
-        interface segment (ncut, 2, 2) of each child.  The last result is
-        kept, so rules of several degrees are mapped onto one subdivision."""
-        if self._subdivision is None or not np.array_equal(self._subdivision[0], cut):
-            pieces: dict[int, list] = {}
-            seg = np.empty((cut.size, 2, 2))
-            for i, e in enumerate(cut):
-                tris, seg[i] = cut_subdivide(self.child_values(int(e)))
-                pieces.setdefault(len(tris), []).append((e, np.stack(tris)))
-            groups = [tuple(np.stack(a) for a in zip(*pieces[n])) for n in sorted(pieces)]
-            self._subdivision = (cut.copy(), groups, seg)
-        return self._subdivision[1:]
 
     def ref_gradient(self, elems) -> np.ndarray:
         """Gradient with respect to reference coordinates (constant per
@@ -122,17 +107,16 @@ class IsoDeformation:
     am: AlfeldMesh
     degree: int
     node_disp: np.ndarray                # (n_nodes, 2)
-    deformed_children: np.ndarray = field(default=None)
+    deformed_children: np.ndarray = field(init=False)   # children with a moved node
     root_failures: dict = field(default_factory=dict)
     kept_nodes: np.ndarray = field(
         default_factory=lambda: np.array([], dtype=np.int64))
     damping_rounds: int = 0
 
     def __post_init__(self):
-        ns = self.am.lagrange_nodes(self.degree)
-        moved = np.linalg.norm(self.node_disp, axis=1) > 0.0
-        if self.deformed_children is None:
-            self.deformed_children = np.flatnonzero(moved[ns.elem2node].any(axis=1))
+        moved = (self.node_disp != 0.0).any(axis=1)
+        elem2node = self.am.lagrange_nodes(self.degree).elem2node
+        self.deformed_children = np.flatnonzero(moved[elem2node].any(axis=1))
 
     @classmethod
     def identity(cls, am: AlfeldMesh, degree: int) -> "IsoDeformation":
@@ -367,7 +351,8 @@ class MappingData:
         self.detA = self.A[:, 0, 0] * self.A[:, 1, 1] - self.A[:, 0, 1] * self.A[:, 1, 0]
         ns = am.lagrange_nodes(self.degree)
         self.disp_local = deformation.node_disp[ns.elem2node]
-        self.is_deformed = (self.disp_local != 0.0).any(axis=(1, 2))
+        self.is_deformed = np.bincount(deformation.deformed_children,
+                                       minlength=am.n_children) > 0
 
     def _displace(self, elems, table):
         """Nodal displacements contracted with a reference table (E, nq, n_k,
@@ -408,50 +393,42 @@ class MappingData:
 # cut subdivision and quadrature
 
 
-def cut_subdivide(vals: np.ndarray, verts: np.ndarray = REF_VERTS):
-    """Marching-triangle subdivision of one child.
+def cut_subdivide(vals: np.ndarray):
+    """Marching-triangle subdivision of cut children in reference coordinates.
 
-    `vals` are the three snapped vertex values (no zeros), `verts` the
-    corresponding coordinates.  Returns (inside_triangles, segment): the list
-    of sub-triangles covering {phi < 0} and the interface segment endpoints
-    (None when uncut).  A quadrilateral inside region is split along its
-    shorter diagonal.
+    `vals` (ne, 3) holds snapped vertex values, no zeros and both signs per
+    row.  With o the vertex whose sign is alone, p, q = o+1, o+2 (mod 3) and
+    X, Y the crossings on the edges (o, p), (q, o), the part {phi < 0} is
+    [o, X, Y] with segment (X, Y) when o is negative, else the quad
+    [p, q, Y, X] split along its shorter diagonal, with segment (Y, X).
+    Returns [(rows, tris (n_rows, n, 3, 2)) for n = 1, 2 if a row has n
+    pieces] and the segments (ne, 2, 2).
     """
     vals = np.asarray(vals, dtype=float)
-    verts = np.asarray(verts, dtype=float)
-    if (vals == 0).any():
-        raise ValueError("vertex values must be snapped away from zero")
     neg = vals < 0
-    nneg = int(neg.sum())
-    if nneg == 3:
-        return [verts.copy()], None
-    if nneg == 0:
-        return [], None
+    one = neg.sum(axis=1) == 1
+    bad = np.flatnonzero((vals == 0).any(axis=1) | neg.all(axis=1) | ~neg.any(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} of the vertex values is not a cut child "
+                         "with values snapped away from zero")
+    o = np.argmax(neg == one[:, None], axis=1)
+    p, q = (o + 1) % 3, (o + 2) % 3
+    r = np.arange(vals.shape[0])
 
     def crossing(i, j):
-        t = vals[i] / (vals[i] - vals[j])
-        return verts[i] + t * (verts[j] - verts[i])
+        t = vals[r, i] / (vals[r, i] - vals[r, j])
+        return REF_VERTS[i] + t[:, None] * (REF_VERTS[j] - REF_VERTS[i])
 
-    if nneg == 1:
-        a = int(np.flatnonzero(neg)[0])
-        b, c = (a + 1) % 3, (a + 2) % 3
-        qab = crossing(a, b)
-        qca = crossing(c, a)
-        return [np.array([verts[a], qab, qca])], (qab, qca)
-
-    # two negative vertices: the positive one is c, quad (a, b, q_bc, q_ca)
-    c = int(np.flatnonzero(~neg)[0])
-    a, b = (c + 1) % 3, (c + 2) % 3
-    qbc = crossing(b, c)
-    qca = crossing(c, a)
-    quad = [verts[a], verts[b], qbc, qca]
-    if np.linalg.norm(quad[0] - quad[2]) <= np.linalg.norm(quad[1] - quad[3]):
-        tris = [np.array([quad[0], quad[1], quad[2]]),
-                np.array([quad[0], quad[2], quad[3]])]
-    else:
-        tris = [np.array([quad[0], quad[1], quad[3]]),
-                np.array([quad[1], quad[2], quad[3]])]
-    return tris, (qbc, qca)
+    X, Y = crossing(o, p), crossing(q, o)
+    seg = np.where(one[:, None, None], np.stack([X, Y], axis=1), np.stack([Y, X], axis=1))
+    tri = np.stack([REF_VERTS[o], X, Y], axis=1)[one, None]
+    quad = np.stack([REF_VERTS[p], REF_VERTS[q], Y, X], axis=1)[~one]
+    short = (np.linalg.norm(quad[:, 0] - quad[:, 2], axis=-1)
+             <= np.linalg.norm(quad[:, 1] - quad[:, 3], axis=-1))
+    split = np.where(short[:, None, None], [[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]])
+    quads = quad[np.arange(quad.shape[0])[:, None, None], split]
+    pieces = [(np.flatnonzero(one), tri), (np.flatnonzero(~one), quads)]
+    return [(rows, tris) for rows, tris in pieces if rows.size], seg
 
 
 @dataclass
@@ -481,10 +458,10 @@ def _groups(elems: np.ndarray, xhat: np.ndarray, weights: np.ndarray):
 class CutQuadrature:
     """All quadrature data of one cut configuration.
 
-    The rules of degree `order` are derived from the mapping and
-    `DiscreteLevelSet.subdivision` when the object is built;
-    `dataclasses.replace(quad, order=m)` gives another degree.  The patch
-    rule of the ghost penalties has degree 4 * mapping degree.
+    The rules of degree `order` are derived from the mapping and the
+    `cut_subdivide` of the cut children when the object is built;
+    `dataclasses.replace(quad, order=m)` builds those of another degree.  The
+    patch rule of the ghost penalties has degree 4 * mapping degree.
 
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
@@ -516,13 +493,13 @@ class CutQuadrature:
     def __post_init__(self):
         mapping = self.mapping
         self.cut_elems = cut = self.sets.alfeld_cut
-        subtriangles, seg = self.phi_p1.subdivision(cut)
+        subtriangles, seg = cut_subdivide(self.phi_p1.child_values(cut))
         self.ref_rule = triangle_rule(self.order)
         self.patch_rule = triangle_rule(4 * mapping.degree)
         seg_pts, seg_wts = segment_rule(self.order)
         self.inside_elems = np.flatnonzero(self.sets.child_class == 0)
-        self.cut_groups = [(elems, *_map_rule_to_subtris(*self.ref_rule, tris))
-                           for elems, tris in subtriangles]
+        self.cut_groups = [(cut[rows], *_map_rule_to_subtris(*self.ref_rule, tris))
+                           for rows, tris in subtriangles]
 
         d = seg[:, 1] - seg[:, 0]
         xh = seg[:, None, 0] + seg_pts[None, :, None] * d[:, None]
@@ -603,6 +580,6 @@ def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSe
                       deformation: IsoDeformation) -> CutQuadrature:
     """Volume, interface, band and patch rules for one configuration, of
     degree 2k+2 for the deformation degree k; `dataclasses.replace(quad,
-    order=m)` maps a rule of another degree onto the same subdivision."""
+    order=m)` builds the rules of another degree."""
     return CutQuadrature(am, sets, phi_p1, MappingData(am, deformation),
                          2 * deformation.degree + 2)

@@ -129,19 +129,12 @@ def build_background_mesh(box: tuple[float, float, float, float], h: float) -> M
     ys = np.linspace(ymin, ymax, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+    # vertex (i, j) has id i (ny + 1) + j; v00 is the SW corner of cell (i, j)
+    v00 = (np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    v10, v01, v11 = v00 + ny + 1, v00 + 1, v00 + ny + 2
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     pitch = max((xmax - xmin) / nx, (ymax - ymin) / ny)
-    mesh = MacroMesh(vertices, np.array(tris, dtype=np.int64), h=pitch)
+    mesh = MacroMesh(vertices, tris, h=pitch)
     mesh.validate()
     return mesh
 

@@ -7,8 +7,8 @@ from scipy.integrate import quad as quad1d
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
 from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 interpolate_p1, IsoDeformation, build_deformation,
-                                MappingData, cut_subdivide, build_quadratures,
-                                REF_VERTS)
+                                MappingData, CutQuadrature, cut_subdivide,
+                                build_quadratures, REF_VERTS)
 from tests.conftest import (build_case, circle_levelset, eval_ref, gradient_fd_error,
                             inverse_map, per_node_deformation, quartic_levelset)
 
@@ -77,52 +77,74 @@ def test_interpolate_p1_rejects_nonfinite():
 # cut subdivision
 
 
-def test_cut_subdivide_whole_and_empty():
-    tris, seg = cut_subdivide(np.array([-1.0, -2.0, -0.5]))
-    assert len(tris) == 1 and seg is None
-    assert np.allclose(tris[0], REF_VERTS)
-    tris, seg = cut_subdivide(np.array([1.0, 2.0, 0.5]))
-    assert tris == [] and seg is None
+@pytest.mark.parametrize("row", [[0.0, 1.0, -1.0], [-1.0, -2.0, -0.5], [1.0, 2.0, 0.5]],
+                         ids=["zero", "uncut-inside", "uncut-outside"])
+def test_cut_subdivide_rejects_zero(row):
+    # only cut children with snapped values are subdivided; the error names
+    # the first row at fault
+    with pytest.raises(ValueError, match="row 1 "):
+        cut_subdivide(np.array([[1.0, -1.0, 0.5], row, row]))
 
 
-def test_cut_subdivide_rejects_zero():
-    with pytest.raises(ValueError):
-        cut_subdivide(np.array([0.0, 1.0, -1.0]))
+def _part_areas(vals: np.ndarray) -> np.ndarray:
+    """Area of the part {phi < 0} of each row's reference triangle."""
+    pieces, _ = cut_subdivide(vals)
+    area = np.zeros(len(vals))
+    for rows, tris in pieces:
+        e1, e2 = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
+        area[rows] += 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]).sum(-1)
+    return area
 
 
-def _tri_area(t):
-    return 0.5 * abs((t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
-                     - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0]))
+def _cut_rows(vals: np.ndarray) -> np.ndarray:
+    return vals[(vals != 0).all(axis=1) & (vals < 0).any(axis=1) & (vals > 0).any(axis=1)]
 
 
 def test_cut_subdivide_area_partition_random():
+    # the parts for vals and -vals tile the reference triangle
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(1000):
-        vals = rng.standard_normal(3)
-        while (vals == 0).any() or (vals < 0).all() or (vals > 0).all():
-            vals = rng.standard_normal(3)
-        verts = rng.standard_normal((3, 2))
-        total = _tri_area(verts)
-        tin, seg_in = cut_subdivide(vals, verts)
-        tout, seg_out = cut_subdivide(-vals, verts)
-        a = sum(_tri_area(t) for t in tin) + sum(_tri_area(t) for t in tout)
-        worst = max(worst, abs(a - total) / max(total, 1e-30))
-        # both orientations see the same interface segment
-        assert np.allclose(sorted(map(tuple, seg_in)), sorted(map(tuple, seg_out)))
-    assert worst <= 1e-13
+    vals = _cut_rows(rng.standard_normal((2000, 3)))[:1000]
+    assert len(vals) == 1000
+    a = _part_areas(vals) + _part_areas(-vals)
+    assert np.abs(a - 0.5).max() / 0.5 <= 1e-13
+    # both orientations see the same interface segment
+    seg_in, seg_out = cut_subdivide(vals)[1], cut_subdivide(-vals)[1]
+    assert np.allclose(np.sort(seg_in, axis=1), np.sort(seg_out, axis=1))
+
+
+def test_cut_subdivide_matches_child_loop():
+    # the batched pass does the arithmetic of a one-child marching triangle,
+    # so it agrees with it bit for bit
+    rng = np.random.default_rng(5)
+    vals = _cut_rows(rng.standard_normal((400, 3)))
+    pieces, seg = cut_subdivide(vals)
+    got = {int(r): t for rows, tris in pieces for r, t in zip(rows, tris)}
+    assert sorted(got) == list(range(len(vals)))
+    for i, v in enumerate(vals):
+        o = int(np.flatnonzero((v < 0) == ((v < 0).sum() == 1))[0])
+        p, q = (o + 1) % 3, (o + 2) % 3
+        X = REF_VERTS[o] + v[o] / (v[o] - v[p]) * (REF_VERTS[p] - REF_VERTS[o])
+        Y = REF_VERTS[q] + v[q] / (v[q] - v[o]) * (REF_VERTS[o] - REF_VERTS[q])
+        if v[o] < 0:
+            want, wseg = [[REF_VERTS[o], X, Y]], [X, Y]
+        else:
+            c = [REF_VERTS[p], REF_VERTS[q], Y, X]
+            if np.linalg.norm(c[0] - c[2]) <= np.linalg.norm(c[1] - c[3]):
+                want = [[c[0], c[1], c[2]], [c[0], c[2], c[3]]]
+            else:
+                want = [[c[0], c[1], c[3]], [c[1], c[2], c[3]]]
+            wseg = [Y, X]
+        assert np.array_equal(got[i], want) and np.array_equal(seg[i], wseg), i
 
 
 def test_cut_subdivide_segment_on_zero_line():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        vals = rng.standard_normal(3)
-        if (vals < 0).all() or (vals > 0).all() or (vals == 0).any():
-            continue
-        _, seg = cut_subdivide(vals)
-        for q in seg:
-            lin = (vals[0] * (1 - q[0] - q[1]) + vals[1] * q[0] + vals[2] * q[1])
-            assert abs(lin) < 1e-13 * np.abs(vals).max()
+    vals = _cut_rows(rng.standard_normal((200, 3)))
+    _, seg = cut_subdivide(vals)
+    v = vals[:, None]
+    lin = (v[..., 0] * (1 - seg[..., 0] - seg[..., 1]) + v[..., 1] * seg[..., 0]
+           + v[..., 2] * seg[..., 1])
+    assert (np.abs(lin) < 1e-13 * np.abs(vals).max(axis=1, keepdims=True)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +438,11 @@ def test_quadrature_monomial_exactness():
             assert abs(val - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
-def test_quadrature_other_order_reuses_subdivision(quartic_case_h03, monkeypatch):
-    # a rule of another degree is mapped onto the kept cut subdivision and is
-    # bit for bit the rule that a fresh subdivision gives
-    from cutstokes import geometry
+def test_quadrature_other_order_matches_fresh_build(quartic_case_h03):
+    # a rule of another degree, by `replace`, is bit for bit the rule that a
+    # fresh build of that degree gives
     am, phi, sets, defo, quad = quartic_case_h03
-    want = replace(build_quadratures(am, sets, DiscreteLevelSet(am, phi.vertex_values),
-                                     defo), order=8)
-
-    def no_subdivision(*args):
-        raise AssertionError("cut subdivision recomputed")
-
-    monkeypatch.setattr(geometry, "cut_subdivide", no_subdivision)
+    want = CutQuadrature(am, sets, phi, MappingData(am, defo), 8)
     for got in (replace(build_quadratures(am, sets, phi, defo), order=8),
                 replace(quad, order=8)):
         pairs = list(zip(got.volume_groups(), want.volume_groups()))
@@ -507,9 +522,6 @@ def test_volume_weights_positive(quartic_case_h03):
 def test_cut_volume_plus_outside_is_child_area(quartic_case_h03):
     # reference cut parts of each cut child tile the reference triangle
     am, phi, sets, defo, quad = quartic_case_h03
-    for e in sets.alfeld_cut[:25]:
-        vals = phi.child_values(int(e))
-        tin, _ = cut_subdivide(vals)
-        tout, _ = cut_subdivide(-vals)
-        a = sum(_tri_area(t) for t in tin) + sum(_tri_area(t) for t in tout)
-        assert abs(a - 0.5) < 1e-14
+    vals = phi.child_values(sets.alfeld_cut[:25])
+    a = _part_areas(vals) + _part_areas(-vals)
+    assert np.abs(a - 0.5).max() < 1e-14

@@ -18,6 +18,22 @@ def test_structured_mesh_counts():
     assert np.isclose(m.h, 2 / 7)
 
 
+@pytest.mark.parametrize("box, h", [((-1, 1, -1, 1), 0.3), ((0, 3, -1, 0.5), 0.17)])
+def test_background_mesh_matches_cell_loop(box, h):
+    # cell (i, j) has SW corner i (ny + 1) + j and is split into
+    # (SW, SE, NE) and (SW, NE, NW), cells in i-major order
+    m = build_background_mesh(box, h)
+    nx = int(np.ceil((box[1] - box[0]) / h))
+    ny = int(np.ceil((box[3] - box[2]) / h))
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            sw, se = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            tris += [(sw, se, se + 1), (sw, se + 1, sw + 1)]
+    assert m.triangles.dtype == np.int64
+    assert np.array_equal(m.triangles, tris)
+
+
 def test_background_mesh_orientation_and_area():
     m = build_background_mesh((0, 2, -1, 0.5), 0.4)
     v = m.vertices[m.triangles]
