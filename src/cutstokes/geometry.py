@@ -1,12 +1,14 @@
 """Level-set geometry: P1 interpolation, isoparametric deformation, cut quadrature.
 
 The integration domains are defined by the piecewise linear interpolant of
-the level set on the split mesh.  A mesh deformation of the velocity degree
-moves each Lagrange node of a cut element along the level-set gradient until
-the elementwise degree-k interpolant matches the P1 value at the node, which
-places the mapped P1 interface within O(h^{k+1}) of the exact one.  All
-quadrature is generated in reference coordinates of the undeformed children;
-physical weights carry det(DPhi) through the element Jacobian.
+the level set on the split mesh, and the discrete domain is their image
+under one isoparametric map, `IsoDeformation`: Phi_h = affine + a nodal
+displacement of the velocity degree k.  The displacement moves each Lagrange
+node of a cut element along the level-set gradient until the elementwise
+degree-k interpolant matches the P1 value at the node, which places the
+mapped P1 interface within O(h^{k+1}) of the exact one.  All quadrature is
+generated in reference coordinates of the undeformed children; physical
+weights carry det(DPhi_h) through the element Jacobian.
 
 Element arrays: every map evaluation takes one child index or an array of
 ne of them, with reference points either shared, shape (nq, 2), or per
@@ -88,15 +90,48 @@ def interpolate_p1(ls: LevelSet, am: AlfeldMesh) -> DiscreteLevelSet:
 
 
 # ---------------------------------------------------------------------------
-# isoparametric deformation
+# the isoparametric map
+
+
+def _batch(e, xhat):
+    """Element-array form of an evaluation request: (elems (ne,), xhat
+    (1 or ne, nq, 2), whether `e` was a scalar index)."""
+    scalar = np.ndim(e) == 0
+    elems = np.atleast_1d(np.asarray(e, dtype=np.int64))
+    xhat = np.asarray(xhat, dtype=float)
+    if xhat.ndim < 3:
+        xhat = np.atleast_2d(xhat)[None]
+    if xhat.ndim != 3 or xhat.shape[0] not in (1, elems.size):
+        raise ValueError(f"reference points of shape {xhat.shape} do not fit "
+                         f"{elems.size} elements")
+    return elems, xhat, scalar
+
+
+def _unbatch(scalar: bool, *arrays):
+    """Drop the element axis again for a scalar request."""
+    if not scalar:
+        return arrays
+    return tuple(None if a is None else a[0] for a in arrays)
+
+
+def _pointwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn, which maps (n, 2) points to (n, ...) values, at points (..., 2)."""
+    out = np.asarray(fn(x.reshape(-1, 2)), dtype=float)
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 @dataclass
 class IsoDeformation:
-    """Degree-k nodal displacement field on the split mesh.
+    """The isoparametric map x = Phi_h(xhat) = affine + degree-k nodal
+    displacement, per child of the split mesh.
 
-    Displacements are nonzero only at Lagrange nodes of cut children, so the
-    map is the identity on every element whose closure misses the cut band.
+    All evaluation happens in reference coordinates of the undeformed child;
+    F = DPhi_K, J = det F.  `phys` and `jacobians` follow the element-array
+    convention of this module.  Displacements are nonzero only at Lagrange
+    nodes of cut children, so the map is affine on every element whose
+    closure misses the cut band; `is_deformed` marks the children with a
+    moved node and `deformed_children` lists them.
+
     `root_failures` counts the root solves of `build_deformation` that failed
     per stage ("interpolant", "exact") and `kept_nodes` lists the nodes whose
     solve failed at both stages and which therefore kept their position; the
@@ -107,16 +142,20 @@ class IsoDeformation:
     am: AlfeldMesh
     degree: int
     node_disp: np.ndarray                # (n_nodes, 2)
-    deformed_children: np.ndarray = field(init=False)   # children with a moved node
     root_failures: dict = field(default_factory=dict)
     kept_nodes: np.ndarray = field(
         default_factory=lambda: np.array([], dtype=np.int64))
     damping_rounds: int = 0
 
     def __post_init__(self):
-        moved = (self.node_disp != 0.0).any(axis=1)
-        elem2node = self.am.lagrange_nodes(self.degree).elem2node
-        self.deformed_children = np.flatnonzero(moved[elem2node].any(axis=1))
+        self.ref = reference_element(self.degree)
+        v = self.am.vertices[self.am.children]
+        self.v0 = v[:, 0]
+        self.A = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        self.detA = self.A[:, 0, 0] * self.A[:, 1, 1] - self.A[:, 0, 1] * self.A[:, 1, 0]
+        self.disp_local = self.node_disp[self.am.lagrange_nodes(self.degree).elem2node]
+        self.is_deformed = (self.disp_local != 0.0).any(axis=(1, 2))
+        self.deformed_children = np.flatnonzero(self.is_deformed)
 
     @classmethod
     def identity(cls, am: AlfeldMesh, degree: int) -> "IsoDeformation":
@@ -129,12 +168,49 @@ class IsoDeformation:
 
     def validate(self, elems=None) -> None:
         """Check det(Dphi) > 0 on a degree-2k rule of each deformed element."""
-        mapping = MappingData(self.am, self)
         check = self.deformed_children if elems is None else np.asarray(elems)
-        _, J = mapping.jacobians(check, triangle_rule(2 * self.degree)[0])
+        _, J = self.jacobians(check, triangle_rule(2 * self.degree)[0])
         bad = check[(J <= 0).any(axis=-1)]
         if bad.size:
             raise GeometryError(f"deformation inverts element {int(bad[0])}")
+
+    def _displace(self, elems, table):
+        """Nodal displacements contracted with a reference table (E, nq, n_k,
+        ...): sum_m d_mi table_qm... -> (ne, nq, 2, ...)."""
+        E, nq, nk = table.shape[:3]
+        out = (np.swapaxes(table.reshape(E, nq, nk, -1), -1, -2)
+               @ self.disp_local[elems, None])
+        return np.moveaxis(out, -1, 2).reshape((elems.size, nq, 2) + table.shape[3:])
+
+    def phys(self, e, xhat: np.ndarray) -> np.ndarray:
+        """Mapped points, shape (..., nq, 2)."""
+        elems, xhat, scalar = _batch(e, xhat)
+        x = self.v0[elems, None] + xhat @ np.swapaxes(self.A[elems], -1, -2)
+        if self.is_deformed[elems].any():
+            x = x + self._displace(elems, self.ref.eval(xhat))
+        return _unbatch(scalar, x)[0]
+
+    def jacobians(self, e, xhat: np.ndarray, derivs: bool = False):
+        """F (..., nq, 2, 2), J (..., nq) and optionally dF (..., nq, 2, 2, 2),
+        dJ (..., nq, 2)."""
+        elems, xhat, scalar = _batch(e, xhat)
+        nq = xhat.shape[1]
+        F = np.repeat(self.A[elems, None], nq, axis=1)
+        if self.is_deformed[elems].any():
+            F += self._displace(elems, self.ref.grad(xhat))
+        J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+        if not derivs:
+            return _unbatch(scalar, F, J)
+        dF = self._displace(elems, self.ref.hess(xhat))
+        dJ = (dF[..., 0, 0, :] * F[..., 1, 1, None]
+              + F[..., 0, 0, None] * dF[..., 1, 1, :]
+              - dF[..., 0, 1, :] * F[..., 1, 0, None]
+              - F[..., 0, 1, None] * dF[..., 1, 0, :])
+        return _unbatch(scalar, F, J, dF, dJ)
+
+
+# ---------------------------------------------------------------------------
+# isoparametric deformation
 
 
 _ROOT_FAULTS = {1: "root not bracketed in [{lo:.3e}, {hi:.3e}] at node {gid} at {pos}",
@@ -285,12 +361,11 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
     margin = 0.05
     for rounds in range(40):
         deformation = IsoDeformation(am, degree, disp, damping_rounds=rounds, **record)
-        mapping = MappingData(am, deformation)
         check = deformation.deformed_children[active[deformation.deformed_children]]
         if check.size == 0:
             break
-        _, J = mapping.jacobians(check, pts)
-        bad = check[J.min(axis=1) <= margin * np.abs(mapping.detA[check])]
+        _, J = deformation.jacobians(check, pts)
+        bad = check[J.min(axis=1) <= margin * np.abs(deformation.detA[check])]
         if bad.size == 0:
             break
         disp[np.unique(ns.elem2node[bad])] *= 0.5
@@ -298,95 +373,6 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
         raise GeometryError("deformation damping failed to restore orientation")
     deformation.validate(elems=check)
     return deformation
-
-
-# ---------------------------------------------------------------------------
-# element mappings
-
-
-def _batch(e, xhat):
-    """Element-array form of an evaluation request: (elems (ne,), xhat
-    (1 or ne, nq, 2), whether `e` was a scalar index)."""
-    scalar = np.ndim(e) == 0
-    elems = np.atleast_1d(np.asarray(e, dtype=np.int64))
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.ndim < 3:
-        xhat = np.atleast_2d(xhat)[None]
-    if xhat.ndim != 3 or xhat.shape[0] not in (1, elems.size):
-        raise ValueError(f"reference points of shape {xhat.shape} do not fit "
-                         f"{elems.size} elements")
-    return elems, xhat, scalar
-
-
-def _unbatch(scalar: bool, *arrays):
-    """Drop the element axis again for a scalar request."""
-    if not scalar:
-        return arrays
-    return tuple(None if a is None else a[0] for a in arrays)
-
-
-def _pointwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn, which maps (n, 2) points to (n, ...) values, at points (..., 2)."""
-    out = np.asarray(fn(x.reshape(-1, 2)), dtype=float)
-    return out.reshape(x.shape[:-1] + out.shape[1:])
-
-
-class MappingData:
-    """Per-element geometric maps x = phi_K(xhat) = affine + displacement.
-
-    All evaluation happens in reference coordinates of the undeformed child;
-    F = Dphi_K, J = det F.  `phys` and `jacobians` follow the element-array
-    convention of this module.  Undeformed children carry a zero nodal
-    displacement, so their maps reduce exactly to the affine part.
-    """
-
-    def __init__(self, am: AlfeldMesh, deformation: IsoDeformation):
-        self.am = am
-        self.deformation = deformation
-        self.degree = deformation.degree
-        self.ref = reference_element(self.degree)
-        v = am.vertices[am.children]
-        self.v0 = v[:, 0]
-        self.A = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-        self.detA = self.A[:, 0, 0] * self.A[:, 1, 1] - self.A[:, 0, 1] * self.A[:, 1, 0]
-        ns = am.lagrange_nodes(self.degree)
-        self.disp_local = deformation.node_disp[ns.elem2node]
-        self.is_deformed = np.bincount(deformation.deformed_children,
-                                       minlength=am.n_children) > 0
-
-    def _displace(self, elems, table):
-        """Nodal displacements contracted with a reference table (E, nq, n_k,
-        ...): sum_m d_mi table_qm... -> (ne, nq, 2, ...)."""
-        E, nq, nk = table.shape[:3]
-        out = (np.swapaxes(table.reshape(E, nq, nk, -1), -1, -2)
-               @ self.disp_local[elems, None])
-        return np.moveaxis(out, -1, 2).reshape((elems.size, nq, 2) + table.shape[3:])
-
-    def phys(self, e, xhat: np.ndarray) -> np.ndarray:
-        """Mapped points, shape (..., nq, 2)."""
-        elems, xhat, scalar = _batch(e, xhat)
-        x = self.v0[elems, None] + xhat @ np.swapaxes(self.A[elems], -1, -2)
-        if self.is_deformed[elems].any():
-            x = x + self._displace(elems, self.ref.eval(xhat))
-        return _unbatch(scalar, x)[0]
-
-    def jacobians(self, e, xhat: np.ndarray, derivs: bool = False):
-        """F (..., nq, 2, 2), J (..., nq) and optionally dF (..., nq, 2, 2, 2),
-        dJ (..., nq, 2)."""
-        elems, xhat, scalar = _batch(e, xhat)
-        nq = xhat.shape[1]
-        F = np.repeat(self.A[elems, None], nq, axis=1)
-        if self.is_deformed[elems].any():
-            F += self._displace(elems, self.ref.grad(xhat))
-        J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-        if not derivs:
-            return _unbatch(scalar, F, J)
-        dF = self._displace(elems, self.ref.hess(xhat))
-        dJ = (dF[..., 0, 0, :] * F[..., 1, 1, None]
-              + F[..., 0, 0, None] * dF[..., 1, 1, :]
-              - dF[..., 0, 1, :] * F[..., 1, 0, None]
-              - F[..., 0, 1, None] * dF[..., 1, 0, :])
-        return _unbatch(scalar, F, J, dF, dJ)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +444,9 @@ def _groups(elems: np.ndarray, xhat: np.ndarray, weights: np.ndarray):
 class CutQuadrature:
     """All quadrature data of one cut configuration.
 
-    The rules of degree `order` are derived from the mapping and the
-    `cut_subdivide` of the cut children when the object is built;
-    `dataclasses.replace(quad, order=m)` builds those of another degree.  The
-    patch rule of the ghost penalties has degree 4 * mapping degree.
+    The rules of degree `order` are derived from the map and the
+    `cut_subdivide` of the cut children when the object is built.  The patch
+    rule of the ghost penalties has degree 4 * map degree.
 
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
@@ -477,7 +462,7 @@ class CutQuadrature:
     am: AlfeldMesh
     sets: ElementSets
     phi_p1: DiscreteLevelSet
-    mapping: MappingData
+    mapping: IsoDeformation
     order: int
     inside_elems: np.ndarray = field(init=False)
     cut_elems: np.ndarray = field(init=False)
@@ -577,9 +562,10 @@ def _map_rule_to_subtris(pts: np.ndarray, wts: np.ndarray, tris: np.ndarray):
 
 
 def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSet,
-                      deformation: IsoDeformation) -> CutQuadrature:
+                      deformation: IsoDeformation,
+                      order: int | None = None) -> CutQuadrature:
     """Volume, interface, band and patch rules for one configuration, of
-    degree 2k+2 for the deformation degree k; `dataclasses.replace(quad,
-    order=m)` builds the rules of another degree."""
-    return CutQuadrature(am, sets, phi_p1, MappingData(am, deformation),
-                         2 * deformation.degree + 2)
+    degree `order`, by default 2k+2 for the deformation degree k."""
+    if order is None:
+        order = 2 * deformation.degree + 2
+    return CutQuadrature(am, sets, phi_p1, deformation, order)

@@ -36,7 +36,10 @@ def _build_facets(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     raw[1::3] = triangles[:, [1, 2]]
     raw[2::3] = triangles[:, [2, 0]]
     raw.sort(axis=1)
-    facets, inverse = np.unique(raw, axis=0, return_inverse=True)
+    # one int64 key per sorted pair: a 1-D unique, in the rows' lexicographic order
+    nv = int(raw.max()) + 1
+    keys, inverse = np.unique(raw[:, 0] * nv + raw[:, 1], return_inverse=True)
+    facets = np.column_stack([keys // nv, keys % nv])
     tri_facets = inverse.reshape(nt, 3)
     facet_tris = np.full((facets.shape[0], 2), -1, dtype=np.int64)
     owner = np.repeat(np.arange(nt), 3)

@@ -1,11 +1,13 @@
 """Finite element spaces on the deformed split mesh.
 
 Velocities are degree-k Lagrange fields pushed through the contravariant
-Piola transform of the element map, which makes them H(div)-conforming and
-carries the divergence to the reference element exactly.  Pressures (degree
-k-1, discontinuous), interface multipliers and the continuous post-process
-pressure space are mapped by composition.  Degrees of freedom are physical
-nodal values throughout.
+Piola transform of the element map (`geometry.IsoDeformation`), which makes
+them H(div)-conforming and carries the divergence to the reference element
+exactly.  Pressures (degree k-1, discontinuous), interface multipliers and
+the continuous post-process pressure space are mapped by composition.
+Degrees of freedom are physical nodal values throughout.  The continuous
+spaces share one node numbering, the global Lagrange nodes of their elements
+in index order; the velocity space gives node i the dofs 2i and 2i+1.
 
 Basis tables and field evaluations follow the element-array convention of
 `geometry`: one child index or an array of ne of them, at reference points
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, MappingData, _batch, _pointwise, _unbatch
+from .geometry import GeometryError, IsoDeformation, _batch, _pointwise, _unbatch
 from .meshing import AlfeldMesh, ElementSets
 from .reference import ReferenceElement, reference_element, reference_nodes
 
@@ -46,43 +48,57 @@ def _adjugate(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compress_nodes(elem2node: np.ndarray, elements: np.ndarray):
-    used = np.unique(elem2node[elements])
-    comp = np.full(elem2node.max() + 1, -1, dtype=np.int64)
-    comp[used] = np.arange(used.size)
-    return used, comp
+class _NodalScalarSpace:
+    """Continuous composition-mapped scalar Lagrange space on `elements`, and
+    the node numbering of every continuous space: the global Lagrange nodes
+    of `elements` in index order."""
 
-
-class VelocitySpace:
-    """Piola-mapped vector Lagrange space on the active children.
-
-    Each global Lagrange node carries two dofs (the physical velocity value
-    there).  Per element, the node-block matrices `nodal_blocks[r, m] =
-    adj(F)(node_m)` convert physical nodal values to reference coefficients;
-    their conditioning is checked against 1e12.
-    """
-
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: MappingData,
-                 degree: int):
-        if degree < 2:
-            raise ValueError("velocity degree must be >= 2")
+    def __init__(self, am: AlfeldMesh, mapping: IsoDeformation, degree: int,
+                 elements: np.ndarray):
         self.am = am
-        self.sets = sets
         self.mapping = mapping
         self.degree = degree
         self.ref = reference_element(degree)
         self.node_set = am.lagrange_nodes(degree)
-        self.elements = sets.active_children
+        self.elements = np.asarray(elements)
         self.element_row = np.full(am.n_children, -1, dtype=np.int64)
         self.element_row[self.elements] = np.arange(self.elements.size)
-        self.nodes, self._comp = _compress_nodes(self.node_set.elem2node, self.elements)
-        self.n_nodes = self.nodes.size
+        e2n = self.node_set.elem2node
+        self.nodes = np.unique(e2n[self.elements])
+        self._comp = np.full(e2n.max() + 1, -1, dtype=np.int64)
+        self._comp[self.nodes] = np.arange(self.nodes.size)
+        self.n_nodes = self.n_dofs = self.nodes.size
+        self.elem_dofs = self._comp[e2n[self.elements]]
+
+    def node_positions(self) -> np.ndarray:
+        """Mapped (physical) positions of the global nodes."""
+        pos = self.node_set.coords[self.nodes].copy()
+        if self.degree == self.mapping.degree:
+            pos += self.mapping.node_disp[self.nodes]
+        else:
+            loc = self._comp[self.node_set.elem2node[self.elements]]
+            pos[loc] = self.mapping.phys(self.elements, reference_nodes(self.degree))
+        return pos
+
+
+class VelocitySpace(_NodalScalarSpace):
+    """Piola-mapped vector Lagrange space on the active children.
+
+    Each global Lagrange node carries two dofs (the physical velocity value
+    there): node i of the scalar numbering owns dofs 2i and 2i+1.  Per
+    element, the node-block matrices `nodal_blocks[r, m] = adj(F)(node_m)`
+    convert physical nodal values to reference coefficients; their
+    conditioning is checked against 1e12.
+    """
+
+    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
+                 degree: int):
+        if degree < 2:
+            raise ValueError("velocity degree must be >= 2")
+        super().__init__(am, mapping, degree, sets.active_children)
+        self.sets = sets
         self.n_dofs = 2 * self.n_nodes
-        loc = self._comp[self.node_set.elem2node[self.elements]]
-        n_k = loc.shape[1]
-        self.elem_dofs = np.empty((self.elements.size, 2 * n_k), dtype=np.int64)
-        self.elem_dofs[:, 0::2] = 2 * loc
-        self.elem_dofs[:, 1::2] = 2 * loc + 1
+        self.elem_dofs = (2 * self.elem_dofs[..., None] + [0, 1]).reshape(-1, self.n_local)
 
         F, J = mapping.jacobians(self.elements, reference_nodes(degree))
         if (J <= 0).any():
@@ -105,12 +121,6 @@ class VelocitySpace:
     @property
     def n_local(self) -> int:
         return 2 * self.ref.n_basis
-
-    def node_positions(self) -> np.ndarray:
-        """Mapped (physical) positions of the global velocity nodes."""
-        pos = self.node_set.coords[self.nodes].copy()
-        pos += self.mapping.deformation.node_disp[self.nodes]
-        return pos
 
 
 def _rows(space, elems: np.ndarray) -> np.ndarray:
@@ -168,7 +178,7 @@ class PressureSpace:
     (#active children) * k(k+1)/2.
     """
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: MappingData,
+    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
                  degree: int):
         if degree < 1:
             raise ValueError("pressure degree must be >= 1")
@@ -186,37 +196,10 @@ class PressureSpace:
                           + np.arange(self.n_per)[None, :])
 
 
-class _NodalScalarSpace:
-    """Shared machinery for continuous composition-mapped scalar spaces."""
-
-    def __init__(self, am: AlfeldMesh, mapping: MappingData, degree: int,
-                 elements: np.ndarray):
-        self.am = am
-        self.mapping = mapping
-        self.degree = degree
-        self.ref = reference_element(degree)
-        self.node_set = am.lagrange_nodes(degree)
-        self.elements = np.asarray(elements)
-        self.element_row = np.full(am.n_children, -1, dtype=np.int64)
-        self.element_row[self.elements] = np.arange(self.elements.size)
-        self.nodes, self._comp = _compress_nodes(self.node_set.elem2node, self.elements)
-        self.n_dofs = self.nodes.size
-        self.elem_dofs = self._comp[self.node_set.elem2node[self.elements]]
-
-    def node_positions(self) -> np.ndarray:
-        pos = self.node_set.coords[self.nodes].copy()
-        if self.degree == self.mapping.degree:
-            pos += self.mapping.deformation.node_disp[self.nodes]
-        else:
-            pos[self.elem_dofs] = self.mapping.phys(self.elements,
-                                                    reference_nodes(self.degree))
-        return pos
-
-
 class MultiplierSpace(_NodalScalarSpace):
     """Continuous Lagrange multipliers of degree k_lambda on the cut band."""
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: MappingData,
+    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
                  degree: int):
         if sets.alfeld_cut.size == 0:
             raise ValueError("level set does not cut the mesh: no multiplier space")
@@ -229,7 +212,7 @@ class MultiplierSpace(_NodalScalarSpace):
 class ContinuousPressureSpace(_NodalScalarSpace):
     """Continuous degree k-1 space on the active mesh for pressure recovery."""
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: MappingData,
+    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
                  degree: int):
         super().__init__(am, mapping, degree, sets.active_children)
         self.sets = sets

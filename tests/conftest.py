@@ -37,7 +37,7 @@ def build_case(ls: LevelSet, h: float, k: int, box=(-1, 1, -1, 1)):
 def inverse_map(mapping, e: int, x: np.ndarray,
                 xhat0: np.ndarray | None = None) -> np.ndarray:
     """Reference coordinates of a physical point on child `e` by Newton
-    iteration: the test oracle for `MappingData.phys`."""
+    iteration: the test oracle for `IsoDeformation.phys`."""
     x = np.asarray(x, dtype=float)
     xh = np.array([1 / 3, 1 / 3]) if xhat0 is None else np.array(xhat0, dtype=float)
     for _ in range(40):

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,21 @@ def test_benchmark_traced_surface(monkeypatch):
     from cutstokes.geometry import CutQuadrature, IsoDeformation
     assert isinstance(CutQuadrature.interface, property)
     assert isinstance(IsoDeformation.max_displacement, property)
+
+
+def test_benchmark_smoke_runs_traced(monkeypatch):
+    # one traced unit of each benchmark workload: a stage span that stops
+    # firing raises MissingSpanError, a unit that fails its gate counts in
+    # `failed`
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    fresh = [n for n in ("worker", "spec", "gate", "spans") if n not in sys.modules]
+    try:
+        worker = importlib.import_module("worker")
+        workloads = worker.spec.WORKLOADS
+        for wl in (replace(workloads["quartic_fine"], level=0),
+                   replace(workloads["shift_sweep"], sweep_h=0.3)):
+            out = worker.run_workload(wl, seed=3, seconds=0.0, traced=True)
+            assert (out["failed"], out["problems"]) == (0, []), wl.name
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)

@@ -7,7 +7,7 @@ from scipy.integrate import quad as quad1d
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
 from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 interpolate_p1, IsoDeformation, build_deformation,
-                                MappingData, CutQuadrature, cut_subdivide,
+                                CutQuadrature, cut_subdivide,
                                 build_quadratures, REF_VERTS)
 from tests.conftest import (build_case, circle_levelset, eval_ref, gradient_fd_error,
                             inverse_map, per_node_deformation, quartic_levelset)
@@ -216,7 +216,6 @@ def test_deformation_damps_on_coarse_mesh():
     sets = classify_elements(am, phi)
     defo = build_deformation(ls, phi, am, sets, 2)
     assert defo.max_displacement <= 0.5 * am.macro.h
-    mapping = MappingData(am, defo)
     L = 8
     ii, jj = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
     keep = (ii + jj) <= L
@@ -224,7 +223,7 @@ def test_deformation_damps_on_coarse_mesh():
     active = np.zeros(am.n_children, dtype=bool)
     active[sets.active_children] = True
     check = defo.deformed_children[active[defo.deformed_children]]
-    _, J = mapping.jacobians(check, pts)
+    _, J = defo.jacobians(check, pts)
     assert (J > 0).all()
     assert defo.damping_rounds > 0
 
@@ -439,11 +438,12 @@ def test_quadrature_monomial_exactness():
 
 
 def test_quadrature_other_order_matches_fresh_build(quartic_case_h03):
-    # a rule of another degree, by `replace`, is bit for bit the rule that a
-    # fresh build of that degree gives
+    # a rule of another degree, by `order=` or by `replace`, is bit for bit
+    # the rule that a fresh build of that degree gives
     am, phi, sets, defo, quad = quartic_case_h03
-    want = CutQuadrature(am, sets, phi, MappingData(am, defo), 8)
-    for got in (replace(build_quadratures(am, sets, phi, defo), order=8),
+    want = CutQuadrature(am, sets, phi, defo, 8)
+    for got in (build_quadratures(am, sets, phi, defo, order=8),
+                replace(build_quadratures(am, sets, phi, defo), order=8),
                 replace(quad, order=8)):
         pairs = list(zip(got.volume_groups(), want.volume_groups()))
         assert len(pairs) == len(list(want.volume_groups()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
-from cutstokes.geometry import (GeometryError, IsoDeformation, MappingData,
+from cutstokes.geometry import (GeometryError, IsoDeformation,
                                 interpolate_p1, build_deformation, build_quadratures)
 from cutstokes.reference import reference_nodes
 from cutstokes.spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
@@ -32,11 +32,28 @@ def test_dof_counts(case):
     assert vs.n_dofs % 2 == 0
 
 
+def test_velocity_and_scalar_spaces_share_one_node_numbering(case):
+    # at equal degree, velocity node i owns dofs 2i, 2i+1 of the scalar
+    # numbering, and both place their nodes where the map sends them
+    am, phi, sets, defo, quad, vs = case
+    cps = ContinuousPressureSpace(am, sets, quad.mapping, 2)
+    assert np.array_equal(vs.elem_dofs[:, 0::2] // 2, cps.elem_dofs)
+    assert np.array_equal(vs.elem_dofs[:, 1::2], vs.elem_dofs[:, 0::2] + 1)
+    pos = vs.node_positions()
+    assert np.array_equal(pos, cps.node_positions())
+    mapped = quad.mapping.phys(vs.elements, reference_nodes(2))
+    assert np.abs(pos[cps.elem_dofs] - mapped).max() < 1e-14
+    # a scalar space of another degree places its nodes through the map
+    p1 = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    assert np.abs(p1.node_positions()[p1.elem_dofs]
+                  - quad.mapping.phys(p1.elements, reference_nodes(1))).max() < 1e-14
+
+
 def test_multiplier_requires_band():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)
     sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
-    mapping = MappingData(am, IsoDeformation.identity(am, 2))
+    mapping = IsoDeformation.identity(am, 2)
     with pytest.raises(ValueError, match="cut"):
         MultiplierSpace(am, sets, mapping, 1)
 
@@ -160,7 +177,7 @@ def test_polynomial_reproduction_undeformed():
     m = build_background_mesh((-1, 1, -1, 1), 0.4)
     am = alfeld_split(m)
     sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
-    mapping = MappingData(am, IsoDeformation.identity(am, 2))
+    mapping = IsoDeformation.identity(am, 2)
     vs = VelocitySpace(am, sets, mapping, 2)
 
     def v(p):
@@ -231,9 +248,8 @@ def test_nearly_singular_blocks_rejected():
     M = np.array([[-1.0 + 1e-14, 0.0], [0.0, 0.0]])
     disp = ns.coords @ M.T
     defo = IsoDeformation(am, 2, disp)
-    mapping = MappingData(am, defo)
     with pytest.raises(GeometryError, match="singular|orientation"):
-        VelocitySpace(am, sets, mapping, 2)
+        VelocitySpace(am, sets, defo, 2)
 
 
 def _mixed_group(quad):
