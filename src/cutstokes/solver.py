@@ -1,5 +1,6 @@
-"""Solution of the saddle systems by an iterated penalty on the
-velocity-multiplier block.
+"""Solution of the saddle systems by iterative refinement, with one
+augmented-Lagrangian step on the velocity-multiplier block as the
+preconditioner.
 
 The Stokes saddle matrix is M = [[K, c], [c^T, 0]]: K is the (u, p, lambda)
 block and c = (0, m, 0) the zero-mean row of the pressure.  K alone has
@@ -18,18 +19,26 @@ augmented Lagrangian method) recovers p from a factorization of the
 velocity-multiplier block W = [[A + rho B^T M_p^-1 B, C^T], [C, J]] alone;
 M_p is the pressure mass, block diagonal because the pressure is
 discontinuous per child, so A + rho B^T M_p^-1 B has the sparsity of A.
-Each step p <- p + rho M_p^-1 (B u - g) costs one pair of triangular solves,
-and W has a sixth of the fill of K (made regular by pinning one multiplier
+W has a sixth of the fill of K (made regular by pinning one multiplier
 dof) at level 0 and a twentieth at level 4.  z comes from the assembly
 (`SaddleSystem.z_p`) and is checked, not computed.
 
-`solve_saddle` applies this inverse once and `condition_estimate` once per
-Lanczos step.  Every apply is refined against the full M until the relative
-residual stops improving, which normally lands near machine precision; a
-solve that cannot reach 1e-9 is rejected.  M is symmetric, so its condition
-number is |lambda|_max(M) |lambda|_max(M^-1), and each factor is found by
-the implicitly restarted Lanczos method of ARPACK (`eigsh`) from a fixed
-start vector, so repeated estimates are equal.
+`PenaltyFactor.step` is one penalty step from p = 0, an approximate M^-1
+that costs one pair of triangular solves.  `_refine` is the only loop: the
+Richardson iteration x <- x + step(b - M x), which in exact arithmetic
+reproduces the penalty iterates step for step, and which also refines
+against the full M.  It stops when the correction no longer halves, not on
+the residual: the round-off of the velocity rows dominates |b - M x| and
+hides the divergence row, which the correction sees through
+rho M_p^-1 (B u - r_p).  A solve whose relative residual then lies above
+1e-9 is rejected.  The same loop, with an LU solve as the step, serves
+`solve_direct`.
+
+`solve_saddle` runs the loop once and `condition_estimate` once per
+Lanczos step.  M is symmetric, so its condition number is
+|lambda|_max(M) |lambda|_max(M^-1), and each factor is found by the
+implicitly restarted Lanczos method of ARPACK (`eigsh`) from a fixed start
+vector, so repeated estimates are equal.
 """
 
 from __future__ import annotations
@@ -46,13 +55,11 @@ __all__ = ["SingularSystemError", "IterationError", "Solution", "PenaltyFactor",
            "solve_direct", "solve_saddle", "condition_estimate"]
 
 RESIDUAL_TOL = 1e-9
-RESIDUAL_TARGET = 1e-13
 KERNEL_TOL = 1e-10
-# penalty weight, stopping rule and step cap of the iterated penalty in
-# `PenaltyFactor`: it stops when |B u - g| <= PENALTY_TOL (||B| |u|| + |g|)
+# step cap of `_refine`
+REFINE_MAXIT = 100
+# penalty weight of the augmented-Lagrangian step in `PenaltyFactor`
 PENALTY_RHO = 1000.0
-PENALTY_TOL = 1e-12
-PENALTY_MAXIT = 100
 # W is symmetric, with a positive definite velocity block and a multiplier
 # block whose diagonal is negative: a minimum-degree ordering of W + W^T
 # with diagonal pivots (a row exchange only below 1e-6 of the column) has a
@@ -71,7 +78,8 @@ class SingularSystemError(RuntimeError):
 
 
 class IterationError(RuntimeError):
-    """Raised when the iterated penalty does not converge."""
+    """Raised when `_refine` still has halving corrections after
+    REFINE_MAXIT steps."""
 
 
 def _splu(M: sp.csc_matrix, what: str, **options):
@@ -84,22 +92,21 @@ def _splu(M: sp.csc_matrix, what: str, **options):
 
 
 class PenaltyFactor:
-    """M^-1 of a `SaddleSystem` by the iterated penalty, factoring only the
-    velocity-multiplier block.
+    """An approximate M^-1 of a `SaddleSystem` by one augmented-Lagrangian
+    step, factoring only the velocity-multiplier block.
 
-    SuperLU factors W = [[A + rho B^T M_p^-1 B, C^T], [C, J]].  `solve(b)`
-    takes the part of b along z = (0, z_p, 1) into s, solves K x = r by the
-    steps
+    SuperLU factors W = [[A + rho B^T M_p^-1 B, C^T], [C, J]].  `step(r)`
+    takes the part of r along z = (0, z_p, 1) into s, takes one penalty step
+    from p = 0,
 
-        (u, lambda) = W^-1 (r_u - B^T p + rho B^T M_p^-1 r_p, r_lambda),
-        p <- p + rho M_p^-1 (B u - r_p),
+        (u, lambda) = W^-1 (r_u + rho B^T M_p^-1 r_p, r_lambda),
+        p = rho M_p^-1 (B u - r_p),
 
-    which satisfy the velocity and multiplier rows exactly, until the
-    pressure row B u = r_p holds to PENALTY_TOL relative to the size of its
-    terms (its round-off floor), and adds the multiple of z that the mean
-    row fixes.  More than PENALTY_MAXIT steps raise `IterationError`.  z
-    must be a null vector of K to round-off, |Kz| <= KERNEL_TOL |K||z|, and
-    the mean row must fix it, c.z != 0, or the system is rejected.
+    which satisfies the velocity and multiplier rows exactly and leaves the
+    pressure row B u = r_p for the next step of `_refine`, and adds the
+    multiple of z that the mean row fixes.  z must be a null vector of K to
+    round-off, |Kz| <= KERNEL_TOL |K||z|, and the mean row must fix it,
+    c.z != 0, or the system is rejected.
     """
 
     def __init__(self, system: SaddleSystem):
@@ -125,7 +132,6 @@ class PenaltyFactor:
         lam = slice(n_u + n_p, n_u + n_p + n_m)
         self._B = M[n_u:n_u + n_p, :n_u]
         self._Bt = sp.csr_matrix(self._B.T)
-        self._absB = abs(self._B)
         self._Minv = system.mass_inv
         A = M[:n_u, :n_u] + PENALTY_RHO * (self._Bt @ self._Minv @ self._B)
         W = sp.bmat([[A, M[:n_u, lam]], [M[lam, :n_u], M[lam, lam]]], format="csc")
@@ -133,70 +139,59 @@ class PenaltyFactor:
         # entries SuperLU stores for L and U; copying L and U out to count
         # their nonzeros would raise the peak memory
         self.lu_nnz = int(self._lu.nnz)
-        self.steps = 0            # penalty steps over all solves
+        self.steps = 0            # applies of `step`
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with M x = b, for b = (b_K, beta) of length n + 1."""
+    def step(self, r: np.ndarray) -> np.ndarray:
+        """An approximate M^-1 r, for r = (r_K, r_beta) of length n + 1."""
         n_u, n_p, n_m = self._n
         z, m = self.z, self._mean
-        s = float(z @ b[:-1]) / self._cz
-        r_u, r_p, r_m = np.split(b[:-1], [n_u, n_u + n_p])
+        s = float(z @ r[:-1]) / self._cz
+        r_u, r_p, r_m = np.split(r[:-1], [n_u, n_u + n_p])
         r_p = r_p - s * m
-        g = np.linalg.norm(r_p)
-        fixed = np.concatenate(
-            [r_u + PENALTY_RHO * (self._Bt @ (self._Minv @ r_p)), r_m])
-        p = np.zeros(n_p)
-        for _ in range(PENALTY_MAXIT):
-            self.steps += 1
-            rhs = fixed.copy()
-            rhs[:n_u] -= self._Bt @ p
-            y = self._lu.solve(rhs)
-            u = y[:n_u]
-            d = self._B @ u - r_p
-            p += PENALTY_RHO * (self._Minv @ d)
-            size = np.linalg.norm(self._absB @ abs(u)) + g
-            if np.linalg.norm(d) <= PENALTY_TOL * size:
-                break
-        else:
-            raise IterationError(
-                f"the iterated penalty did not reach |Bu - g| <= "
-                f"{PENALTY_TOL:.0e} (||B||u|| + |g|) in {PENALTY_MAXIT} steps; "
-                f"the last relative residual was {np.linalg.norm(d) / size:.3e}")
+        self.steps += 1
+        y = self._lu.solve(np.concatenate(
+            [r_u + PENALTY_RHO * (self._Bt @ (self._Minv @ r_p)), r_m]))
+        u = y[:n_u]
+        p = PENALTY_RHO * (self._Minv @ (self._B @ u - r_p))
         x = np.concatenate([u, p, y[n_u:]])
-        x += (b[-1] - m @ p) / self._cz * z
+        x += (r[-1] - m @ p) / self._cz * z
         return np.append(x, s)
 
 
-def _refine(M: sp.spmatrix, solve, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve Mx = b with `solve` (M^-1 from a factorization), refining while
-    the relative residual keeps dropping; returns x and that residual.
+def _refine(M: sp.spmatrix, apply, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve Mx = b by the iteration x <- x + apply(b - M x) from x = 0;
+    returns x and its relative residual.
 
-    Refinement reuses the factorization, so the extra steps are cheap.  It
-    stops at RESIDUAL_TARGET or on stagnation; anything still above
-    RESIDUAL_TOL at that point means the factorization is unusable.
+    `apply` is an approximate M^-1: one `PenaltyFactor.step`, or an LU solve,
+    for which the loop is iterative refinement.  It stops when the
+    correction no longer halves, which is where round-off stops the solve:
+    the residual would be the wrong measure, because the round-off of the
+    velocity rows dominates it and hides the divergence row.  Corrections
+    still halving after REFINE_MAXIT steps raise `IterationError`; a
+    residual then above RESIDUAL_TOL means the factorization is unusable.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    x = solve(b)
-    r = b - M @ x
-    best, best_res = x, np.linalg.norm(r) / bnorm
-    for _ in range(8):
-        if best_res <= RESIDUAL_TARGET:
-            break
-        x = best + solve(r)
+    x, r, last = np.zeros_like(b), b, np.inf
+    for _ in range(REFINE_MAXIT):
+        dx = apply(r)
+        x += dx
         r = b - M @ x
-        res = np.linalg.norm(r) / bnorm
-        stalled = res >= 0.5 * best_res
-        if res < best_res:
-            best, best_res = x, res
-        if stalled:
+        size = np.linalg.norm(dx)
+        if not size < 0.5 * last:
             break
-    if best_res > RESIDUAL_TOL:
+        last = size
+    else:
+        raise IterationError(
+            f"the correction still halved after {REFINE_MAXIT} steps; the "
+            f"last relative residual was {np.linalg.norm(r) / bnorm:.3e}")
+    res = float(np.linalg.norm(r) / bnorm)
+    if not res <= RESIDUAL_TOL:
         raise SingularSystemError(
-            f"relative residual {best_res:.3e} still above "
-            f"{RESIDUAL_TOL:.0e} after iterative refinement")
-    return best, float(best_res)
+            f"relative residual {res:.3e} still above {RESIDUAL_TOL:.0e} "
+            f"after iterative refinement")
+    return x, res
 
 
 def solve_direct(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -216,14 +211,14 @@ class Solution:
     s: float
     residual: float
     lu_nnz: int               # entries stored for L and U of W
-    steps: int                # penalty steps, refinement included
+    steps: int                # applies of `PenaltyFactor.step`
 
 
 def solve_saddle(system: SaddleSystem) -> Solution:
-    """Solve the saddle system by the iterated penalty (`PenaltyFactor`),
-    refined against the full `system.matrix`."""
+    """Solve the saddle system by `_refine` against the full
+    `system.matrix`, with `PenaltyFactor.step` as the apply."""
     factor = PenaltyFactor(system)
-    x, res = _refine(system.matrix, factor.solve, system.rhs)
+    x, res = _refine(system.matrix, factor.step, system.rhs)
     u, p, lam, s = system.split(x)
     return Solution(u=u, p=p, lam=lam, s=s, residual=res,
                     lu_nnz=factor.lu_nnz, steps=factor.steps)
@@ -242,11 +237,11 @@ def condition_estimate(system: SaddleSystem) -> float:
     """kappa = |lambda|_max / |lambda|_min of the saddle matrix M.
 
     The largest magnitude comes from M, the smallest as the inverse of the
-    largest magnitude of M^-1, applied through a `PenaltyFactor` and refined
-    on every apply.
+    largest magnitude of M^-1, each apply of which is a `_refine` solve with
+    `PenaltyFactor.step`.
     """
     factor = PenaltyFactor(system)
     M = sp.csc_matrix(system.matrix)
     inverse = spla.LinearOperator(
-        M.shape, matvec=lambda v: _refine(M, factor.solve, v)[0], dtype=float)
+        M.shape, matvec=lambda v: _refine(M, factor.step, v)[0], dtype=float)
     return _largest_magnitude(M) * _largest_magnitude(inverse)

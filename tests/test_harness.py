@@ -368,9 +368,10 @@ def test_study_norms_pinned(ex1_ho_study):
 
 
 def test_study_rates(ex1_ho_study):
-    # k=2: L2 velocity k+1, H1 velocity k, divergence at round-off
+    # k=2: L2 velocity k+1, H1 velocity k, divergence at round-off (<= 3.8e-14
+    # measured; a solve stopped on the global residual gives 9e-13 at level 4)
     rows = ex1_ho_study
-    assert all(r.l2div <= 1e-10 for r in rows), [r.l2div for r in rows]
+    assert all(r.l2div <= 2e-13 for r in rows), [r.l2div for r in rows]
     l2 = compute_eoc([r.l2u for r in rows])[1:]
     h1 = compute_eoc([r.h1u for r in rows])[1:]
     assert len(l2) == 3
@@ -380,7 +381,11 @@ def test_study_rates(ex1_ho_study):
 
 def test_multiplier_degree_pressure_robustness():
     # no-flow case (u = 0, f = grad p): the velocity error is pure pressure
-    # pollution, and the degree-2 multiplier must keep it smaller
+    # pollution, and the degree-2 multiplier must keep it smaller and let it
+    # fall faster (EOC 4.12 and 4.65, ratio 17.9 at level 3 measured)
     l2u = {kl: [r.l2u for r in run_convergence(
-        StudyConfig(example=2, k_lambda=kl, levels=3))] for kl in (1, 2)}
+        StudyConfig(example=2, k_lambda=kl, levels=4))] for kl in (1, 2)}
     assert all(b < a for a, b in zip(l2u[1], l2u[2])), l2u
+    eoc = compute_eoc(l2u[2])[1:]
+    assert min(eoc) >= 3.8, eoc
+    assert l2u[1][3] >= 10 * l2u[2][3], l2u

@@ -188,6 +188,56 @@ def test_penalty_rejects_unfixed_kernel():
 
 
 def test_penalty_iteration_cap_raises(ex1_level0, monkeypatch):
-    monkeypatch.setattr(solver, "PENALTY_MAXIT", 1)
+    monkeypatch.setattr(solver, "REFINE_MAXIT", 1)
     with pytest.raises(IterationError, match="1 steps"):
         solve_saddle(ex1_level0.system)
+
+
+def test_pressure_only_load(ex1_level0):
+    # the load B^T q of a zero-mean q is solved by u = 0, p = q, lambda = 0:
+    # the first penalty step's u carries the whole load and the solution's u
+    # vanishes, so a stop test relative to the current |B||u| is never met
+    system = ex1_level0.system
+    n_u, n_p = system.n_u, system.n_p
+    q = np.random.default_rng(18).standard_normal(n_p)
+    mean = system.matrix[n_u:n_u + n_p, -1].toarray().ravel()
+    q -= (mean @ q) / (mean @ system.z_p) * system.z_p
+    rhs = np.zeros(system.matrix.shape[0])
+    rhs[:n_u] = system.matrix[:n_u, n_u:n_u + n_p] @ q
+    sol = solve_saddle(replace(system, rhs=rhs))
+    assert sol.residual <= 1e-12
+    assert np.linalg.norm(sol.u) <= 1e-12 * np.linalg.norm(q)
+    assert np.linalg.norm(sol.p - q) <= 1e-10 * np.linalg.norm(q)
+
+
+def _counted_lu(M, scale=1.0):
+    """scale * LU solve of M, and the list that counts its applies."""
+    lu, applies = spla.splu(sp.csc_matrix(M)), []
+
+    def apply(r):
+        applies.append(1)
+        return scale * lu.solve(r)
+    return apply, applies
+
+
+def test_refine_exact_apply_stops_after_round_off():
+    # the loop of `solve_direct` with a well-conditioned LU: the solve, a
+    # correction at round-off and one that no longer halves
+    rng = np.random.default_rng(19)
+    R = rng.standard_normal((60, 60))
+    M = sp.csc_matrix(R.T @ R + np.eye(60))
+    b = rng.standard_normal(60)
+    apply, applies = _counted_lu(M)
+    x, res = solver._refine(M, apply, b)
+    assert len(applies) <= 3, len(applies)
+    assert res <= 1e-13
+
+
+def test_refine_damped_apply_reaches_round_off(ex1_level0):
+    # 0.9 M^-1 contracts the error tenfold per step; the loop must not stop
+    # before round-off although every residual is still far above it
+    M, b = sp.csc_matrix(ex1_level0.system.matrix), ex1_level0.system.rhs
+    apply, applies = _counted_lu(M, 0.9)
+    x, res = solver._refine(M, apply, b)
+    assert res <= 1e-13
+    assert len(applies) > 10
