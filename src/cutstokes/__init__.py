@@ -26,9 +26,8 @@ from .geometry import (LevelSet, DiscreteLevelSet, IsoDeformation,
                        CutQuadrature, GeometryError, interpolate_p1,
                        build_deformation, build_quadratures, cut_subdivide)
 from .spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
-                     ContinuousPressureSpace, VelocityField, ScalarField,
-                     interpolate_velocity, interpolate_scalar)
-from .forms import (FormParams, SaddleSystem, assemble_a, assemble_b,
+                     ContinuousPressureSpace, VelocityField, ScalarField)
+from .forms import (SaddleSystem, assemble_a, assemble_b,
                     assemble_c, assemble_ghost_penalty, assemble_j,
                     assemble_rhs, pressure_mean_vector, pressure_kernel,
                     pressure_mass_inverse, build_saddle_system)
@@ -39,7 +38,7 @@ from .postprocess import recover_pressure
 from .harness import (ExactCase, StudyConfig, ResultRow, exact_example1,
                       exact_example2, build_geometry, assemble_level,
                       solve_level, run_convergence, run_interface_sweep,
-                      compute_eoc, fit_rate)
+                      compute_eoc)
 
 __version__ = "0.1.0"
 
@@ -51,8 +50,7 @@ __all__ = [
     "build_quadratures", "cut_subdivide",
     "VelocitySpace", "PressureSpace", "MultiplierSpace",
     "ContinuousPressureSpace", "VelocityField", "ScalarField",
-    "interpolate_velocity", "interpolate_scalar",
-    "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
+    "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
     "pressure_mean_vector", "pressure_kernel", "pressure_mass_inverse",
     "build_saddle_system",
@@ -61,6 +59,6 @@ __all__ = [
     "recover_pressure",
     "ExactCase", "StudyConfig", "ResultRow", "exact_example1",
     "exact_example2", "build_geometry", "assemble_level", "solve_level",
-    "run_convergence", "run_interface_sweep", "compute_eoc", "fit_rate",
+    "run_convergence", "run_interface_sweep", "compute_eoc",
     "__version__",
 ]

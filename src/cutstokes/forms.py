@@ -31,27 +31,11 @@ from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace, _adjugate,
                      scalar_tables, velocity_tables)
 
 __all__ = [
-    "FormParams", "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
+    "SaddleSystem", "assemble_a", "assemble_b", "assemble_c",
     "assemble_ghost_penalty", "assemble_j", "assemble_rhs",
     "pressure_mean_vector", "pressure_kernel", "pressure_mass_inverse",
     "build_saddle_system",
 ]
-
-
-@dataclass(frozen=True)
-class FormParams:
-    """Weights of the discrete problem: `gamma_n` is the Nitsche penalty,
-    `gamma_gp` the ghost-penalty weight and `gamma_lambda` the multiplier
-    stabilization weight.  The degrees are those of the spaces assembled on.
-    """
-
-    gamma_n: float = 40.0
-    gamma_gp: float = 0.1
-    gamma_lambda: float = 0.1
-
-    def __post_init__(self):
-        if self.gamma_n <= 0:
-            raise ValueError("gamma_n must be positive")
 
 
 class _Triplets:
@@ -111,9 +95,10 @@ def _inv2(A: np.ndarray) -> np.ndarray:
     return _adjugate(A) / det[..., None, None]
 
 
-def assemble_a(params: FormParams, quad: CutQuadrature,
-               vs: VelocitySpace) -> sp.csr_matrix:
-    """Viscous volume term plus the symmetric Nitsche boundary terms."""
+def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
+               gamma_n: float) -> sp.csr_matrix:
+    """Viscous volume term plus the symmetric Nitsche boundary terms with
+    the penalty gamma_n/h."""
     mp = quad.mapping
     h = quad.am.macro.h
     tri = _Triplets()
@@ -128,7 +113,7 @@ def assemble_a(params: FormParams, quad: CutQuadrature,
     val, grad, _ = velocity_tables(vs, r.elems, r.xhat)
     nd = np.einsum("eqs,eqdcs->eqdc", r.normals, grad)
     K1 = _local(r.weights, val, nd)
-    pen = _sym(_local(r.weights * (params.gamma_n / h), val, val))
+    pen = _sym(_local(r.weights * (gamma_n / h), val, val))
     dofs = vs.elem_dofs[vs.element_row[r.elems]]
     tri.add(dofs, dofs, pen - (K1 + np.swapaxes(K1, 1, 2)))
 
@@ -200,7 +185,7 @@ def _extensions(quad: CutQuadrature, space, elems: np.ndarray):
     return x, Jw, val, coef
 
 
-def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
+def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
                            facets: np.ndarray | None = None) -> sp.csr_matrix:
     """Direct ghost penalty over facet patches.
 
@@ -221,7 +206,7 @@ def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
     bad = facets[sides[:, 1] < 0]
     if bad.size:
         raise ValueError(f"facet {bad[0]} is not interior")
-    scale = params.gamma_gp / quad.am.macro.h ** 2
+    scale = gamma_gp / quad.am.macro.h ** 2
     n = space.n_dofs
     owners, where = np.unique(sides, return_inverse=True)
     x, Jw, val, coef = _extensions(quad, space, owners)
@@ -253,8 +238,8 @@ def assemble_ghost_penalty(params: FormParams, quad: CutQuadrature, space,
     return tri.matrix(n, n)
 
 
-def assemble_j(params: FormParams, quad: CutQuadrature,
-               ms: MultiplierSpace) -> sp.csr_matrix:
+def assemble_j(quad: CutQuadrature, ms: MultiplierSpace,
+               gamma_lambda: float) -> sp.csr_matrix:
     """Normal-gradient stabilization -h gamma_lambda (n.grad l, n.grad m)
     over the cut band, with the normal extended off the interface."""
     h = quad.am.macro.h
@@ -265,7 +250,7 @@ def assemble_j(params: FormParams, quad: CutQuadrature,
     loc = _sym(_local(wts * quad.mapping.jacobians(cut, pts)[1], nd, nd))
     dofs = ms.elem_dofs[ms.element_row[cut]]
     tri = _Triplets()
-    tri.add(dofs, dofs, (-h * params.gamma_lambda) * loc)
+    tri.add(dofs, dofs, (-h * gamma_lambda) * loc)
     return tri.matrix(ms.n_dofs, ms.n_dofs)
 
 

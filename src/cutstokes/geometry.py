@@ -421,13 +421,12 @@ def cut_subdivide(vals: np.ndarray):
 class InterfaceRule:
     """The discrete interface over the cut children `elems`, one segment per
     child, stacked along the leading element axis (absent when `elems` is a
-    single index)."""
+    single index).  The physical points are `mapping.phys(elems, xhat)`."""
 
     elems: np.ndarray     # (ne,) cut children
     xhat: np.ndarray      # (ne, m, 2) reference points
     weights: np.ndarray   # (ne, m) physical arc-length weights
     normals: np.ndarray   # (ne, m, 2) unit normals pointing out of the fluid
-    xphys: np.ndarray     # (ne, m, 2) mapped points
 
 
 def _groups(elems: np.ndarray, xhat: np.ndarray, weights: np.ndarray):
@@ -456,7 +455,9 @@ class CutQuadrature:
     both: the deformation moves only the cut band's nodes, and only a group
     with a moved child pays for the curved map.  `band_normals`
     (per cut child, on `ref_rule`) and `interface_rule` are stacked in the
-    order of `cut_elems`.
+    order of `cut_elems`.  The build checks that the Jacobian is positive at
+    every point of the volume groups; areas and the interface length are
+    sums of w * J over the groups and of the interface weights.
     """
 
     am: AlfeldMesh
@@ -471,9 +472,6 @@ class CutQuadrature:
     cut_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(init=False)
     interface_rule: InterfaceRule = field(init=False)
     band_normals: np.ndarray = field(init=False)
-    area_inside: float = field(init=False)
-    area_bulk: float = field(init=False)
-    interface_length: float = field(init=False)
 
     def __post_init__(self):
         mapping = self.mapping
@@ -495,21 +493,16 @@ class CutQuadrature:
             raise GeometryError(f"degenerate interface segment on element {bad[0]}")
         ghat = self.phi_p1.ref_gradient(cut)[:, None]
         normals = _unit_rows(_inv_transpose_apply(F, ghat))
-        self.interface_rule = InterfaceRule(cut, xh, dsw, normals, mapping.phys(cut, xh))
-        self.interface_length = float(dsw.sum())
+        self.interface_rule = InterfaceRule(cut, xh, dsw, normals)
         Fb, _ = mapping.jacobians(cut, self.ref_rule[0])
         self.band_normals = _unit_rows(_inv_transpose_apply(Fb, ghat))
 
-        self.area_inside = self.area_bulk = 0.0
         for elems, xh, w in self.volume_groups():
             _, J = mapping.jacobians(elems, xh)
             bad = elems[(J <= 0).any(axis=-1)]
             if bad.size:
                 raise GeometryError(
                     f"nonpositive Jacobian in volume rule of element {bad[0]}")
-            self.area_inside += float((w * J).sum())
-        for elems, xh, w in self.bulk_groups():
-            self.area_bulk += float((w * mapping.jacobians(elems, xh)[1]).sum())
 
     def _split_groups(self, elems: np.ndarray):
         """`ref_rule` groups over `elems`, the undeformed children first."""
@@ -531,8 +524,7 @@ class CutQuadrature:
     def interface(self) -> dict[int, InterfaceRule]:
         """The interface rule of each cut child, as views of `interface_rule`."""
         r = self.interface_rule
-        return {int(e): InterfaceRule(int(e), r.xhat[i], r.weights[i], r.normals[i],
-                                      r.xphys[i])
+        return {int(e): InterfaceRule(int(e), r.xhat[i], r.weights[i], r.normals[i])
                 for i, e in enumerate(r.elems)}
 
 

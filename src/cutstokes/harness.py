@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .forms import (FormParams, assemble_a, assemble_b, assemble_c,
+from .forms import (assemble_a, assemble_b, assemble_c,
                     assemble_ghost_penalty, assemble_j, assemble_rhs,
                     build_saddle_system, pressure_kernel,
                     pressure_mass_inverse, pressure_mean_vector)
@@ -31,7 +31,7 @@ __all__ = [
     "ExactCase", "StudyConfig", "ResultRow", "LevelState",
     "exact_example1", "exact_example2", "build_geometry", "assemble_level",
     "solve_level", "run_convergence", "run_interface_sweep", "compute_eoc",
-    "fit_rate", "write_data", "write_config", "read_config", "write_vtk",
+    "write_data", "write_config", "read_config", "write_vtk",
     "write_geometry",
 ]
 
@@ -192,10 +192,8 @@ class StudyConfig:
             raise ValueError("need at least one level")
         if self.h0 <= 0:
             raise ValueError("h0 must be positive")
-
-    def form_params(self) -> FormParams:
-        return FormParams(gamma_n=self.gamma_n, gamma_gp=self.gamma_gp,
-                          gamma_lambda=self.gamma_lambda)
+        if self.gamma_n <= 0:
+            raise ValueError(f"gamma_n must be positive, got {self.gamma_n}")
 
 
 @dataclass
@@ -229,7 +227,6 @@ class LevelState:
     lvl: int
     h: float
     quad: CutQuadrature
-    params: FormParams
     vs: VelocitySpace
     ps: PressureSpace
     ms: MultiplierSpace
@@ -263,11 +260,10 @@ def assemble_level(cfg: StudyConfig, quad: CutQuadrature, f=None):
     vs = VelocitySpace(am, sets, mp, cfg.k)
     ps = PressureSpace(am, sets, mp, cfg.k - 1)
     ms = MultiplierSpace(am, sets, mp, cfg.k_lambda)
-    params = cfg.form_params()
-    A = assemble_a(params, quad, vs) + assemble_ghost_penalty(params, quad, vs)
+    A = assemble_a(quad, vs, cfg.gamma_n) + assemble_ghost_penalty(quad, vs, cfg.gamma_gp)
     B = assemble_b(quad, vs, ps)
     C = assemble_c(quad, vs, ms)
-    J = assemble_j(params, quad, ms)
+    J = assemble_j(quad, ms, cfg.gamma_lambda)
     m = pressure_mean_vector(quad, ps)
     rhs = np.zeros(vs.n_dofs) if f is None else assemble_rhs(quad, vs, f)
     system = build_saddle_system(A, B, C, J, m, rhs, pressure_kernel(quad, ps),
@@ -288,15 +284,14 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     if cfg.with_condest:
         cond = condition_estimate(system)
 
-    params = cfg.form_params()
     qs = ContinuousPressureSpace(quad.am, quad.sets, quad.mapping, cfg.k - 1)
     uh = VelocityField(vs, sol.u)
-    pc = recover_pressure(params, quad, qs, uh, exact.f)
+    pc = recover_pressure(quad, qs, uh, exact.f, cfg.gamma_gp)
     pstar = ScalarField(qs, pc)
     wall = time.perf_counter() - t0
 
-    state = LevelState(cfg, exact, lvl, h, quad, params, vs, ps, ms, qs,
-                       system, sol, uh, pstar)
+    state = LevelState(cfg, exact, lvl, h, quad, vs, ps, ms, qs, system, sol,
+                       uh, pstar)
     err = compute_errors(state)
     kept = quad.mapping.kept_nodes
     row = ResultRow(lvl=lvl, h=h, l2u=err["l2u"], h1u=err["h1u"],
@@ -371,20 +366,13 @@ def _study_tag(cfg: StudyConfig) -> str:
     return f"converge_ex{cfg.example}_{cfg.geom}"
 
 
-def _shifted_quartic(x0: float) -> LevelSet:
-    def phi(x):
-        return (x[:, 0] - x0) ** 4 + x[:, 1] ** 4 - 0.25
-
-    def dphi(x):
-        return np.column_stack([4.0 * (x[:, 0] - x0) ** 3, 4.0 * x[:, 1] ** 3])
-
-    return LevelSet(phi, dphi)
-
-
 def _sweep_one(args) -> tuple[int, float, float]:
     cfg, i, h, n = args
     x0 = -0.2 + 0.4 * i / n
-    exact = replace(exact_example1(), levelset=_shifted_quartic(x0))
+    exact = exact_example1()
+    ls, s = exact.levelset, np.array([x0, 0.0])
+    exact = replace(exact, levelset=LevelSet(lambda p: ls.value(p - s),
+                                             lambda p: ls.gradient(p - s)))
     system = assemble_level(cfg, build_geometry(cfg, exact, h))[3]
     kappa = condition_estimate(system)
     return i, x0, kappa
@@ -426,15 +414,6 @@ def compute_eoc(errors) -> list:
         else:
             out.append(None)
     return out
-
-
-def fit_rate(hs, errors) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if (errors <= 0).any():
-        raise ValueError("rates need positive errors")
-    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
 _FMT = "%.10e"
@@ -570,7 +549,7 @@ def write_geometry(path_prefix: str, quad: CutQuadrature) -> None:
     _write_text(path_prefix + "_mesh.vtk", lines)
 
     r = quad.interface_rule
-    table = np.column_stack([r.xphys.reshape(-1, 2), r.normals.reshape(-1, 2),
-                             r.weights.ravel()])
+    table = np.column_stack([quad.mapping.phys(r.elems, r.xhat).reshape(-1, 2),
+                             r.normals.reshape(-1, 2), r.weights.ravel()])
     rows = ["# x y nx ny w"] + [" ".join(_fmt(v) for v in row) for row in table]
     _write_text(path_prefix + "_interface.data", rows)

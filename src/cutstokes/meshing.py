@@ -4,7 +4,7 @@ The background mesh is a structured triangulation of an axis-aligned box.
 Every macro triangle is split at its barycenter into three children (Alfeld
 split); velocity and pressure spaces live on the children.  Classification
 relative to a P1 level set marks children inside/cut/outside and derives the
-macro element sets used for stabilization.
+active children and the ghost-penalty facets from the macro elements.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ class NodeSet:
     degree: int
     coords: np.ndarray
     elem2node: np.ndarray
-    n_vertex_nodes: int
 
     @property
     def n_nodes(self) -> int:
@@ -235,7 +234,7 @@ class AlfeldMesh:
             start = nv + n_edge
             e2n[:, 3 + 3 * (k - 1):] = (start + n_int_per * np.arange(ne)[:, None]
                                         + np.arange(n_int_per)[None, :])
-        ns = NodeSet(k, coords, e2n, n_vertex_nodes=nv)
+        ns = NodeSet(k, coords, e2n)
         assert ns.n_nodes == nv + n_edge + n_int_total
         self._nodes[k] = ns
         return ns
@@ -257,21 +256,18 @@ def snap_values(values: np.ndarray, h: float) -> np.ndarray:
 class ElementSets:
     """Element and facet sets derived from the P1 level set.
 
-    Children are classified by the signs of the snapped vertex values; macro
-    sets are unions over children.  `gp_facets` are the interior child facets
-    whose two distinct owner children both descend from ghost-penalty macro
-    elements (including facets interior to a single macro element).
+    Children are classified by the signs of the snapped vertex values.  A
+    macro element is active when one of its children has an inside part, and
+    `active_children` are all children of active macros.  `gp_facets` are
+    the interior child facets whose two owners both descend from
+    ghost-penalty macros, the cut macros and their active facet neighbours
+    (facets interior to a single macro element included).
     """
 
     child_class: np.ndarray          # 0 inside, 1 cut, 2 outside, per child
-    active_macro: np.ndarray
-    cut_macro: np.ndarray
-    gp_macro: np.ndarray
     active_children: np.ndarray
     alfeld_cut: np.ndarray
-    alfeld_interior: np.ndarray
     gp_facets: np.ndarray
-    active_boundary_facets: np.ndarray
 
 
 def classify_elements(am: AlfeldMesh, phi) -> ElementSets:
@@ -292,53 +288,25 @@ def classify_elements(am: AlfeldMesh, phi) -> ElementSets:
     per_macro = child_class.reshape(-1, 3)
     macro_has_inside = ((per_macro == 0) | (per_macro == 1)).any(axis=1)
     macro_has_cut = (per_macro == 1).any(axis=1)
-    active_macro = np.flatnonzero(macro_has_inside)
-    cut_macro = np.flatnonzero(macro_has_cut)
-    if active_macro.size == 0:
+    if not macro_has_inside.any():
         raise EmptyActiveDomainError("level set misses the mesh: no active element")
 
-    # gp macros: cut macros plus active macros sharing a facet with a cut one
-    mm = am.macro
-    is_active = macro_has_inside
+    # gp macros: cut macros plus active macros sharing a facet with a cut
+    # one; all of them are active
     is_gp = macro_has_cut.copy()
-    t0, t1 = mm.facet_tris[:, 0], mm.facet_tris[:, 1]
+    t0, t1 = am.macro.facet_tris[:, 0], am.macro.facet_tris[:, 1]
     interior = t1 >= 0
     a, b = t0[interior], t1[interior]
-    is_gp[a[macro_has_cut[b] & is_active[a]]] = True
-    is_gp[b[macro_has_cut[a] & is_active[b]]] = True
-    gp_macro = np.flatnonzero(is_gp)
+    is_gp[a[macro_has_cut[b] & macro_has_inside[a]]] = True
+    is_gp[b[macro_has_cut[a] & macro_has_inside[b]]] = True
 
-    active_children = np.flatnonzero(is_active[am.parent])
-    alfeld_cut = np.flatnonzero(child_class == 1)
-
-    cm = am.child_mesh
-    c0, c1 = cm.facet_tris[:, 0], cm.facet_tris[:, 1]
-    child_active = is_active[am.parent]
-    both_active = (c1 >= 0) & child_active[c0] & np.where(c1 >= 0, child_active[np.maximum(c1, 0)], False)
-    owners_gp = np.zeros(cm.facets.shape[0], dtype=bool)
-    owners_gp[both_active] = (is_gp[am.parent[c0[both_active]]]
-                              & is_gp[am.parent[c1[both_active]]])
-    gp_facets = np.flatnonzero(owners_gp)
-
-    one_active = np.where(c1 >= 0,
-                          child_active[c0] ^ child_active[np.maximum(c1, 0)],
-                          child_active[c0])
-    active_boundary_facets = np.flatnonzero(one_active)
-
-    # children of active macros whose closure misses the cut band
-    cut_vertex = np.zeros(am.vertices.shape[0], dtype=bool)
-    cut_vertex[am.children[alfeld_cut].ravel()] = True
-    touches = cut_vertex[am.children].any(axis=1)
-    alfeld_interior = np.flatnonzero(child_active & ~touches)
+    c0, c1 = am.child_mesh.facet_tris[:, 0], am.child_mesh.facet_tris[:, 1]
+    child_gp = is_gp[am.parent]
+    gp_facets = np.flatnonzero((c1 >= 0) & child_gp[c0] & child_gp[np.maximum(c1, 0)])
 
     return ElementSets(
         child_class=child_class,
-        active_macro=active_macro,
-        cut_macro=cut_macro,
-        gp_macro=gp_macro,
-        active_children=active_children,
-        alfeld_cut=alfeld_cut,
-        alfeld_interior=alfeld_interior,
+        active_children=np.flatnonzero(macro_has_inside[am.parent]),
+        alfeld_cut=np.flatnonzero(child_class == 1),
         gp_facets=gp_facets,
-        active_boundary_facets=active_boundary_facets,
     )

@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import (FormParams, _Triplets, _local, _scatter, _sym,
-                    assemble_ghost_penalty)
+from .forms import _Triplets, _local, _scatter, _sym, assemble_ghost_penalty
 from .geometry import CutQuadrature, _pointwise
 from .solver import solve_direct
 from .spaces import ContinuousPressureSpace, VelocityField, scalar_tables
@@ -47,9 +46,10 @@ def pressure_gp_facets(quad: CutQuadrature) -> np.ndarray:
     return np.flatnonzero(pair)
 
 
-def recover_pressure(params: FormParams, quad: CutQuadrature,
-                     qs: ContinuousPressureSpace, uh: VelocityField, f) -> np.ndarray:
-    """Solve for the recovered pressure; returns its nodal coefficients."""
+def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
+                     uh: VelocityField, f, gamma_gp: float) -> np.ndarray:
+    """Solve for the recovered pressure, with the ghost-penalty weight
+    gamma_gp on `pressure_gp_facets`; returns its nodal coefficients."""
     mp = quad.mapping
     n = qs.n_dofs
 
@@ -75,8 +75,7 @@ def recover_pressure(params: FormParams, quad: CutQuadrature,
                     CURL_SIGN * np.einsum("eq,eq,eqi->ei", r.weights, wcurl, rot))
 
     K = tri.matrix(n, n)
-    K = K + assemble_ghost_penalty(params, quad, qs,
-                                   facets=pressure_gp_facets(quad))
+    K = K + assemble_ghost_penalty(quad, qs, gamma_gp, facets=pressure_gp_facets(quad))
 
     # nodes supported only on fully-outside elements never see the fluid or
     # a stabilized facet; pin them so the factorization stays regular

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, IsoDeformation, _batch, _pointwise, _unbatch
+from .geometry import GeometryError, IsoDeformation, _batch, _unbatch
 from .meshing import AlfeldMesh, ElementSets
 from .reference import ReferenceElement, reference_element, reference_nodes
 
 __all__ = [
     "ReferenceElement", "VelocitySpace", "PressureSpace", "MultiplierSpace",
     "ContinuousPressureSpace", "velocity_tables", "scalar_tables",
-    "eval_velocity", "interpolate_velocity", "interpolate_scalar",
-    "VelocityField", "ScalarField",
+    "eval_velocity", "VelocityField", "ScalarField",
 ]
 
 
@@ -55,7 +54,6 @@ class _NodalScalarSpace:
 
     def __init__(self, am: AlfeldMesh, mapping: IsoDeformation, degree: int,
                  elements: np.ndarray):
-        self.am = am
         self.mapping = mapping
         self.degree = degree
         self.ref = reference_element(degree)
@@ -69,16 +67,6 @@ class _NodalScalarSpace:
         self._comp[self.nodes] = np.arange(self.nodes.size)
         self.n_nodes = self.n_dofs = self.nodes.size
         self.elem_dofs = self._comp[e2n[self.elements]]
-
-    def node_positions(self) -> np.ndarray:
-        """Mapped (physical) positions of the global nodes."""
-        pos = self.node_set.coords[self.nodes].copy()
-        if self.degree == self.mapping.degree:
-            pos += self.mapping.node_disp[self.nodes]
-        else:
-            loc = self._comp[self.node_set.elem2node[self.elements]]
-            pos[loc] = self.mapping.phys(self.elements, reference_nodes(self.degree))
-        return pos
 
 
 class VelocitySpace(_NodalScalarSpace):
@@ -96,7 +84,6 @@ class VelocitySpace(_NodalScalarSpace):
         if degree < 2:
             raise ValueError("velocity degree must be >= 2")
         super().__init__(am, mapping, degree, sets.active_children)
-        self.sets = sets
         self.n_dofs = 2 * self.n_nodes
         self.elem_dofs = (2 * self.elem_dofs[..., None] + [0, 1]).reshape(-1, self.n_local)
 
@@ -182,8 +169,6 @@ class PressureSpace:
                  degree: int):
         if degree < 1:
             raise ValueError("pressure degree must be >= 1")
-        self.am = am
-        self.sets = sets
         self.mapping = mapping
         self.degree = degree
         self.ref = reference_element(degree)
@@ -206,7 +191,6 @@ class MultiplierSpace(_NodalScalarSpace):
         if degree < 1:
             raise ValueError("multiplier degree must be >= 1")
         super().__init__(am, mapping, degree, sets.alfeld_cut)
-        self.sets = sets
 
 
 class ContinuousPressureSpace(_NodalScalarSpace):
@@ -215,7 +199,6 @@ class ContinuousPressureSpace(_NodalScalarSpace):
     def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
                  degree: int):
         super().__init__(am, mapping, degree, sets.active_children)
-        self.sets = sets
 
 
 def scalar_tables(space, e, xhat: np.ndarray, derivs: bool = True):
@@ -293,22 +276,3 @@ class ScalarField:
             grad = (dref @ (_adjugate(F) / J[..., None, None]))[..., 0, :]
         return _unbatch(scalar, val, grad)
 
-
-def interpolate_velocity(vs: VelocitySpace, v) -> np.ndarray:
-    """Nodal interpolant: physical nodal values are `v` at the mapped nodes."""
-    vals = np.asarray(v(vs.node_positions()), dtype=float)
-    U = np.empty(vs.n_dofs)
-    U[0::2] = vals[:, 0]
-    U[1::2] = vals[:, 1]
-    return U
-
-
-def interpolate_scalar(space, f) -> np.ndarray:
-    """Nodal interpolant of a scalar function (continuous spaces) or the
-    per-element composition interpolant (discontinuous pressure space)."""
-    if isinstance(space, PressureSpace):
-        out = np.empty(space.n_dofs)
-        x = space.mapping.phys(space.elements, reference_nodes(space.degree))
-        out[space.elem_dofs] = _pointwise(f, x)
-        return out
-    return np.asarray(f(space.node_positions()), dtype=float)

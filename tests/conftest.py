@@ -9,8 +9,8 @@ from cutstokes.forms import _Triplets, _affine_coords, _extensions, _scatter, _s
 from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet,
                                 _damped_deformation, _pointwise, interpolate_p1,
                                 build_deformation, build_quadratures)
-from cutstokes.reference import reference_element
-from cutstokes.spaces import VelocitySpace, velocity_tables
+from cutstokes.reference import reference_element, reference_nodes
+from cutstokes.spaces import PressureSpace, VelocitySpace, velocity_tables
 from cutstokes.harness import StudyConfig, build_geometry, exact_example1, solve_level
 
 
@@ -78,14 +78,24 @@ def facet_nodes(ns, am, fid: int) -> np.ndarray:
     """Global ids of the nodes of NodeSet `ns` on child facet `fid`
     (endpoints + edge nodes)."""
     a, b = am.child_mesh.facets[fid]
-    base = ns.n_vertex_nodes + fid * (ns.degree - 1)
+    base = am.vertices.shape[0] + fid * (ns.degree - 1)
     return np.array([a, b, *range(base, base + ns.degree - 1)], dtype=np.int64)
+
+
+def boundary_facets(am, elements) -> np.ndarray:
+    """Child facets with exactly one owner among the children `elements`:
+    the boundary of the mesh they form."""
+    inside = np.zeros(am.n_children, dtype=bool)
+    inside[elements] = True
+    t0, t1 = am.child_mesh.facet_tris.T
+    return np.flatnonzero(inside[t0] != ((t1 >= 0) & inside[t1]))
 
 
 def boundary_dofs(vs) -> np.ndarray:
     """Velocity dofs of the nodes lying on the boundary of the active mesh."""
-    ids = [facet_nodes(vs.node_set, vs.am, int(fid))
-           for fid in vs.sets.active_boundary_facets]
+    am = vs.mapping.am
+    ids = [facet_nodes(vs.node_set, am, int(fid))
+           for fid in boundary_facets(am, vs.elements)]
     gids = np.unique(np.concatenate(ids)) if ids else np.array([], dtype=np.int64)
     cg = vs._comp[gids]
     cg = cg[cg >= 0]
@@ -119,7 +129,7 @@ def pinned_factor(system):
     return lu, lu.solve(r)
 
 
-def per_facet_ghost_penalty(params, quad, space, facets=None) -> sp.csr_matrix:
+def per_facet_ghost_penalty(quad, space, gamma_gp, facets=None) -> sp.csr_matrix:
     """`assemble_ghost_penalty` one facet and one owner at a time, folding
     the jump onto the patch dofs with `np.unique`: the oracle for the
     batched facet groups."""
@@ -127,7 +137,7 @@ def per_facet_ghost_penalty(params, quad, space, facets=None) -> sp.csr_matrix:
     mp = quad.mapping
     if facets is None:
         facets = quad.sets.gp_facets
-    scale = params.gamma_gp / quad.am.macro.h ** 2
+    scale = gamma_gp / quad.am.macro.h ** 2
     pts, wts = quad.patch_rule
     sides = [tuple(int(t) for t in quad.am.child_mesh.facet_tris[int(f)])
              for f in facets]
@@ -160,6 +170,60 @@ def per_facet_ghost_penalty(params, quad, space, facets=None) -> sp.csr_matrix:
             tri.add(udofs[None], udofs[None], loc[None])
     n = space.n_dofs
     return tri.matrix(n, n)
+
+
+def node_positions(space) -> np.ndarray:
+    """Mapped (physical) positions of the global nodes of a continuous
+    space, in its dof numbering (the velocity space: its node numbering)."""
+    pos = space.node_set.coords[space.nodes].copy()
+    if space.degree == space.mapping.degree:
+        pos += space.mapping.node_disp[space.nodes]
+    else:
+        loc = space._comp[space.node_set.elem2node[space.elements]]
+        pos[loc] = space.mapping.phys(space.elements, reference_nodes(space.degree))
+    return pos
+
+
+def interpolate_velocity(vs, v) -> np.ndarray:
+    """Nodal interpolant: physical nodal values are `v` at the mapped nodes."""
+    vals = np.asarray(v(node_positions(vs)), dtype=float)
+    U = np.empty(vs.n_dofs)
+    U[0::2] = vals[:, 0]
+    U[1::2] = vals[:, 1]
+    return U
+
+
+def interpolate_scalar(space, f) -> np.ndarray:
+    """Nodal interpolant of a scalar function (continuous spaces) or the
+    per-element composition interpolant (discontinuous pressure space)."""
+    if isinstance(space, PressureSpace):
+        out = np.empty(space.n_dofs)
+        x = space.mapping.phys(space.elements, reference_nodes(space.degree))
+        out[space.elem_dofs] = _pointwise(f, x)
+        return out
+    return np.asarray(f(node_positions(space)), dtype=float)
+
+
+def fit_rate(hs, errors) -> float:
+    """Least-squares slope of log(error) against log(h)."""
+    hs = np.asarray(hs, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    if (errors <= 0).any():
+        raise ValueError("rates need positive errors")
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+def areas(quad) -> tuple[float, float, float]:
+    """(fluid area, active-mesh area, interface length) of a `CutQuadrature`:
+    sums of w * J over its volume and bulk groups, in group order, and of
+    the interface weights."""
+    mp = quad.mapping
+    inside = bulk = 0.0
+    for elems, xh, w in quad.volume_groups():
+        inside += float((w * mp.jacobians(elems, xh)[1]).sum())
+    for elems, xh, w in quad.bulk_groups():
+        bulk += float((w * mp.jacobians(elems, xh)[1]).sum())
+    return inside, bulk, float(quad.interface_rule.weights.sum())
 
 
 def rhs_by_tables(quad, vs, f) -> np.ndarray:

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutstokes.forms import (FormParams, assemble_a, assemble_b, assemble_c,
+from cutstokes.forms import (assemble_a, assemble_b, assemble_c,
                              assemble_ghost_penalty, assemble_j, assemble_rhs,
                              build_saddle_system, pressure_mean_vector)
 from cutstokes.geometry import IsoDeformation, build_quadratures
-from cutstokes.harness import StudyConfig, exact_example1, fit_rate, solve_level
+from cutstokes.harness import StudyConfig, exact_example1, solve_level
 from cutstokes.postprocess import pressure_gp_facets
 from cutstokes.spaces import (ContinuousPressureSpace, MultiplierSpace,
                               PressureSpace, VelocitySpace,
-                              VelocityField, interpolate_scalar,
-                              interpolate_velocity, velocity_tables)
+                              VelocityField, velocity_tables)
 from cutstokes.reference import triangle_rule
-from tests.conftest import (boundary_dofs, build_case, circle_levelset,
+from tests.conftest import (boundary_dofs, build_case, circle_levelset, fit_rate,
+                            interpolate_scalar, interpolate_velocity,
                             per_facet_ghost_penalty, pinned_factor,
                             quartic_levelset, rhs_by_tables)
 from tests.test_geometry import quartic_area
@@ -25,13 +25,13 @@ def case(quartic_case_h03):
     vs = VelocitySpace(am, sets, quad.mapping, 2)
     ps = PressureSpace(am, sets, quad.mapping, 1)
     ms = MultiplierSpace(am, sets, quad.mapping, 1)
-    params = FormParams()
-    A = assemble_a(params, quad, vs)
-    G = assemble_ghost_penalty(params, quad, vs)
+    cfg = StudyConfig()
+    A = assemble_a(quad, vs, cfg.gamma_n)
+    G = assemble_ghost_penalty(quad, vs, cfg.gamma_gp)
     B = assemble_b(quad, vs, ps)
     C = assemble_c(quad, vs, ms)
-    J = assemble_j(params, quad, ms)
-    return am, sets, quad, params, vs, ps, ms, A, G, B, C, J
+    J = assemble_j(quad, ms, cfg.gamma_lambda)
+    return am, sets, quad, cfg, vs, ps, ms, A, G, B, C, J
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +41,13 @@ def solved_lvl0():
 
 def test_a_rigid_translation(case):
     # gradients of a constant vanish, so only the penalty term survives
-    am, sets, quad, params, vs = case[:5]
+    am, sets, quad, cfg, vs = case[:5]
     A = case[7]
     c = np.array([0.7, -0.3])
     coeffs = interpolate_velocity(vs, lambda x: np.broadcast_to(c, x.shape))
     energy = coeffs @ (A @ coeffs)
     bnd = sum(float(r.weights.sum()) for r in quad.interface.values())
-    want = params.gamma_n / am.macro.h * bnd * (c @ c)
+    want = cfg.gamma_n / am.macro.h * bnd * (c @ c)
     assert abs(energy - want) <= 1e-10 * want
 
 
@@ -67,7 +67,7 @@ def test_a_exactly_symmetric(case):
 
 
 def test_a_matches_independent_quadrature(case):
-    am, sets, quad, params, vs = case[:5]
+    am, sets, quad, cfg, vs = case[:5]
     A = case[7]
     cu = interpolate_velocity(vs, lambda x: np.column_stack(
         [0.2 + x[:, 0] - 2.0 * x[:, 1], -0.5 + 3.0 * x[:, 0] + x[:, 1]]))
@@ -89,7 +89,7 @@ def test_a_matches_independent_quadrature(case):
         dnu = np.einsum("qij,qj->qi", gu, r.normals)
         dnv = np.einsum("qij,qj->qi", gv, r.normals)
         total -= float(r.weights @ ((dnu * v).sum(1) + (dnv * u).sum(1)))
-        total += params.gamma_n / h * float(r.weights @ (u * v).sum(1))
+        total += cfg.gamma_n / h * float(r.weights @ (u * v).sum(1))
 
     got = cu @ (A @ cv)
     scale = max(abs(total), 1.0)
@@ -108,7 +108,7 @@ def test_b_divergence_theorem(case):
 
 
 def test_b_two_route(case):
-    am, sets, quad, params, vs, ps = case[:6]
+    am, sets, quad, cfg, vs, ps = case[:6]
     B = case[9]
     mp = quad.mapping
     rng = np.random.default_rng(6)
@@ -176,7 +176,7 @@ def test_gp_global_polynomial_zero(quartic_case_h03):
     ident = IsoDeformation.identity(am, 2)
     iquad = build_quadratures(am, sets, phi, ident)
     vs = VelocitySpace(am, sets, iquad.mapping, 2)
-    G = assemble_ghost_penalty(FormParams(), iquad, vs)
+    G = assemble_ghost_penalty(iquad, vs, StudyConfig().gamma_gp)
     cv = interpolate_velocity(vs, lambda x: np.column_stack(
         [x[:, 0] ** 2 - x[:, 1], x[:, 0] + x[:, 1] ** 2]))
     energy = cv @ (G @ cv)
@@ -196,7 +196,7 @@ def test_gp_interpolant_decay():
     # consistency of the penalty: G(u_I, u_I) of the nodal interpolant of a
     # smooth field decays at nearly h^(2k+1) on the deformed and on the
     # polygonal band alike (fitted 4.78 and 4.84 today; 5 is the target)
-    params = FormParams()
+    gamma_gp = StudyConfig().gamma_gp
     f = lambda x: np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 1])])
     ls = quartic_levelset()
     hs, energy = [], {"ho": [], "p1": []}
@@ -207,7 +207,7 @@ def test_gp_interpolant_decay():
         for mode, q in (("ho", quad), ("p1", flat)):
             vs = VelocitySpace(am, sets, q.mapping, 2)
             u = interpolate_velocity(vs, f)
-            energy[mode].append(u @ (assemble_ghost_penalty(params, q, vs) @ u))
+            energy[mode].append(u @ (assemble_ghost_penalty(q, vs, gamma_gp) @ u))
     for mode, js in energy.items():
         assert fit_rate(hs, js) >= 4.5, (mode, js)
 
@@ -216,15 +216,15 @@ def test_gp_interpolant_decay():
 def test_gp_batched_matches_per_facet(h):
     # the stacked facet groups give the facet-by-facet matrix: same stored
     # entries, values to round-off, exactly symmetric
-    params = FormParams()
+    gamma_gp = StudyConfig().gamma_gp
     am, phi, sets, defo, quad = build_case(quartic_levelset(), h, 2)
     flat = build_quadratures(am, sets, phi, IsoDeformation.identity(am, 2))
     for q in (quad, flat):
         for space, facets in (
                 (VelocitySpace(am, sets, q.mapping, 2), None),
                 (ContinuousPressureSpace(am, sets, q.mapping, 1), pressure_gp_facets(q))):
-            G = assemble_ghost_penalty(params, q, space, facets)
-            O = per_facet_ghost_penalty(params, q, space, facets)
+            G = assemble_ghost_penalty(q, space, gamma_gp, facets)
+            O = per_facet_ghost_penalty(q, space, gamma_gp, facets)
             assert np.array_equal(G.indptr, O.indptr)
             assert np.array_equal(G.indices, O.indices)
             assert np.abs(G.data - O.data).max() <= 1e-13 * np.abs(O.data).max()
@@ -237,7 +237,7 @@ def test_gp_rejects_boundary_facet(quartic_case_h03):
     boundary = np.flatnonzero(am.child_mesh.facet_tris[:, 1] < 0)
     facets = np.concatenate([sets.gp_facets[:3], boundary[[4, 2]]])
     with pytest.raises(ValueError, match=rf"^facet {boundary[4]} is not interior$"):
-        assemble_ghost_penalty(FormParams(), quad, vs, facets)
+        assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, facets)
 
 
 def test_gp_deformed_bounded_by_p1():
@@ -245,7 +245,6 @@ def test_gp_deformed_bounded_by_p1():
     # polygonal one: an extension through a folded foreign map blew the
     # largest eigenvalue up by factors of 100 and more
     from scipy.sparse.linalg import eigsh
-    params = FormParams(gamma_gp=1.0)
     ls = quartic_levelset()
     for h in (0.3, 0.15):
         am, phi, sets, defo, quad = build_case(ls, h, 2)
@@ -253,7 +252,7 @@ def test_gp_deformed_bounded_by_p1():
         for d in (defo, IsoDeformation.identity(am, 2)):
             q = build_quadratures(am, sets, phi, d)
             vs = VelocitySpace(am, sets, q.mapping, 2)
-            G = assemble_ghost_penalty(params, q, vs)
+            G = assemble_ghost_penalty(q, vs, 1.0)
             lam.append(eigsh(G, k=1, which="LA", v0=np.ones(vs.n_dofs),
                              return_eigenvectors=False)[0])
         assert lam[0] <= 2.0 * lam[1], (h, lam)
@@ -279,7 +278,7 @@ def test_j_normal_extension_decay():
     for h in (0.3, 0.15, 0.075):
         am, phi, sets, defo, quad = build_case(circle_levelset(0.65), h, 2)
         ms = MultiplierSpace(am, sets, quad.mapping, 1)
-        J = assemble_j(FormParams(), quad, ms)
+        J = assemble_j(quad, ms, StudyConfig().gamma_lambda)
         c = interpolate_scalar(ms, g)
         vals.append(abs(c @ (J @ c)))
     rate = -np.polyfit(np.arange(len(vals)), np.log2(vals), 1)[0]

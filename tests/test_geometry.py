@@ -9,8 +9,9 @@ from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 interpolate_p1, IsoDeformation, build_deformation,
                                 CutQuadrature, cut_subdivide,
                                 build_quadratures, REF_VERTS)
-from tests.conftest import (build_case, circle_levelset, eval_ref, gradient_fd_error,
-                            inverse_map, per_node_deformation, quartic_levelset)
+from tests.conftest import (areas, build_case, circle_levelset, eval_ref,
+                            gradient_fd_error, inverse_map, per_node_deformation,
+                            quartic_levelset)
 
 
 def quartic_area() -> float:
@@ -200,8 +201,8 @@ def test_deformation_interface_accuracy_eoc():
         sets = classify_elements(am, phi)
         defo = build_deformation(ls, phi, am, sets, 2)
         quad = build_quadratures(am, sets, phi, defo)
-        errs.append(max(np.abs(ls.value(r.xphys)).max()
-                        for r in quad.interface.values()))
+        r = quad.interface_rule
+        errs.append(np.abs(ls.value(defo.phys(r.elems, r.xhat).reshape(-1, 2))).max())
         mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)
     eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert ((eocs >= 2.6) & (eocs <= 3.4)).all(), eocs
@@ -393,9 +394,10 @@ def test_quadrature_uncut_identity():
     phi = DiscreteLevelSet(am, -np.ones(am.vertices.shape[0]))
     defo = IsoDeformation.identity(am, 2)
     quad = build_quadratures(am, sets, phi, defo)
-    assert abs(quad.area_inside - 4.0) < 1e-13
-    assert abs(quad.area_bulk - 4.0) < 1e-13
-    assert quad.interface_length == 0.0
+    inside, bulk, length = areas(quad)
+    assert abs(inside - 4.0) < 1e-13
+    assert abs(bulk - 4.0) < 1e-13
+    assert length == 0.0
 
 
 def test_quadrature_straight_interface():
@@ -406,8 +408,9 @@ def test_quadrature_straight_interface():
     sets = classify_elements(am, phi)
     defo = IsoDeformation.identity(am, 2)
     quad = build_quadratures(am, sets, phi, defo)
-    assert abs(quad.interface_length - 2.0) < 1e-13
-    assert abs(quad.area_inside - 2.0) < 1e-11
+    inside, _, length = areas(quad)
+    assert abs(length - 2.0) < 1e-13
+    assert abs(inside - 2.0) < 1e-11
     for r in quad.interface.values():
         assert np.abs(r.normals - [1.0, 0.0]).max() < 1e-9
 
@@ -449,12 +452,11 @@ def test_quadrature_other_order_matches_fresh_build(quartic_case_h03):
         assert len(pairs) == len(list(want.volume_groups()))
         for a, b in pairs:
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
-        for name in ("elems", "xhat", "weights", "normals", "xphys"):
+        for name in ("elems", "xhat", "weights", "normals"):
             assert np.array_equal(getattr(got.interface_rule, name),
                                   getattr(want.interface_rule, name))
         assert np.array_equal(got.band_normals, want.band_normals)
-        assert (got.area_inside, got.area_bulk, got.interface_length) == (
-            want.area_inside, want.area_bulk, want.interface_length)
+        assert areas(got) == areas(want)
 
 
 def test_groups_never_mix_deformed_and_undeformed(ex1_quads):
@@ -463,7 +465,7 @@ def test_groups_never_mix_deformed_and_undeformed(ex1_quads):
     # (inside and bulk, as summed over the groups of index order)
     pinned = [(1.8496455561953429, 2.0180766812445805),
               (1.8543612934917122, 2.025042626752238)]
-    for base, areas in zip(ex1_quads, pinned):
+    for base, pin in zip(ex1_quads, pinned):
         mp = base.mapping
         fluid = np.concatenate([base.inside_elems, base.cut_elems])
         for quad in (base, replace(base, order=2 * mp.degree + 4)):
@@ -477,7 +479,7 @@ def test_groups_never_mix_deformed_and_undeformed(ex1_quads):
                 elems = np.concatenate(elems)
                 assert elems.size == cover.size
                 assert np.array_equal(np.sort(elems), np.sort(cover))
-            for got, want in zip((quad.area_inside, quad.area_bulk), areas):
+            for got, want in zip(areas(quad)[:2], pin):
                 assert abs(got - want) <= 1e-14 * want
 
 
@@ -492,7 +494,7 @@ def test_quadrature_area_convergence():
         defo = build_deformation(ls, phi, am, sets, 2)
         quad = build_quadratures(am, sets, phi, defo)
         h = am.macro.h
-        assert abs(quad.area_inside - exact) <= 0.25 * h ** 3, (lvl, h)
+        assert abs(areas(quad)[0] - exact) <= 0.25 * h ** 3, (lvl, h)
         mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)
 
 
@@ -501,12 +503,10 @@ def test_interface_normals_second_order(quartic_case_h03, quartic_case_h015):
     for case in (quartic_case_h03, quartic_case_h015):
         am, phi, sets, defo, quad = case
         ls = quartic_levelset()
-        worst = 0.0
-        for r in quad.interface.values():
-            g = ls.gradient(r.xphys)
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            worst = max(worst, np.abs(r.normals - g).max())
-        errs.append(worst)
+        r = quad.interface_rule
+        g = ls.gradient(defo.phys(r.elems, r.xhat).reshape(-1, 2))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        errs.append(np.abs(r.normals.reshape(-1, 2) - g).max())
     eoc = np.log2(errs[0] / errs[1])
     assert 1.4 <= eoc <= 2.6, (errs, eoc)
 

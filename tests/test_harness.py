@@ -7,12 +7,13 @@ import pytest
 
 from cutstokes import cli, harness
 from cutstokes.cli import main as cli_main
-from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, compute_eoc,
-                               exact_example1, exact_example2, fit_rate,
+from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, build_geometry,
+                               compute_eoc, exact_example1, exact_example2,
                                read_config, run_convergence,
                                run_interface_sweep, solve_level, write_config,
                                write_data, write_vtk)
 from cutstokes.solver import condition_estimate
+from tests.conftest import fit_rate
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,8 @@ def test_config_validation():
         StudyConfig(levels=0)
     with pytest.raises(ValueError):
         StudyConfig(h0=-0.1)
+    with pytest.raises(ValueError, match="gamma_n must be positive, got 0"):
+        StudyConfig(gamma_n=0)
 
 
 def test_result_row_validation():
@@ -226,6 +229,12 @@ def test_cli_dump_geom(tmp_path):
     # weights positive, normals unit to the printed precision
     assert (body[:, 4] > 0).all()
     assert np.abs(np.hypot(body[:, 2], body[:, 3]) - 1).max() <= 1e-9
+    # the points are the mapped interface quadrature points
+    quad = build_geometry(StudyConfig(h0=0.3), exact_example1(), 0.3)
+    r = quad.interface_rule
+    want = quad.mapping.phys(r.elems, r.xhat).reshape(-1, 2)
+    printed = [["%.10e" % v for v in x] for x in want]
+    assert [ln.split()[:2] for ln in lines[1:]] == printed
 
 
 def test_sweep_shift_matches_solve_level_system():

@@ -4,7 +4,7 @@ import pytest
 from cutstokes.meshing import (MacroMesh, EmptyActiveDomainError, build_background_mesh,
                                alfeld_split, classify_elements, snap_values, SNAP_REL)
 from cutstokes.reference import reference_nodes
-from tests.conftest import child_areas, facet_nodes, quartic_levelset
+from tests.conftest import boundary_facets, child_areas, facet_nodes, quartic_levelset
 from cutstokes.geometry import interpolate_p1
 
 
@@ -141,11 +141,10 @@ def test_classify_all_inside_and_all_outside():
     sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
     assert sets.alfeld_cut.size == 0
     assert sets.gp_facets.size == 0
-    assert sets.cut_macro.size == 0
     assert sets.active_children.size == am.n_children
     # the active mesh fills the box, so its boundary is the box boundary
     box_bnd = np.flatnonzero(am.child_mesh.facet_tris[:, 1] < 0)
-    assert np.array_equal(sets.active_boundary_facets, box_bnd)
+    assert np.array_equal(boundary_facets(am, sets.active_children), box_bnd)
     with pytest.raises(EmptyActiveDomainError):
         classify_elements(am, np.ones(am.vertices.shape[0]))
 
@@ -161,7 +160,7 @@ def test_classify_counts_quartic():
     assert sets.alfeld_cut.size == 78
     assert sets.active_children.size == 144
     assert sets.gp_facets.size == 164
-    assert sets.active_boundary_facets.size == 18
+    assert boundary_facets(am, sets.active_children).size == 18
 
 
 def test_cut_macro_matches_dense_sampling_oracle():
@@ -186,7 +185,7 @@ def test_cut_macro_matches_dense_sampling_oracle():
             signs.update(np.sign(vals).astype(int).tolist())
         if signs == {-1, 1}:
             cut_oracle.append(t)
-    assert sets.cut_macro.tolist() == cut_oracle
+    assert np.unique(am.parent[sets.alfeld_cut]).tolist() == cut_oracle
 
 
 def test_gp_facet_oracle():
@@ -194,8 +193,22 @@ def test_gp_facet_oracle():
     am = alfeld_split(m)
     phi = interpolate_p1(quartic_levelset(), am)
     sets = classify_elements(am, phi)
-    gp = set(sets.gp_macro.tolist())
-    active = set(sets.active_macro.tolist())
+    # macro sets from the child classes: a macro is active when a child has
+    # an inside part and cut when a child is cut
+    per_macro = sets.child_class.reshape(-1, 3)
+    active = set(np.flatnonzero((per_macro < 2).any(axis=1)).tolist())
+    cut = set(np.flatnonzero((per_macro == 1).any(axis=1)).tolist())
+    # gp macros are the cut macros plus their active facet neighbors
+    gp = set(cut)
+    mm = am.macro
+    for fid in range(mm.facets.shape[0]):
+        a, b = mm.facet_tris[fid]
+        if b < 0:
+            continue
+        if a in cut and b in active:
+            gp.add(b)
+        if b in cut and a in active:
+            gp.add(a)
     cm = am.child_mesh
     oracle = []
     for fid in range(cm.facets.shape[0]):
@@ -206,19 +219,7 @@ def test_gp_facet_oracle():
         if p0 in active and p1 in active and p0 in gp and p1 in gp:
             oracle.append(fid)
     assert sets.gp_facets.tolist() == oracle
-    # gp macros are the cut macros plus their active facet neighbors
-    cut = set(sets.cut_macro.tolist())
-    want_gp = set(cut)
-    mm = am.macro
-    for fid in range(mm.facets.shape[0]):
-        a, b = mm.facet_tris[fid]
-        if b < 0:
-            continue
-        if a in cut and b in active:
-            want_gp.add(b)
-        if b in cut and a in active:
-            want_gp.add(a)
-    assert gp == want_gp
+    assert set(am.parent[sets.active_children].tolist()) == active
 
 
 def test_band_elements_near_interface():
@@ -233,20 +234,3 @@ def test_band_elements_near_interface():
     vals = np.abs(ls.value(pts))
     grad = np.linalg.norm(ls.gradient(pts), axis=1)
     assert (vals / grad < 2 * h).all()
-
-
-def test_alfeld_interior_avoids_band():
-    m = build_background_mesh((-1, 1, -1, 1), 0.3)
-    am = alfeld_split(m)
-    phi = interpolate_p1(quartic_levelset(), am)
-    sets = classify_elements(am, phi)
-    cut_verts = set(am.children[sets.alfeld_cut].ravel().tolist())
-    active = set(sets.active_children.tolist())
-    for e in sets.alfeld_interior:
-        assert int(e) in active
-        assert not (set(am.children[e].tolist()) & cut_verts)
-    # and completeness: every active child off the band is in the set
-    inter = set(sets.alfeld_interior.tolist())
-    for e in sets.active_children:
-        touches = bool(set(am.children[e].tolist()) & cut_verts)
-        assert (int(e) in inter) == (not touches)

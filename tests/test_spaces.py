@@ -8,9 +8,9 @@ from cutstokes.reference import reference_nodes
 from cutstokes.spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
                               ContinuousPressureSpace, velocity_tables,
                               scalar_tables, eval_velocity,
-                              interpolate_velocity, interpolate_scalar, VelocityField,
-                              ScalarField)
-from tests.conftest import inverse_map, quartic_levelset
+                              VelocityField, ScalarField)
+from tests.conftest import (interpolate_scalar, interpolate_velocity, inverse_map,
+                            node_positions, quartic_levelset)
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,12 @@ def case(quartic_case_h03):
     am, phi, sets, defo, quad = quartic_case_h03
     vs = VelocitySpace(am, sets, quad.mapping, 2)
     return am, phi, sets, defo, quad, vs
+
+
+def undeformed(sets, mapping) -> np.ndarray:
+    """The active children on which `mapping` is affine."""
+    act = sets.active_children
+    return act[~mapping.is_deformed[act]]
 
 
 def test_dof_counts(case):
@@ -39,13 +45,13 @@ def test_velocity_and_scalar_spaces_share_one_node_numbering(case):
     cps = ContinuousPressureSpace(am, sets, quad.mapping, 2)
     assert np.array_equal(vs.elem_dofs[:, 0::2] // 2, cps.elem_dofs)
     assert np.array_equal(vs.elem_dofs[:, 1::2], vs.elem_dofs[:, 0::2] + 1)
-    pos = vs.node_positions()
-    assert np.array_equal(pos, cps.node_positions())
+    pos = node_positions(vs)
+    assert np.array_equal(pos, node_positions(cps))
     mapped = quad.mapping.phys(vs.elements, reference_nodes(2))
     assert np.abs(pos[cps.elem_dofs] - mapped).max() < 1e-14
     # a scalar space of another degree places its nodes through the map
     p1 = ContinuousPressureSpace(am, sets, quad.mapping, 1)
-    assert np.abs(p1.node_positions()[p1.elem_dofs]
+    assert np.abs(node_positions(p1)[p1.elem_dofs]
                   - quad.mapping.phys(p1.elements, reference_nodes(1))).max() < 1e-14
 
 
@@ -63,7 +69,7 @@ def test_affine_elements_reduce_to_lagrange(case):
     rng = np.random.default_rng(0)
     pts = rng.random((6, 2)) * 0.3 + 0.05
     psi = vs.ref.eval(pts)
-    for e in sets.alfeld_interior[:5]:
+    for e in undeformed(sets, quad.mapping)[:5]:
         val, grad, div = velocity_tables(vs, int(e), pts)
         want = np.zeros_like(val)
         for m in range(psi.shape[1]):
@@ -91,7 +97,7 @@ def test_undeformed_tables_keep_exact_zeros(case):
 
 def test_constant_field_on_undeformed_element(case):
     am, phi, sets, defo, quad, vs = case
-    e = int(sets.alfeld_interior[0])
+    e = int(undeformed(sets, quad.mapping)[0])
     row = vs.element_row[e]
     coeffs = np.zeros(vs.elem_dofs.shape[1])
     coeffs[0::2] = 1.0     # nodal values (1, 0) everywhere
@@ -121,7 +127,7 @@ def test_gradient_matches_finite_differences(case):
     mapping = quad.mapping
     rng = np.random.default_rng(2)
     step = 1e-6
-    for e in (int(sets.alfeld_cut[3]), int(sets.alfeld_interior[2])):
+    for e in (int(sets.alfeld_cut[3]), int(undeformed(sets, mapping)[2])):
         c = rng.standard_normal(vs.elem_dofs.shape[1])
         x0 = np.array([0.31, 0.27])
         _, g, _ = eval_velocity(vs, e, c, x0[None, :])
@@ -208,7 +214,7 @@ def test_scalar_interpolation_exactness(case):
         coeffs = interpolate_scalar(space, f)
         fld = ScalarField(space, coeffs)
         # exact on undeformed elements (composition with an affine map is P1)
-        for e in sets.alfeld_interior[:6]:
+        for e in undeformed(sets, mapping)[:6]:
             pts = rng.random((4, 2)) * 0.4
             got, _ = fld.at(int(e), pts)
             assert np.abs(got - f(mapping.phys(int(e), pts))).max() < 1e-13
