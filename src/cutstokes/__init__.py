@@ -16,7 +16,9 @@ or, for a custom geometry, through the level pipeline: `build_geometry`
 (structured mesh of size h -> level set -> classification -> deformation
 -> quadrature) and `assemble_level` (spaces -> forms -> saddle system),
 which `solve_level` follows with the solve and the pressure post-process.
-Every stage is also importable from its module.
+Every stage is also importable from its module.  Each takes the object
+built before it: only `interpolate_p1` (or `IsoDeformation.identity`) takes
+the mesh, and the objects built on them read it as `am`.
 """
 
 from .meshing import (MacroMesh, AlfeldMesh, ElementSets,

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import GROUP_SIZE, CutQuadrature, _pointwise
+from .geometry import GROUP_SIZE, CutQuadrature, _adjugate, _pointwise
 from .reference import triangle_rule
-from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace, _adjugate,
+from .spaces import (MultiplierSpace, PressureSpace, VelocitySpace,
                      scalar_tables, velocity_tables)
 
 __all__ = [
@@ -88,11 +88,6 @@ def _local(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _scatter(n: int, dofs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Sum local vectors vals (ne, nd) into a global vector of length n."""
     return np.bincount(dofs.ravel(), weights=vals.ravel(), minlength=n)
-
-
-def _inv2(A: np.ndarray) -> np.ndarray:
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    return _adjugate(A) / det[..., None, None]
 
 
 def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
@@ -156,7 +151,8 @@ def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
 def _affine_coords(mp, e, x: np.ndarray) -> np.ndarray:
     """Coordinates of physical points x (..., nq, 2) in the undeformed affine
     frame of child(ren) `e`; polynomials in them are polynomials in x."""
-    return (x - mp.v0[e][..., None, :]) @ np.swapaxes(_inv2(mp.A[e]), -1, -2)
+    Ainv = _adjugate(mp.A[e]) / mp.detA[e][..., None, None]
+    return (x - mp.v0[e][..., None, :]) @ np.swapaxes(Ainv, -1, -2)
 
 
 def _extensions(quad: CutQuadrature, space, elems: np.ndarray):

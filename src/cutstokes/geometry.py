@@ -10,13 +10,14 @@ mapped P1 interface within O(h^{k+1}) of the exact one.  All quadrature is
 generated in reference coordinates of the undeformed children; physical
 weights carry det(DPhi_h) through the element Jacobian.
 
-Element arrays: every map evaluation takes one child index or an array of
-ne of them, with reference points either shared, shape (nq, 2), or per
-element, shape (ne, nq, 2).  An array yields results with a leading ne axis;
-a scalar index yields the same results without it.  The quadrature groups
-the children that share a rule size, so each group is evaluated in one array
-operation, and the P1 subdivision of the cut children is one array pass,
-redone by every quadrature that is built.
+Element arrays: every map evaluation takes a 1-D array of ne child indices,
+with reference points either shared, shape (nq, 2), or per element, shape
+(ne, nq, 2), and returns results with a leading ne axis; any other element
+argument raises `ValueError`.  The quadrature groups the children that share
+a rule size, so each group is evaluated in one array operation, and the P1
+subdivision of the cut children is one array pass, redone by every
+quadrature that is built.  The mesh comes in with the P1 level set; the map
+and every object built on them read it as `am`.
 """
 
 from __future__ import annotations
@@ -57,19 +58,20 @@ class LevelSet:
 
 
 class DiscreteLevelSet:
-    """P1 interpolant on the split mesh: one value per Alfeld vertex."""
+    """P1 interpolant on the split mesh: one value per Alfeld vertex, stored
+    snapped away from zero (`snap_values`), so that the classification, the
+    deformation targets and the cut subdivision all read the same signs."""
 
     def __init__(self, am: AlfeldMesh, vertex_values: np.ndarray):
         vertex_values = np.asarray(vertex_values, dtype=float)
         if vertex_values.shape != (am.vertices.shape[0],):
             raise ValueError("need one value per Alfeld vertex")
         self.am = am
-        self.vertex_values = vertex_values
+        self.vertex_values = snap_values(vertex_values, am.macro.h)
 
     def child_values(self, elems) -> np.ndarray:
-        """Vertex values per child, snapped away from zero, shape (..., 3)."""
-        vals = self.vertex_values[self.am.children[elems]]
-        return snap_values(vals, self.am.macro.h)
+        """Vertex values per child, shape (..., 3)."""
+        return self.vertex_values[self.am.children[elems]]
 
     def ref_gradient(self, elems) -> np.ndarray:
         """Gradient with respect to reference coordinates (constant per
@@ -93,25 +95,28 @@ def interpolate_p1(ls: LevelSet, am: AlfeldMesh) -> DiscreteLevelSet:
 # the isoparametric map
 
 
-def _batch(e, xhat):
-    """Element-array form of an evaluation request: (elems (ne,), xhat
-    (1 or ne, nq, 2), whether `e` was a scalar index)."""
-    scalar = np.ndim(e) == 0
-    elems = np.atleast_1d(np.asarray(e, dtype=np.int64))
+def _batch(elems, xhat):
+    """An evaluation request as arrays: elems (ne,) and xhat (1 or ne, nq, 2)."""
+    elems = np.asarray(elems, dtype=np.int64)
+    if elems.ndim != 1:
+        raise ValueError(f"element indices of shape {elems.shape}: need a 1-D array")
     xhat = np.asarray(xhat, dtype=float)
     if xhat.ndim < 3:
         xhat = np.atleast_2d(xhat)[None]
     if xhat.ndim != 3 or xhat.shape[0] not in (1, elems.size):
         raise ValueError(f"reference points of shape {xhat.shape} do not fit "
                          f"{elems.size} elements")
-    return elems, xhat, scalar
+    return elems, xhat
 
 
-def _unbatch(scalar: bool, *arrays):
-    """Drop the element axis again for a scalar request."""
-    if not scalar:
-        return arrays
-    return tuple(None if a is None else a[0] for a in arrays)
+def _adjugate(F: np.ndarray) -> np.ndarray:
+    """adj(F) = det(F) F^{-1} of 2x2 matrices F (..., 2, 2)."""
+    out = np.empty_like(F)
+    out[..., 0, 0] = F[..., 1, 1]
+    out[..., 0, 1] = -F[..., 0, 1]
+    out[..., 1, 0] = -F[..., 1, 0]
+    out[..., 1, 1] = F[..., 0, 0]
+    return out
 
 
 def _pointwise(fn, x: np.ndarray) -> np.ndarray:
@@ -126,8 +131,8 @@ class IsoDeformation:
     displacement, per child of the split mesh.
 
     All evaluation happens in reference coordinates of the undeformed child;
-    F = DPhi_K, J = det F.  `phys` and `jacobians` follow the element-array
-    convention of this module.  Displacements are nonzero only at Lagrange
+    F = DPhi_K, J = det F.  `phys` and `jacobians` take element arrays (see
+    the module docstring).  Displacements are nonzero only at Lagrange
     nodes of cut children, so the map is affine on every element whose
     closure misses the cut band; `is_deformed` marks the children with a
     moved node and `deformed_children` lists them.
@@ -166,11 +171,10 @@ class IsoDeformation:
     def max_displacement(self) -> float:
         return float(np.linalg.norm(self.node_disp, axis=1).max(initial=0.0))
 
-    def validate(self, elems=None) -> None:
-        """Check det(Dphi) > 0 on a degree-2k rule of each deformed element."""
-        check = self.deformed_children if elems is None else np.asarray(elems)
-        _, J = self.jacobians(check, triangle_rule(2 * self.degree)[0])
-        bad = check[(J <= 0).any(axis=-1)]
+    def validate(self, elems: np.ndarray) -> None:
+        """Check det(Dphi) > 0 on a degree-2k rule of each element of `elems`."""
+        _, J = self.jacobians(elems, triangle_rule(2 * self.degree)[0])
+        bad = elems[(J <= 0).any(axis=-1)]
         if bad.size:
             raise GeometryError(f"deformation inverts element {int(bad[0])}")
 
@@ -182,31 +186,31 @@ class IsoDeformation:
                @ self.disp_local[elems, None])
         return np.moveaxis(out, -1, 2).reshape((elems.size, nq, 2) + table.shape[3:])
 
-    def phys(self, e, xhat: np.ndarray) -> np.ndarray:
-        """Mapped points, shape (..., nq, 2)."""
-        elems, xhat, scalar = _batch(e, xhat)
+    def phys(self, elems: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+        """Mapped points, shape (ne, nq, 2)."""
+        elems, xhat = _batch(elems, xhat)
         x = self.v0[elems, None] + xhat @ np.swapaxes(self.A[elems], -1, -2)
         if self.is_deformed[elems].any():
             x = x + self._displace(elems, self.ref.eval(xhat))
-        return _unbatch(scalar, x)[0]
+        return x
 
-    def jacobians(self, e, xhat: np.ndarray, derivs: bool = False):
-        """F (..., nq, 2, 2), J (..., nq) and optionally dF (..., nq, 2, 2, 2),
-        dJ (..., nq, 2)."""
-        elems, xhat, scalar = _batch(e, xhat)
+    def jacobians(self, elems: np.ndarray, xhat: np.ndarray, derivs: bool = False):
+        """F (ne, nq, 2, 2), J (ne, nq) and optionally dF (ne, nq, 2, 2, 2),
+        dJ (ne, nq, 2)."""
+        elems, xhat = _batch(elems, xhat)
         nq = xhat.shape[1]
         F = np.repeat(self.A[elems, None], nq, axis=1)
         if self.is_deformed[elems].any():
             F += self._displace(elems, self.ref.grad(xhat))
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
         if not derivs:
-            return _unbatch(scalar, F, J)
+            return F, J
         dF = self._displace(elems, self.ref.hess(xhat))
         dJ = (dF[..., 0, 0, :] * F[..., 1, 1, None]
               + F[..., 0, 0, None] * dF[..., 1, 1, :]
               - dF[..., 0, 1, :] * F[..., 1, 0, None]
               - F[..., 0, 1, None] * dF[..., 1, 0, :])
-        return _unbatch(scalar, F, J, dF, dJ)
+        return F, J, dF, dJ
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +254,9 @@ def _newton_bisect(g, dg, n: int, lo: float, hi: float):
         gx[act] = g(act, x[act])
 
 
-def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
-                      sets: ElementSets, degree: int,
-                      allow_unresolved: bool = False) -> IsoDeformation:
-    """Isoparametric deformation of the cut band.
+def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
+                      degree: int, allow_unresolved: bool = False) -> IsoDeformation:
+    """Isoparametric deformation of the cut band of `phi_p1`'s mesh.
 
     For every Lagrange node of a cut child, solve along the normalized exact
     gradient direction G for the displacement delta with
@@ -275,6 +278,7 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, am: AlfeldMesh,
         raise ValueError("deformation degree must be >= 2")
     if sets.alfeld_cut.size == 0:
         raise GeometryError("no cut elements: nothing to deform")
+    am = phi_p1.am
     ns = am.lagrange_nodes(degree)
     ref = reference_element(degree)
     h = am.macro.h
@@ -371,7 +375,7 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
         disp[np.unique(ns.elem2node[bad])] *= 0.5
     else:
         raise GeometryError("deformation damping failed to restore orientation")
-    deformation.validate(elems=check)
+    deformation.validate(check)
     return deformation
 
 
@@ -420,8 +424,9 @@ def cut_subdivide(vals: np.ndarray):
 @dataclass
 class InterfaceRule:
     """The discrete interface over the cut children `elems`, one segment per
-    child, stacked along the leading element axis (absent when `elems` is a
-    single index).  The physical points are `mapping.phys(elems, xhat)`."""
+    child, stacked along the leading element axis; `CutQuadrature.interface`
+    views it per child, without that axis.  The physical points are
+    `mapping.phys(elems, xhat)`."""
 
     elems: np.ndarray     # (ne,) cut children
     xhat: np.ndarray      # (ne, m, 2) reference points
@@ -457,14 +462,15 @@ class CutQuadrature:
     (per cut child, on `ref_rule`) and `interface_rule` are stacked in the
     order of `cut_elems`.  The build checks that the Jacobian is positive at
     every point of the volume groups; areas and the interface length are
-    sums of w * J over the groups and of the interface weights.
+    sums of w * J over the groups and of the interface weights.  The mesh
+    `am` is the map's; the P1 level set must live on it.
     """
 
-    am: AlfeldMesh
     sets: ElementSets
     phi_p1: DiscreteLevelSet
     mapping: IsoDeformation
     order: int
+    am: AlfeldMesh = field(init=False)
     inside_elems: np.ndarray = field(init=False)
     cut_elems: np.ndarray = field(init=False)
     ref_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
@@ -475,6 +481,9 @@ class CutQuadrature:
 
     def __post_init__(self):
         mapping = self.mapping
+        self.am = mapping.am
+        if self.phi_p1.am is not self.am:
+            raise ValueError("the P1 level set and the map live on different meshes")
         self.cut_elems = cut = self.sets.alfeld_cut
         subtriangles, seg = cut_subdivide(self.phi_p1.child_values(cut))
         self.ref_rule = triangle_rule(self.order)
@@ -492,10 +501,11 @@ class CutQuadrature:
         if bad.size:
             raise GeometryError(f"degenerate interface segment on element {bad[0]}")
         ghat = self.phi_p1.ref_gradient(cut)[:, None]
-        normals = _unit_rows(_inv_transpose_apply(F, ghat))
+        # F^{-T} ghat up to the positive factor 1/J, which the normalization drops
+        normals = _unit_rows((_adjugate(F) * ghat[..., None]).sum(-2))
         self.interface_rule = InterfaceRule(cut, xh, dsw, normals)
         Fb, _ = mapping.jacobians(cut, self.ref_rule[0])
-        self.band_normals = _unit_rows(_inv_transpose_apply(Fb, ghat))
+        self.band_normals = _unit_rows((_adjugate(Fb) * ghat[..., None]).sum(-2))
 
         for elems, xh, w in self.volume_groups():
             _, J = mapping.jacobians(elems, xh)
@@ -528,16 +538,6 @@ class CutQuadrature:
                 for i, e in enumerate(r.elems)}
 
 
-def _inv_transpose_apply(F: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """F^{-T} g for arrays of 2x2 matrices F (..., 2, 2) and vectors g
-    (..., 2), up to the positive factor 1/det F, irrelevant after
-    normalization."""
-    out = np.empty(F.shape[:-1])
-    out[..., 0] = F[..., 1, 1] * g[..., 0] - F[..., 1, 0] * g[..., 1]
-    out[..., 1] = -F[..., 0, 1] * g[..., 0] + F[..., 0, 0] * g[..., 1]
-    return out
-
-
 def _unit_rows(w: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
@@ -553,11 +553,11 @@ def _map_rule_to_subtris(pts: np.ndarray, wts: np.ndarray, tris: np.ndarray):
     return x.reshape(tris.shape[0], -1, 2), w.reshape(tris.shape[0], -1)
 
 
-def build_quadratures(am: AlfeldMesh, sets: ElementSets, phi_p1: DiscreteLevelSet,
+def build_quadratures(sets: ElementSets, phi_p1: DiscreteLevelSet,
                       deformation: IsoDeformation,
                       order: int | None = None) -> CutQuadrature:
     """Volume, interface, band and patch rules for one configuration, of
     degree `order`, by default 2k+2 for the deformation degree k."""
     if order is None:
         order = 2 * deformation.degree + 2
-    return CutQuadrature(am, sets, phi_p1, deformation, order)
+    return CutQuadrature(sets, phi_p1, deformation, order)

@@ -31,7 +31,7 @@ __all__ = [
     "ExactCase", "StudyConfig", "ResultRow", "LevelState",
     "exact_example1", "exact_example2", "build_geometry", "assemble_level",
     "solve_level", "run_convergence", "run_interface_sweep", "compute_eoc",
-    "write_data", "write_config", "read_config", "write_vtk",
+    "write_data", "write_config", "write_vtk",
     "write_geometry",
 ]
 
@@ -243,23 +243,23 @@ def build_geometry(cfg: StudyConfig, exact: ExactCase, h: float) -> CutQuadratur
     identity for geom="p1") and the quadrature rules."""
     am = alfeld_split(build_background_mesh(BOX, h))
     phi1 = interpolate_p1(exact.levelset, am)
-    sets = classify_elements(am, phi1)
+    sets = classify_elements(phi1)
     if cfg.geom == "ho":
-        defo = build_deformation(exact.levelset, phi1, am, sets, cfg.k,
+        defo = build_deformation(exact.levelset, phi1, sets, cfg.k,
                                  allow_unresolved=exact.allow_unresolved)
     else:
         defo = IsoDeformation.identity(am, cfg.k)
-    return build_quadratures(am, sets, phi1, defo)
+    return build_quadratures(sets, phi1, defo)
 
 
 def assemble_level(cfg: StudyConfig, quad: CutQuadrature, f=None):
     """Velocity, pressure and multiplier spaces on `quad` and the saddle
     system with velocity block A + GP; the velocity load is (f, v), or zero
     when f is None.  Returns (vs, ps, ms, system)."""
-    am, sets, mp = quad.am, quad.sets, quad.mapping
-    vs = VelocitySpace(am, sets, mp, cfg.k)
-    ps = PressureSpace(am, sets, mp, cfg.k - 1)
-    ms = MultiplierSpace(am, sets, mp, cfg.k_lambda)
+    sets, mp = quad.sets, quad.mapping
+    vs = VelocitySpace(sets, mp, cfg.k)
+    ps = PressureSpace(sets, mp, cfg.k - 1)
+    ms = MultiplierSpace(sets, mp, cfg.k_lambda)
     A = assemble_a(quad, vs, cfg.gamma_n) + assemble_ghost_penalty(quad, vs, cfg.gamma_gp)
     B = assemble_b(quad, vs, ps)
     C = assemble_c(quad, vs, ms)
@@ -284,7 +284,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     if cfg.with_condest:
         cond = condition_estimate(system)
 
-    qs = ContinuousPressureSpace(quad.am, quad.sets, quad.mapping, cfg.k - 1)
+    qs = ContinuousPressureSpace(quad.sets, quad.mapping, cfg.k - 1)
     uh = VelocityField(vs, sol.u)
     pc = recover_pressure(quad, qs, uh, exact.f, cfg.gamma_gp)
     pstar = ScalarField(qs, pc)
@@ -308,7 +308,7 @@ def compute_errors(state: LevelState) -> dict:
     active mesh.  The exact pressure is compared after removing its discrete
     mean, matching the zero-mean normalization of the recovered one."""
     cfg, exact, quad = state.cfg, state.exact, state.quad
-    equad = build_quadratures(quad.am, quad.sets, quad.phi_p1, quad.mapping,
+    equad = build_quadratures(quad.sets, quad.phi_p1, quad.mapping,
                               order=2 * cfg.k + 4)
     mp = equad.mapping
 
@@ -442,11 +442,6 @@ def write_data(path: str, rows, with_condest: bool = False) -> None:
 
 def write_config(path: str, cfg: StudyConfig) -> None:
     _write_text(path, [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)])
-
-
-def read_config(path: str) -> StudyConfig:
-    """Parse a flat key=value file; unknown keys are an error."""
-    return StudyConfig(**_config_items(path))
 
 
 def _config_items(path: str) -> dict:

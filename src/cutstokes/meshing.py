@@ -270,17 +270,12 @@ class ElementSets:
     gp_facets: np.ndarray
 
 
-def classify_elements(am: AlfeldMesh, phi) -> ElementSets:
-    """Classify the split mesh against a P1 level set.
-
-    `phi` is either an array of nodal values on the Alfeld vertices or an
-    object exposing them as `vertex_values`.
-    """
-    values = np.asarray(getattr(phi, "vertex_values", phi), dtype=float)
-    if values.shape != (am.vertices.shape[0],):
-        raise ValueError("level-set values must live on the Alfeld vertices")
-    v = snap_values(values, am.macro.h)[am.children]
-    neg = (v < 0).sum(axis=1)
+def classify_elements(phi) -> ElementSets:
+    """Classify the split mesh `phi.am` by the signs of the vertex values of
+    the P1 level set `phi`, a `geometry.DiscreteLevelSet`, which stores them
+    snapped away from zero."""
+    am = phi.am
+    neg = (phi.vertex_values[am.children] < 0).sum(axis=1)
     child_class = np.full(am.n_children, 2, dtype=np.int64)
     child_class[neg == 3] = 0
     child_class[(neg > 0) & (neg < 3)] = 1

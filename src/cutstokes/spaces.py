@@ -9,10 +9,11 @@ Degrees of freedom are physical nodal values throughout.  The continuous
 spaces share one node numbering, the global Lagrange nodes of their elements
 in index order; the velocity space gives node i the dofs 2i and 2i+1.
 
-Basis tables and field evaluations follow the element-array convention of
-`geometry`: one child index or an array of ne of them, at reference points
-shared, shape (nq, 2), or per element, shape (ne, nq, 2); an array adds a
-leading ne axis to every result.  A field is contracted with its local
+Basis tables and field evaluations take element arrays, as the map does
+(see `geometry`): a 1-D array of ne child indices, at reference points
+shared, shape (nq, 2), or per element, shape (ne, nq, 2), and every result
+has a leading ne axis.  Each space is built on a map and reaches the mesh
+through it (`mapping.am`).  A field is contracted with its local
 coefficients on the reference element before it is mapped, so evaluating it
 never builds per-basis tables.  The terms with derivatives of F and J are
 computed only for arrays that hold a moved child (`CutQuadrature` groups
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, IsoDeformation, _batch, _unbatch
-from .meshing import AlfeldMesh, ElementSets
+from .geometry import GeometryError, IsoDeformation, _adjugate, _batch
+from .meshing import ElementSets
 from .reference import ReferenceElement, reference_element, reference_nodes
 
 __all__ = [
@@ -38,28 +39,18 @@ __all__ = [
 ]
 
 
-def _adjugate(F: np.ndarray) -> np.ndarray:
-    out = np.empty_like(F)
-    out[..., 0, 0] = F[..., 1, 1]
-    out[..., 0, 1] = -F[..., 0, 1]
-    out[..., 1, 0] = -F[..., 1, 0]
-    out[..., 1, 1] = F[..., 0, 0]
-    return out
-
-
 class _NodalScalarSpace:
     """Continuous composition-mapped scalar Lagrange space on `elements`, and
     the node numbering of every continuous space: the global Lagrange nodes
     of `elements` in index order."""
 
-    def __init__(self, am: AlfeldMesh, mapping: IsoDeformation, degree: int,
-                 elements: np.ndarray):
+    def __init__(self, mapping: IsoDeformation, degree: int, elements: np.ndarray):
         self.mapping = mapping
         self.degree = degree
         self.ref = reference_element(degree)
-        self.node_set = am.lagrange_nodes(degree)
+        self.node_set = mapping.am.lagrange_nodes(degree)
         self.elements = np.asarray(elements)
-        self.element_row = np.full(am.n_children, -1, dtype=np.int64)
+        self.element_row = np.full(mapping.am.n_children, -1, dtype=np.int64)
         self.element_row[self.elements] = np.arange(self.elements.size)
         e2n = self.node_set.elem2node
         self.nodes = np.unique(e2n[self.elements])
@@ -79,11 +70,10 @@ class VelocitySpace(_NodalScalarSpace):
     conditioning is checked against 1e12.
     """
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
-                 degree: int):
+    def __init__(self, sets: ElementSets, mapping: IsoDeformation, degree: int):
         if degree < 2:
             raise ValueError("velocity degree must be >= 2")
-        super().__init__(am, mapping, degree, sets.active_children)
+        super().__init__(mapping, degree, sets.active_children)
         self.n_dofs = 2 * self.n_nodes
         self.elem_dofs = (2 * self.elem_dofs[..., None] + [0, 1]).reshape(-1, self.n_local)
 
@@ -118,16 +108,17 @@ def _rows(space, elems: np.ndarray) -> np.ndarray:
     return r
 
 
-def velocity_tables(vs: VelocitySpace, e, xhat: np.ndarray, derivs: bool = True):
-    """Local velocity basis tables at reference points of child(ren) `e`.
+def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
+                    derivs: bool = True):
+    """Local velocity basis tables at reference points of the children `elems`.
 
-    Returns (val, grad, div): shapes (..., nq, 2*n_k, 2),
-    (..., nq, 2*n_k, 2, 2) and (..., nq, 2*n_k); `grad` is None when derivs
+    Returns (val, grad, div): shapes (ne, nq, 2*n_k, 2),
+    (ne, nq, 2*n_k, 2, 2) and (ne, nq, 2*n_k); `grad` is None when derivs
     is False.  Dof ordering is node major, component minor, matching
     `elem_dofs`.  The divergence comes from the reference identity
     div v = (1/J) div_ref v_ref, not from the gradient trace.
     """
-    elems, xhat, scalar = _batch(e, xhat)
+    elems, xhat = _batch(elems, xhat)
     bent = derivs and vs.mapping.is_deformed[elems].any()
     F, J, *curv = vs.mapping.jacobians(elems, xhat, derivs=bent)
     # W[e, m, c, :] = B_m e_c: the reference field of dof (m, c) is psi_m W[m, c]
@@ -155,7 +146,7 @@ def velocity_tables(vs: VelocitySpace, e, xhat: np.ndarray, derivs: bool = True)
                    - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
         Finv = _adjugate(F) / J[..., None, None]
         grad = (up @ Finv[:, :, None, None]).reshape(shape + (2, 2))
-    return _unbatch(scalar, val.reshape(shape + (2,)), grad, div.reshape(shape))
+    return val.reshape(shape + (2,)), grad, div.reshape(shape)
 
 
 class PressureSpace:
@@ -165,15 +156,14 @@ class PressureSpace:
     (#active children) * k(k+1)/2.
     """
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
-                 degree: int):
+    def __init__(self, sets: ElementSets, mapping: IsoDeformation, degree: int):
         if degree < 1:
             raise ValueError("pressure degree must be >= 1")
         self.mapping = mapping
         self.degree = degree
         self.ref = reference_element(degree)
         self.elements = sets.active_children
-        self.element_row = np.full(am.n_children, -1, dtype=np.int64)
+        self.element_row = np.full(mapping.am.n_children, -1, dtype=np.int64)
         self.element_row[self.elements] = np.arange(self.elements.size)
         self.n_per = self.ref.n_basis
         self.n_dofs = self.elements.size * self.n_per
@@ -184,46 +174,45 @@ class PressureSpace:
 class MultiplierSpace(_NodalScalarSpace):
     """Continuous Lagrange multipliers of degree k_lambda on the cut band."""
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
-                 degree: int):
+    def __init__(self, sets: ElementSets, mapping: IsoDeformation, degree: int):
         if sets.alfeld_cut.size == 0:
             raise ValueError("level set does not cut the mesh: no multiplier space")
         if degree < 1:
             raise ValueError("multiplier degree must be >= 1")
-        super().__init__(am, mapping, degree, sets.alfeld_cut)
+        super().__init__(mapping, degree, sets.alfeld_cut)
 
 
 class ContinuousPressureSpace(_NodalScalarSpace):
     """Continuous degree k-1 space on the active mesh for pressure recovery."""
 
-    def __init__(self, am: AlfeldMesh, sets: ElementSets, mapping: IsoDeformation,
-                 degree: int):
-        super().__init__(am, mapping, degree, sets.active_children)
+    def __init__(self, sets: ElementSets, mapping: IsoDeformation, degree: int):
+        super().__init__(mapping, degree, sets.active_children)
 
 
-def scalar_tables(space, e, xhat: np.ndarray, derivs: bool = True):
-    """Composition-mapped scalar basis tables on child(ren) `e`: values
-    (..., nq, n) and physical gradients (..., nq, n, 2), None without derivs."""
-    elems, xhat, scalar = _batch(e, xhat)
+def scalar_tables(space, elems: np.ndarray, xhat: np.ndarray, derivs: bool = True):
+    """Composition-mapped scalar basis tables on the children `elems`: values
+    (ne, nq, n) and physical gradients (ne, nq, n, 2), None without derivs."""
+    elems, xhat = _batch(elems, xhat)
     psi = np.broadcast_to(space.ref.eval(xhat),
                           (elems.size,) + xhat.shape[1:2] + (space.ref.n_basis,))
     grad = None
     if derivs:
         F, J = space.mapping.jacobians(elems, xhat)
         grad = space.ref.grad(xhat) @ (_adjugate(F) / J[..., None, None])
-    return _unbatch(scalar, psi, grad)
+    return psi, grad
 
 
-def eval_velocity(vs: VelocitySpace, e, coeffs: np.ndarray, xhat: np.ndarray):
-    """Evaluate a velocity field given its local dof values on child(ren) `e`,
-    coeffs of shape (..., 2*n_k).
+def eval_velocity(vs: VelocitySpace, elems: np.ndarray, coeffs: np.ndarray,
+                  xhat: np.ndarray):
+    """Evaluate a velocity field given its local dof values on the children
+    `elems`, coeffs of shape (ne, 2*n_k).
 
-    Returns (value, gradient, divergence) with shapes (..., nq, 2),
-    (..., nq, 2, 2), (..., nq).  The nodal values are turned into reference
+    Returns (value, gradient, divergence) with shapes (ne, nq, 2),
+    (ne, nq, 2, 2), (ne, nq).  The nodal values are turned into reference
     coefficients a_m = B_m c_m first, and only the resulting reference field
     v_ref is Piola mapped; the divergence is (1/J) div_ref v_ref.
     """
-    elems, xhat, scalar = _batch(e, xhat)
+    elems, xhat = _batch(elems, xhat)
     bent = vs.mapping.is_deformed[elems].any()
     F, J, *curv = vs.mapping.jacobians(elems, xhat, derivs=bent)
     c = np.asarray(coeffs).reshape(elems.size, -1, 2, 1)
@@ -239,7 +228,7 @@ def eval_velocity(vs: VelocitySpace, e, coeffs: np.ndarray, xhat: np.ndarray):
         up += (np.einsum("eqiks,eqk->eqis", dF, vref) / Jq[..., None]
                - val[..., None] * (dJ / Jq)[:, :, None, :])
     grad = up @ (_adjugate(F) / Jq[..., None])
-    return _unbatch(scalar, val, grad, div)
+    return val, grad, div
 
 
 @dataclass
@@ -250,8 +239,8 @@ class VelocityField:
     def local_coeffs(self, e) -> np.ndarray:
         return self.coeffs[self.space.elem_dofs[_rows(self.space, np.asarray(e))]]
 
-    def at(self, e, xhat: np.ndarray):
-        return eval_velocity(self.space, e, self.local_coeffs(e), xhat)
+    def at(self, elems: np.ndarray, xhat: np.ndarray):
+        return eval_velocity(self.space, elems, self.local_coeffs(elems), xhat)
 
 
 @dataclass
@@ -262,10 +251,10 @@ class ScalarField:
     def local_coeffs(self, e) -> np.ndarray:
         return self.coeffs[self.space.elem_dofs[_rows(self.space, np.asarray(e))]]
 
-    def at(self, e, xhat: np.ndarray, derivs: bool = True):
-        """Value (..., nq) and physical gradient (..., nq, 2), None without
+    def at(self, elems: np.ndarray, xhat: np.ndarray, derivs: bool = True):
+        """Value (ne, nq) and physical gradient (ne, nq, 2), None without
         derivs; the coefficients are contracted on the reference element."""
-        elems, xhat, scalar = _batch(e, xhat)
+        elems, xhat = _batch(elems, xhat)
         space = self.space
         c = self.local_coeffs(elems)
         val = (space.ref.eval(xhat) @ c[..., None])[..., 0]
@@ -274,5 +263,5 @@ class ScalarField:
             F, J = space.mapping.jacobians(elems, xhat)
             dref = c[:, None, None] @ space.ref.grad(xhat)
             grad = (dref @ (_adjugate(F) / J[..., None, None]))[..., 0, :]
-        return _unbatch(scalar, val, grad)
+        return val, grad
 

@@ -11,7 +11,8 @@ from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet
                                 build_deformation, build_quadratures)
 from cutstokes.reference import reference_element, reference_nodes
 from cutstokes.spaces import PressureSpace, VelocitySpace, velocity_tables
-from cutstokes.harness import StudyConfig, build_geometry, exact_example1, solve_level
+from cutstokes.harness import (StudyConfig, _config_items, build_geometry, exact_example1,
+                               solve_level)
 
 
 def quartic_levelset() -> LevelSet:
@@ -28,9 +29,9 @@ def build_case(ls: LevelSet, h: float, k: int, box=(-1, 1, -1, 1)):
     mesh = build_background_mesh(box, h)
     am = alfeld_split(mesh)
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
-    defo = build_deformation(ls, phi, am, sets, k)
-    quad = build_quadratures(am, sets, phi, defo)
+    sets = classify_elements(phi)
+    defo = build_deformation(ls, phi, sets, k)
+    quad = build_quadratures(sets, phi, defo)
     return am, phi, sets, defo, quad
 
 
@@ -41,11 +42,11 @@ def inverse_map(mapping, e: int, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     xh = np.array([1 / 3, 1 / 3]) if xhat0 is None else np.array(xhat0, dtype=float)
     for _ in range(40):
-        r = mapping.phys(e, xh[None, :])[0] - x
+        r = mapping.phys([e], xh[None, :])[0, 0] - x
         if np.linalg.norm(r) <= 1e-13 * max(1.0, np.linalg.norm(x)):
             return xh
-        F, _ = mapping.jacobians(e, xh[None, :])
-        xh = xh - np.linalg.solve(F[0], r)
+        F, _ = mapping.jacobians([e], xh[None, :])
+        xh = xh - np.linalg.solve(F[0, 0], r)
     raise GeometryError(f"inverse map did not converge on element {e}")
 
 
@@ -157,7 +158,7 @@ def per_facet_ghost_penalty(quad, space, gamma_gp, facets=None) -> sp.csr_matrix
                                space.ref.eval(_affine_coords(mp, ej, x)), ext[ej][3])
             else:
                 xt = mp.v0[ei] + pts @ mp.A[ei].T
-                Jw = wts * mp.jacobians(ei, pts)[1]
+                Jw = wts * mp.jacobians([ei], pts)[1][0]
                 vi = space.ref.eval(pts)[:, :, None]
                 vj = space.ref.eval(_affine_coords(mp, ej, xt))[:, :, None]
             if ei == e1:
@@ -202,6 +203,11 @@ def interpolate_scalar(space, f) -> np.ndarray:
         out[space.elem_dofs] = _pointwise(f, x)
         return out
     return np.asarray(f(node_positions(space)), dtype=float)
+
+
+def read_config(path: str) -> StudyConfig:
+    """Parse a flat key=value file; unknown keys are an error."""
+    return StudyConfig(**_config_items(path))
 
 
 def fit_rate(hs, errors) -> float:
@@ -276,10 +282,11 @@ def _scalar_newton_bisect(g, dg, lo: float, hi: float) -> float:
     raise GeometryError("root solve did not converge")
 
 
-def per_node_deformation(ls, phi_p1, am, sets, degree: int,
+def per_node_deformation(ls, phi_p1, sets, degree: int,
                          allow_unresolved: bool = False):
     """`build_deformation` with one scalar root solve per (cut child, node)
     pair: the oracle for the batched iteration.  The damping is shared."""
+    am = phi_p1.am
     ns = am.lagrange_nodes(degree)
     ref = reference_element(degree)
     h = am.macro.h

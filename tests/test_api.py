@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -11,6 +12,7 @@ import cutstokes
 
 MODULES = ["cutstokes"] + [f"cutstokes.{m.name}"
                            for m in pkgutil.iter_modules(cutstokes.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -74,3 +76,26 @@ def test_benchmark_smoke_runs_traced(monkeypatch):
     finally:
         for name in fresh:
             sys.modules.pop(name, None)
+
+
+def test_every_src_definition_has_a_reader():
+    # a function, method or class of the package that neither the package
+    # nor the benchmark reads serves only the tests, and belongs in them
+    def parse(pattern):
+        return [(path, ast.parse(path.read_text())) for path in sorted(ROOT.glob(pattern))]
+
+    defined = {}
+    for path, tree in parse("src/cutstokes/*.py"):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    read = set()
+    for _, tree in parse("src/cutstokes/*.py") + parse("perfbench/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {name: where for name, where in defined.items() if name not in read}
+    assert not unread

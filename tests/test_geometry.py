@@ -157,8 +157,8 @@ def test_deformation_linear_levelset_is_identity():
     am = alfeld_split(m)
     ls = LevelSet(lambda p: p[:, 0] - 0.21, lambda p: np.tile([1.0, 0.0], (len(p), 1)))
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
-    defo = build_deformation(ls, phi, am, sets, 2)
+    sets = classify_elements(phi)
+    defo = build_deformation(ls, phi, sets, 2)
     assert defo.max_displacement <= 1e-12
 
 
@@ -170,8 +170,8 @@ def test_deformation_circle_root_residual():
     m = build_background_mesh((-1, 1, -1, 1), 0.25)
     am = alfeld_split(m)
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
-    defo = build_deformation(ls, phi, am, sets, 2)
+    sets = classify_elements(phi)
+    defo = build_deformation(ls, phi, sets, 2)
     ns = am.lagrange_nodes(2)
     moved = np.flatnonzero(np.linalg.norm(defo.node_disp, axis=1) > 0)
     assert moved.size > 0
@@ -198,9 +198,9 @@ def test_deformation_interface_accuracy_eoc():
     for _ in range(4):
         am = alfeld_split(mesh)
         phi = interpolate_p1(ls, am)
-        sets = classify_elements(am, phi)
-        defo = build_deformation(ls, phi, am, sets, 2)
-        quad = build_quadratures(am, sets, phi, defo)
+        sets = classify_elements(phi)
+        defo = build_deformation(ls, phi, sets, 2)
+        quad = build_quadratures(sets, phi, defo)
         r = quad.interface_rule
         errs.append(np.abs(ls.value(defo.phys(r.elems, r.xhat).reshape(-1, 2))).max())
         mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)
@@ -214,8 +214,8 @@ def test_deformation_damps_on_coarse_mesh():
     m = build_background_mesh((-1, 1, -1, 1), 0.3)
     am = alfeld_split(m)
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
-    defo = build_deformation(ls, phi, am, sets, 2)
+    sets = classify_elements(phi)
+    defo = build_deformation(ls, phi, sets, 2)
     assert defo.max_displacement <= 0.5 * am.macro.h
     L = 8
     ii, jj = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
@@ -249,9 +249,9 @@ def test_deformation_batched_matches_per_node():
     for ls, h, allow in cases:
         am = alfeld_split(build_background_mesh((-1, 1, -1, 1), h))
         phi = interpolate_p1(ls, am)
-        sets = classify_elements(am, phi)
-        got = build_deformation(ls, phi, am, sets, 2, allow_unresolved=allow)
-        ref = per_node_deformation(ls, phi, am, sets, 2, allow_unresolved=allow)
+        sets = classify_elements(phi)
+        got = build_deformation(ls, phi, sets, 2, allow_unresolved=allow)
+        ref = per_node_deformation(ls, phi, sets, 2, allow_unresolved=allow)
         assert np.abs(got.node_disp - ref.node_disp).max() <= 1e-13 * h
         assert np.array_equal(got.deformed_children, ref.deformed_children)
         assert got.root_failures == ref.root_failures
@@ -262,7 +262,7 @@ def test_deformation_batched_matches_per_node():
             msgs = []
             for build in (build_deformation, per_node_deformation):
                 with pytest.raises(GeometryError) as err:
-                    build(ls, phi, am, sets, 2)
+                    build(ls, phi, sets, 2)
                 msgs.append(str(err.value))
             assert msgs[0] == msgs[1]
 
@@ -272,9 +272,9 @@ def test_deformation_requires_cut_band():
     am = alfeld_split(m)
     ls = LevelSet(lambda p: -np.ones(len(p)), lambda p: np.tile([1.0, 0.0], (len(p), 1)))
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     with pytest.raises(GeometryError, match="no cut"):
-        build_deformation(ls, phi, am, sets, 2)
+        build_deformation(ls, phi, sets, 2)
 
 
 def test_deformation_unbracketed_root():
@@ -286,9 +286,9 @@ def test_deformation_unbracketed_root():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     with pytest.raises(GeometryError, match="not bracketed|did not converge"):
-        build_deformation(ls, phi, am, sets, 2)
+        build_deformation(ls, phi, sets, 2)
 
 
 def test_deformation_allow_unresolved_records_fallbacks():
@@ -299,8 +299,8 @@ def test_deformation_allow_unresolved_records_fallbacks():
                                              np.ones(len(p))]))
     am = alfeld_split(build_background_mesh((-1, 1, -1, 1), 0.5))
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
-    defo = build_deformation(ls, phi, am, sets, 2, allow_unresolved=True)
+    sets = classify_elements(phi)
+    defo = build_deformation(ls, phi, sets, 2, allow_unresolved=True)
     assert defo.root_failures == {"interpolant": 23, "exact": 0}
     assert defo.kept_nodes.size == 0
 
@@ -310,10 +310,10 @@ def test_deformation_star_keeps_unresolved_nodes():
     ls = exact_example2().levelset
     am = alfeld_split(build_background_mesh((-1, 1, -1, 1), 0.3))
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     with pytest.raises(GeometryError, match=r"node \d+ at \["):
-        build_deformation(ls, phi, am, sets, 2)
-    defo = build_deformation(ls, phi, am, sets, 2, allow_unresolved=True)
+        build_deformation(ls, phi, sets, 2)
+    defo = build_deformation(ls, phi, sets, 2, allow_unresolved=True)
     assert defo.root_failures == {"interpolant": 18, "exact": 8}
     assert defo.kept_nodes.size == 4
     cut_nodes = am.lagrange_nodes(2).elem2node[sets.alfeld_cut]
@@ -332,9 +332,9 @@ def test_deformation_vanishing_gradient():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     with pytest.raises(GeometryError, match="gradient"):
-        build_deformation(ls, phi, am, sets, 2)
+        build_deformation(ls, phi, sets, 2)
 
 
 def test_validate_rejects_inverted_map():
@@ -348,7 +348,7 @@ def test_validate_rejects_inverted_map():
     disp[ns.elem2node[e][0]] = 1.5 * ((vb + vc) / 2 - va)
     defo = IsoDeformation(am, 2, disp)
     with pytest.raises(GeometryError, match="inverts"):
-        defo.validate()
+        defo.validate(defo.deformed_children)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_mapping_roundtrip_on_deformed_elements(quartic_case_h03):
     rng = np.random.default_rng(5)
     for e in sets.alfeld_cut[:10]:
         xh = rng.random((4, 2)) * 0.35 + 0.1
-        x = mapping.phys(int(e), xh)
+        x = mapping.phys([e], xh)[0]
         for i in range(len(xh)):
             back = inverse_map(mapping, int(e), x[i])
             assert np.linalg.norm(back - xh[i]) < 1e-11
@@ -372,13 +372,13 @@ def test_jacobian_derivative_consistency(quartic_case_h03):
     mapping = quad.mapping
     e = int(sets.alfeld_cut[0])
     xh = np.array([[0.3, 0.3], [0.1, 0.5], [0.45, 0.2]])
-    F, J, dF, dJ = mapping.jacobians(e, xh, derivs=True)
+    F, J, dF, dJ = (a[0] for a in mapping.jacobians([e], xh, derivs=True))
     step = 1e-6
     for s in range(2):
         dp = np.zeros(2)
         dp[s] = step
-        Fp, Jp = mapping.jacobians(e, xh + dp)
-        Fm, Jm = mapping.jacobians(e, xh - dp)
+        Fp, Jp = (a[0] for a in mapping.jacobians([e], xh + dp))
+        Fm, Jm = (a[0] for a in mapping.jacobians([e], xh - dp))
         assert np.abs((Fp - Fm) / (2 * step) - dF[:, :, :, s]).max() < 1e-6
         assert np.abs((Jp - Jm) / (2 * step) - dJ[:, s]).max() < 1e-6
 
@@ -390,10 +390,10 @@ def test_jacobian_derivative_consistency(quartic_case_h03):
 def test_quadrature_uncut_identity():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)
-    sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
     phi = DiscreteLevelSet(am, -np.ones(am.vertices.shape[0]))
+    sets = classify_elements(phi)
     defo = IsoDeformation.identity(am, 2)
-    quad = build_quadratures(am, sets, phi, defo)
+    quad = build_quadratures(sets, phi, defo)
     inside, bulk, length = areas(quad)
     assert abs(inside - 4.0) < 1e-13
     assert abs(bulk - 4.0) < 1e-13
@@ -405,9 +405,9 @@ def test_quadrature_straight_interface():
     am = alfeld_split(m)
     ls = LevelSet(lambda p: p[:, 0].copy(), lambda p: np.tile([1.0, 0.0], (len(p), 1)))
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     defo = IsoDeformation.identity(am, 2)
-    quad = build_quadratures(am, sets, phi, defo)
+    quad = build_quadratures(sets, phi, defo)
     inside, _, length = areas(quad)
     assert abs(length - 2.0) < 1e-13
     assert abs(inside - 2.0) < 1e-11
@@ -415,14 +415,24 @@ def test_quadrature_straight_interface():
         assert np.abs(r.normals - [1.0, 0.0]).max() < 1e-9
 
 
+def test_quadrature_rejects_level_set_of_another_mesh():
+    # the quadrature reads the mesh off the map; a P1 level set on another
+    # mesh, even an equal one, would index the wrong children
+    ls = LevelSet(lambda p: p[:, 0].copy(), lambda p: np.tile([1.0, 0.0], (len(p), 1)))
+    am, other = (alfeld_split(build_background_mesh((-1, 1, -1, 1), 1.0)) for _ in range(2))
+    phi = interpolate_p1(ls, other)
+    with pytest.raises(ValueError, match="different meshes"):
+        build_quadratures(classify_elements(phi), phi, IsoDeformation.identity(am, 2))
+
+
 def test_quadrature_monomial_exactness():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)
-    sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
     phi = DiscreteLevelSet(am, -np.ones(am.vertices.shape[0]))
+    sets = classify_elements(phi)
     defo = IsoDeformation.identity(am, 2)
     order = 6
-    quad = replace(build_quadratures(am, sets, phi, defo), order=order)
+    quad = replace(build_quadratures(sets, phi, defo), order=order)
 
     def box_int(p, q):
         ix = (1 - (-1) ** (p + 1)) / (p + 1)
@@ -444,9 +454,9 @@ def test_quadrature_other_order_matches_fresh_build(quartic_case_h03):
     # a rule of another degree, by `order=` or by `replace`, is bit for bit
     # the rule that a fresh build of that degree gives
     am, phi, sets, defo, quad = quartic_case_h03
-    want = CutQuadrature(am, sets, phi, defo, 8)
-    for got in (build_quadratures(am, sets, phi, defo, order=8),
-                replace(build_quadratures(am, sets, phi, defo), order=8),
+    want = CutQuadrature(sets, phi, defo, 8)
+    for got in (build_quadratures(sets, phi, defo, order=8),
+                replace(build_quadratures(sets, phi, defo), order=8),
                 replace(quad, order=8)):
         pairs = list(zip(got.volume_groups(), want.volume_groups()))
         assert len(pairs) == len(list(want.volume_groups()))
@@ -490,9 +500,9 @@ def test_quadrature_area_convergence():
     for lvl in range(4):
         am = alfeld_split(mesh)
         phi = interpolate_p1(ls, am)
-        sets = classify_elements(am, phi)
-        defo = build_deformation(ls, phi, am, sets, 2)
-        quad = build_quadratures(am, sets, phi, defo)
+        sets = classify_elements(phi)
+        defo = build_deformation(ls, phi, sets, 2)
+        quad = build_quadratures(sets, phi, defo)
         h = am.macro.h
         assert abs(areas(quad)[0] - exact) <= 0.25 * h ** 3, (lvl, h)
         mesh = build_background_mesh((-1, 1, -1, 1), mesh.h / 2)

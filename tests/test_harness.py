@@ -9,11 +9,11 @@ from cutstokes import cli, harness
 from cutstokes.cli import main as cli_main
 from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, build_geometry,
                                compute_eoc, exact_example1, exact_example2,
-                               read_config, run_convergence,
+                               run_convergence,
                                run_interface_sweep, solve_level, write_config,
                                write_data, write_vtk)
 from cutstokes.solver import condition_estimate
-from tests.conftest import fit_rate
+from tests.conftest import fit_rate, read_config
 
 
 # ---------------------------------------------------------------------------

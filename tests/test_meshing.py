@@ -5,7 +5,7 @@ from cutstokes.meshing import (MacroMesh, EmptyActiveDomainError, build_backgrou
                                alfeld_split, classify_elements, snap_values, SNAP_REL)
 from cutstokes.reference import reference_nodes
 from tests.conftest import boundary_facets, child_areas, facet_nodes, quartic_levelset
-from cutstokes.geometry import interpolate_p1
+from cutstokes.geometry import DiscreteLevelSet, interpolate_p1
 
 
 def test_structured_mesh_counts():
@@ -138,7 +138,7 @@ def test_snap_values():
 def test_classify_all_inside_and_all_outside():
     m = build_background_mesh((-1, 1, -1, 1), 0.6)
     am = alfeld_split(m)
-    sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
+    sets = classify_elements(DiscreteLevelSet(am, -np.ones(am.vertices.shape[0])))
     assert sets.alfeld_cut.size == 0
     assert sets.gp_facets.size == 0
     assert sets.active_children.size == am.n_children
@@ -146,7 +146,7 @@ def test_classify_all_inside_and_all_outside():
     box_bnd = np.flatnonzero(am.child_mesh.facet_tris[:, 1] < 0)
     assert np.array_equal(boundary_facets(am, sets.active_children), box_bnd)
     with pytest.raises(EmptyActiveDomainError):
-        classify_elements(am, np.ones(am.vertices.shape[0]))
+        classify_elements(DiscreteLevelSet(am, np.ones(am.vertices.shape[0])))
 
 
 def test_classify_counts_quartic():
@@ -155,7 +155,7 @@ def test_classify_counts_quartic():
     am = alfeld_split(m)
     ls = quartic_levelset()
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     assert (sets.child_class == 0).sum() == 66
     assert sets.alfeld_cut.size == 78
     assert sets.active_children.size == 144
@@ -169,7 +169,7 @@ def test_cut_macro_matches_dense_sampling_oracle():
     m = build_background_mesh((-1, 1, -1, 1), 0.3)
     am = alfeld_split(m)
     phi = interpolate_p1(quartic_levelset(), am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     bary = np.column_stack([rng.random(2000), rng.random(2000)])
     keep = bary.sum(axis=1) <= 1.0
     bary = bary[keep]
@@ -192,7 +192,7 @@ def test_gp_facet_oracle():
     m = build_background_mesh((-1, 1, -1, 1), 0.3)
     am = alfeld_split(m)
     phi = interpolate_p1(quartic_levelset(), am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     # macro sets from the child classes: a macro is active when a child has
     # an inside part and cut when a child is cut
     per_macro = sets.child_class.reshape(-1, 3)
@@ -228,7 +228,7 @@ def test_band_elements_near_interface():
     am = alfeld_split(m)
     ls = quartic_levelset()
     phi = interpolate_p1(ls, am)
-    sets = classify_elements(am, phi)
+    sets = classify_elements(phi)
     h = am.macro.h
     pts = am.vertices[am.children[sets.alfeld_cut]].mean(axis=1)
     vals = np.abs(ls.value(pts))

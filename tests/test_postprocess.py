@@ -62,8 +62,8 @@ def test_gp_facet_selection(quartic_case_h03):
 
 def test_zero_data_zero_pressure(quartic_case_h03):
     am, phi, sets, defo, quad = quartic_case_h03
-    vs = VelocitySpace(am, sets, quad.mapping, 2)
-    qs = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    vs = VelocitySpace(sets, quad.mapping, 2)
+    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     uh = VelocityField(vs, np.zeros(vs.n_dofs))
     pc = recover_pressure(quad, qs, uh, lambda x: np.zeros_like(x), GAMMA_GP)
     assert np.abs(pc).max() <= 1e-14
@@ -74,9 +74,9 @@ def test_linear_gradient_recovered_exactly():
     # vanishes on it, and the curl data is zero, so the solve is exact
     am, phi, sets, defo, quad = build_case(quartic_levelset(), 0.3, 2)
     ident = IsoDeformation.identity(am, 2)
-    quad = build_quadratures(am, sets, phi, ident)
-    vs = VelocitySpace(am, sets, quad.mapping, 2)
-    qs = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    quad = build_quadratures(sets, phi, ident)
+    vs = VelocitySpace(sets, quad.mapping, 2)
+    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     uh = VelocityField(vs, np.zeros(vs.n_dofs))
     g = lambda x: 0.3 + 2.0 * x[:, 0] - x[:, 1]
     f = lambda x: np.broadcast_to([2.0, -1.0], x.shape)
@@ -88,7 +88,7 @@ def test_linear_gradient_recovered_exactly():
 
 def test_mean_zero(quartic_case_h015):
     am, phi, sets, defo, quad = quartic_case_h015
-    qs = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     ex = exact_example1()
     uh = _ExactVelocity(quad.mapping, ex.grad_u)
     pc = recover_pressure(quad, qs, uh, ex.f, GAMMA_GP)
@@ -105,7 +105,7 @@ def test_mean_zero(quartic_case_h015):
 def test_curl_sign(quartic_case_h015, monkeypatch):
     # flipping the boundary-term sign must stall the error at O(1)
     am, phi, sets, defo, quad = quartic_case_h015
-    qs = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     ex = exact_example1()
     uh = _ExactVelocity(quad.mapping, ex.grad_u)
     errs = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
-from cutstokes.geometry import (GeometryError, IsoDeformation,
+from cutstokes.geometry import (GeometryError, IsoDeformation, DiscreteLevelSet,
                                 interpolate_p1, build_deformation, build_quadratures)
 from cutstokes.reference import reference_nodes
 from cutstokes.spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
@@ -16,7 +16,7 @@ from tests.conftest import (interpolate_scalar, interpolate_velocity, inverse_ma
 @pytest.fixture(scope="module")
 def case(quartic_case_h03):
     am, phi, sets, defo, quad = quartic_case_h03
-    vs = VelocitySpace(am, sets, quad.mapping, 2)
+    vs = VelocitySpace(sets, quad.mapping, 2)
     return am, phi, sets, defo, quad, vs
 
 
@@ -28,12 +28,12 @@ def undeformed(sets, mapping) -> np.ndarray:
 
 def test_dof_counts(case):
     am, phi, sets, defo, quad, vs = case
-    ps = PressureSpace(am, sets, quad.mapping, 1)
+    ps = PressureSpace(sets, quad.mapping, 1)
     assert ps.n_dofs == sets.active_children.size * 3
-    lam = MultiplierSpace(am, sets, quad.mapping, 1)
+    lam = MultiplierSpace(sets, quad.mapping, 1)
     used = np.unique(am.children[sets.alfeld_cut])
     assert lam.n_dofs == used.size
-    cps = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    cps = ContinuousPressureSpace(sets, quad.mapping, 1)
     assert cps.n_dofs == np.unique(am.children[sets.active_children]).size
     assert vs.n_dofs % 2 == 0
 
@@ -42,7 +42,7 @@ def test_velocity_and_scalar_spaces_share_one_node_numbering(case):
     # at equal degree, velocity node i owns dofs 2i, 2i+1 of the scalar
     # numbering, and both place their nodes where the map sends them
     am, phi, sets, defo, quad, vs = case
-    cps = ContinuousPressureSpace(am, sets, quad.mapping, 2)
+    cps = ContinuousPressureSpace(sets, quad.mapping, 2)
     assert np.array_equal(vs.elem_dofs[:, 0::2] // 2, cps.elem_dofs)
     assert np.array_equal(vs.elem_dofs[:, 1::2], vs.elem_dofs[:, 0::2] + 1)
     pos = node_positions(vs)
@@ -50,7 +50,7 @@ def test_velocity_and_scalar_spaces_share_one_node_numbering(case):
     mapped = quad.mapping.phys(vs.elements, reference_nodes(2))
     assert np.abs(pos[cps.elem_dofs] - mapped).max() < 1e-14
     # a scalar space of another degree places its nodes through the map
-    p1 = ContinuousPressureSpace(am, sets, quad.mapping, 1)
+    p1 = ContinuousPressureSpace(sets, quad.mapping, 1)
     assert np.abs(node_positions(p1)[p1.elem_dofs]
                   - quad.mapping.phys(p1.elements, reference_nodes(1))).max() < 1e-14
 
@@ -58,10 +58,10 @@ def test_velocity_and_scalar_spaces_share_one_node_numbering(case):
 def test_multiplier_requires_band():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)
-    sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
+    sets = classify_elements(DiscreteLevelSet(am, -np.ones(am.vertices.shape[0])))
     mapping = IsoDeformation.identity(am, 2)
     with pytest.raises(ValueError, match="cut"):
-        MultiplierSpace(am, sets, mapping, 1)
+        MultiplierSpace(sets, mapping, 1)
 
 
 def test_affine_elements_reduce_to_lagrange(case):
@@ -70,7 +70,7 @@ def test_affine_elements_reduce_to_lagrange(case):
     pts = rng.random((6, 2)) * 0.3 + 0.05
     psi = vs.ref.eval(pts)
     for e in undeformed(sets, quad.mapping)[:5]:
-        val, grad, div = velocity_tables(vs, int(e), pts)
+        val, grad, div = (a[0] for a in velocity_tables(vs, [e], pts))
         want = np.zeros_like(val)
         for m in range(psi.shape[1]):
             want[:, 2 * m, 0] = psi[:, m]
@@ -101,7 +101,7 @@ def test_constant_field_on_undeformed_element(case):
     row = vs.element_row[e]
     coeffs = np.zeros(vs.elem_dofs.shape[1])
     coeffs[0::2] = 1.0     # nodal values (1, 0) everywhere
-    v, g, d = eval_velocity(vs, e, coeffs, np.array([[0.25, 0.4]]))
+    v, g, d = (a[0] for a in eval_velocity(vs, [e], coeffs, np.array([[0.25, 0.4]])))
     assert np.abs(v - [1.0, 0.0]).max() < 1e-14
     assert np.abs(d).max() < 1e-13
 
@@ -115,7 +115,7 @@ def test_divergence_identity_deformed(case):
         pts = rng.random((5, 2))
         pts = pts[pts.sum(axis=1) < 1.0]
         c = rng.standard_normal(vs.elem_dofs.shape[1])
-        _, g, d = eval_velocity(vs, int(e), c, pts)
+        _, g, d = (a[0] for a in eval_velocity(vs, [e], c, pts))
         tr = g[:, 0, 0] + g[:, 1, 1]
         scale = max(np.abs(g).max(), 1.0)
         worst = max(worst, np.abs(tr - d).max() / scale)
@@ -130,16 +130,16 @@ def test_gradient_matches_finite_differences(case):
     for e in (int(sets.alfeld_cut[3]), int(undeformed(sets, mapping)[2])):
         c = rng.standard_normal(vs.elem_dofs.shape[1])
         x0 = np.array([0.31, 0.27])
-        _, g, _ = eval_velocity(vs, e, c, x0[None, :])
-        X0 = mapping.phys(e, x0[None, :])[0]
+        _, g, _ = (a[0] for a in eval_velocity(vs, [e], c, x0[None, :]))
+        X0 = mapping.phys([e], x0[None, :])[0, 0]
         fd = np.zeros((2, 2))
         for j in range(2):
             dp = np.zeros(2)
             dp[j] = step
             xp = inverse_map(mapping, e, X0 + dp, xhat0=x0)
             xm = inverse_map(mapping, e, X0 - dp, xhat0=x0)
-            vp, _, _ = eval_velocity(vs, e, c, xp[None, :])
-            vm, _, _ = eval_velocity(vs, e, c, xm[None, :])
+            vp, _, _ = (a[0] for a in eval_velocity(vs, [e], c, xp[None, :]))
+            vm, _, _ = (a[0] for a in eval_velocity(vs, [e], c, xm[None, :]))
             fd[:, j] = (vp[0] - vm[0]) / (2 * step)
         assert np.abs(g[0] - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-5
 
@@ -166,10 +166,10 @@ def test_normal_continuity_across_facets(case):
             Ai = np.linalg.inv(mapping.A[e])
             va = am.vertices[am.children[e, 0]]
             xh = (xt - va) @ Ai.T
-            v_, _, _ = eval_velocity(vs, e, U[vs.elem_dofs[vs.element_row[e]]], xh)
+            v_ = eval_velocity(vs, [e], U[vs.elem_dofs[vs.element_row[e]]], xh)[0][0]
             vv.append(v_)
             if nn is None:
-                F, _ = mapping.jacobians(e, xh)
+                F, _ = (a[0] for a in mapping.jacobians([e], xh))
                 tp = np.einsum("qij,j->qi", F, Ai @ (pb - pa))
                 nn = np.column_stack([tp[:, 1], -tp[:, 0]])
                 nn /= np.linalg.norm(nn, axis=1, keepdims=True)
@@ -182,9 +182,9 @@ def test_polynomial_reproduction_undeformed():
     # the map is affine
     m = build_background_mesh((-1, 1, -1, 1), 0.4)
     am = alfeld_split(m)
-    sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
+    sets = classify_elements(DiscreteLevelSet(am, -np.ones(am.vertices.shape[0])))
     mapping = IsoDeformation.identity(am, 2)
-    vs = VelocitySpace(am, sets, mapping, 2)
+    vs = VelocitySpace(sets, mapping, 2)
 
     def v(p):
         return np.column_stack([1.5 - p[:, 0] ** 2 + 0.5 * p[:, 0] * p[:, 1],
@@ -195,16 +195,16 @@ def test_polynomial_reproduction_undeformed():
     fld = VelocityField(vs, U)
     for e in rng.integers(0, am.n_children, 12):
         pts = rng.random((4, 2)) * 0.4
-        x = mapping.phys(int(e), pts)
-        val, _, _ = fld.at(int(e), pts)
+        x = mapping.phys([e], pts)[0]
+        val, _, _ = (a[0] for a in fld.at([e], pts))
         assert np.abs(val - v(x)).max() < 1e-12
 
 
 def test_scalar_interpolation_exactness(case):
     am, phi, sets, defo, quad, vs = case
     mapping = quad.mapping
-    ps = PressureSpace(am, sets, mapping, 1)
-    cps = ContinuousPressureSpace(am, sets, mapping, 1)
+    ps = PressureSpace(sets, mapping, 1)
+    cps = ContinuousPressureSpace(sets, mapping, 1)
 
     def f(p):
         return 2.0 * p[:, 0] - 0.5 * p[:, 1] + 0.25
@@ -216,22 +216,22 @@ def test_scalar_interpolation_exactness(case):
         # exact on undeformed elements (composition with an affine map is P1)
         for e in undeformed(sets, mapping)[:6]:
             pts = rng.random((4, 2)) * 0.4
-            got, _ = fld.at(int(e), pts)
-            assert np.abs(got - f(mapping.phys(int(e), pts))).max() < 1e-13
+            got, _ = (a[0] for a in fld.at([e], pts))
+            assert np.abs(got - f(mapping.phys([e], pts)[0])).max() < 1e-13
 
 
 def test_scalar_gradients_fd(case):
     am, phi, sets, defo, quad, vs = case
     mapping = quad.mapping
-    lam = MultiplierSpace(am, sets, mapping, 2)
+    lam = MultiplierSpace(sets, mapping, 2)
     rng = np.random.default_rng(7)
     e = int(sets.alfeld_cut[1])
     c = rng.standard_normal(lam.elem_dofs.shape[1])
     fld = ScalarField(lam, np.zeros(lam.n_dofs))
     x0 = np.array([0.3, 0.3])
-    val, grad = scalar_tables(lam, e, x0[None, :])
+    val, grad = (a[0] for a in scalar_tables(lam, [e], x0[None, :]))
     g = np.einsum("qmj,m->qj", grad, c)[0]
-    X0 = mapping.phys(e, x0[None, :])[0]
+    X0 = mapping.phys([e], x0[None, :])[0, 0]
     step = 1e-6
     fd = np.zeros(2)
     for j in range(2):
@@ -239,8 +239,8 @@ def test_scalar_gradients_fd(case):
         dp[j] = step
         xp = inverse_map(mapping, e, X0 + dp, xhat0=x0)
         xm = inverse_map(mapping, e, X0 - dp, xhat0=x0)
-        vp = scalar_tables(lam, e, xp[None, :], derivs=False)[0] @ c
-        vm = scalar_tables(lam, e, xm[None, :], derivs=False)[0] @ c
+        vp = scalar_tables(lam, [e], xp[None, :], derivs=False)[0][0] @ c
+        vm = scalar_tables(lam, [e], xm[None, :], derivs=False)[0][0] @ c
         fd[j] = (vp[0] - vm[0]) / (2 * step)
     assert np.abs(g - fd).max() < 1e-5 * max(1.0, np.abs(fd).max())
 
@@ -248,14 +248,14 @@ def test_scalar_gradients_fd(case):
 def test_nearly_singular_blocks_rejected():
     m = build_background_mesh((-1, 1, -1, 1), 1.0)
     am = alfeld_split(m)
-    sets = classify_elements(am, -np.ones(am.vertices.shape[0]))
+    sets = classify_elements(DiscreteLevelSet(am, -np.ones(am.vertices.shape[0])))
     ns = am.lagrange_nodes(2)
     # linear displacement field d(x) = M x collapses the first coordinate
     M = np.array([[-1.0 + 1e-14, 0.0], [0.0, 0.0]])
     disp = ns.coords @ M.T
     defo = IsoDeformation(am, 2, disp)
     with pytest.raises(GeometryError, match="singular|orientation"):
-        VelocitySpace(am, sets, defo, 2)
+        VelocitySpace(sets, defo, 2)
 
 
 def _mixed_group(quad):
@@ -289,7 +289,7 @@ def _assert_rows_match(batched, single):
 def test_batched_path_matches_per_element(case):
     am, phi, sets, defo, quad, vs = case
     mp = quad.mapping
-    qs = ContinuousPressureSpace(am, sets, mp, 1)
+    qs = ContinuousPressureSpace(sets, mp, 1)
     elems, xhat = _mixed_group(quad)
     rng = np.random.default_rng(11)
     uf = VelocityField(vs, rng.standard_normal(vs.n_dofs))
@@ -303,9 +303,9 @@ def test_batched_path_matches_per_element(case):
              uf.at, pf.at)
     for call in calls:
         batched = call(elems, xhat)
-        for i, e in enumerate(elems):
-            _assert_rows_match([None if b is None else b[i] for b in batched],
-                               call(int(e), xhat[i]))
+        for i in range(elems.size):
+            _assert_rows_match([None if b is None else b[i:i + 1] for b in batched],
+                               call(elems[i:i + 1], xhat[i:i + 1]))
     # shared points give the same as the same points per element
     pts = quad.ref_rule[0]
     for call in calls:
@@ -344,8 +344,31 @@ def test_batched_divergence_from_reference_identity(case):
     for i, e in enumerate(bent):
         c = uf.local_coeffs(e).reshape(-1, 2)
         a = np.einsum("mkc,mc->mk", vs.nodal_blocks[vs.element_row[e]], c)
-        _, J = mp.jacobians(e, xbent[i])
+        _, J = (a[0] for a in mp.jacobians([e], xbent[i]))
         want = np.einsum("qms,ms->q", vs.ref.grad(xbent[i]), a) / J
         scale = np.abs(want).max()
         assert np.abs(div[i] - want).max() <= 1e-13 * scale
         assert np.abs(tab[i] @ uf.local_coeffs(e) - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("pick, shape", [(lambda act: int(act[0]), r"\(\)"),
+                                         (lambda act: act[None, :2], r"\(1, 2\)")],
+                         ids=["int", "2-D"])
+def test_evaluators_take_element_arrays_only(case, pick, shape):
+    # a scalar index or a 2-D array is refused with its shape, not answered
+    # in a second result form
+    am, phi, sets, defo, quad, vs = case
+    mp = quad.mapping
+    qs = ContinuousPressureSpace(sets, mp, 1)
+    elems = pick(vs.elements)
+    pts = quad.ref_rule[0]
+    calls = {"IsoDeformation.phys": lambda: mp.phys(elems, pts),
+             "IsoDeformation.jacobians": lambda: mp.jacobians(elems, pts),
+             "velocity_tables": lambda: velocity_tables(vs, elems, pts),
+             "scalar_tables": lambda: scalar_tables(qs, elems, pts),
+             "eval_velocity": lambda: eval_velocity(vs, elems, np.zeros(vs.n_local), pts),
+             "VelocityField.at": lambda: VelocityField(vs, np.zeros(vs.n_dofs)).at(elems, pts),
+             "ScalarField.at": lambda: ScalarField(qs, np.zeros(qs.n_dofs)).at(elems, pts)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"element indices of shape {shape}"):
+            call()
