@@ -95,11 +95,17 @@ def interpolate_p1(ls: LevelSet, am: AlfeldMesh) -> DiscreteLevelSet:
 # the isoparametric map
 
 
-def _batch(elems, xhat):
-    """An evaluation request as arrays: elems (ne,) and xhat (1 or ne, nq, 2)."""
+def _elements(elems) -> np.ndarray:
+    """Child indices as a 1-D array; any other shape raises."""
     elems = np.asarray(elems, dtype=np.int64)
     if elems.ndim != 1:
         raise ValueError(f"element indices of shape {elems.shape}: need a 1-D array")
+    return elems
+
+
+def _batch(elems, xhat):
+    """An evaluation request as arrays: elems (ne,) and xhat (1 or ne, nq, 2)."""
+    elems = _elements(elems)
     xhat = np.asarray(xhat, dtype=float)
     if xhat.ndim < 3:
         xhat = np.atleast_2d(xhat)[None]

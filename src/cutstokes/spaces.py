@@ -17,7 +17,9 @@ through it (`mapping.am`).  A field is contracted with its local
 coefficients on the reference element before it is mapped, so evaluating it
 never builds per-basis tables.  The terms with derivatives of F and J are
 computed only for arrays that hold a moved child (`CutQuadrature` groups
-keep the others apart).  The tables form F W elementwise, which keeps the
+keep the others apart); on an array without one, F and J are constant per
+child and are formed once per child, then broadcast over the points, and
+so are F W, 1/J and F^{-1}.  The tables form F W elementwise, which keeps the
 exact zeros of the affine Lagrange basis; field contractions, vectors rather
 than matrix entries, use `matmul`.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, IsoDeformation, _adjugate, _batch
+from .geometry import GeometryError, IsoDeformation, _adjugate, _batch, _elements
 from .meshing import ElementSets
 from .reference import ReferenceElement, reference_element, reference_nodes
 
@@ -101,11 +103,24 @@ class VelocitySpace(_NodalScalarSpace):
 
 
 def _rows(space, elems: np.ndarray) -> np.ndarray:
-    """Rows of `elems` in the space's element arrays; inactive ones raise."""
+    """Rows of the children `elems`, a 1-D array, in the space's element
+    arrays; inactive ones raise."""
+    elems = _elements(elems)
     r = space.element_row[elems]
     if (r < 0).any():
         raise ValueError(f"element {elems[r < 0][0]} is not active")
     return r
+
+
+def _jacobians(mapping: IsoDeformation, elems: np.ndarray, xhat: np.ndarray,
+               derivs: bool = False):
+    """`mapping.jacobians` of a batch from `_batch`, with F and J once per
+    child when no child of `elems` moved: shapes (ne, 1, ...), broadcast over
+    the points.  dF and dJ, zero on unmoved children, come only with a moved
+    child."""
+    if mapping.is_deformed[elems].any():
+        return mapping.jacobians(elems, xhat, derivs)
+    return mapping.jacobians(elems, xhat[:, :1])
 
 
 def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
@@ -119,8 +134,7 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
     div v = (1/J) div_ref v_ref, not from the gradient trace.
     """
     elems, xhat = _batch(elems, xhat)
-    bent = derivs and vs.mapping.is_deformed[elems].any()
-    F, J, *curv = vs.mapping.jacobians(elems, xhat, derivs=bent)
+    F, J, *curv = _jacobians(vs.mapping, elems, xhat, derivs)
     # W[e, m, c, :] = B_m e_c: the reference field of dof (m, c) is psi_m W[m, c]
     W = np.swapaxes(vs.nodal_blocks[_rows(vs, elems)], -1, -2)[:, None]
     psi = vs.ref.eval(xhat)[..., None, None]
@@ -138,7 +152,7 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
     grad = None
     if derivs:
         up = dpsi[..., None, None, :] * FW[..., None] / Jq[..., None]
-        if bent:    # the dF and dJ terms, exact zeros without a moved child
+        if curv:    # the dF and dJ terms, exact zeros without a moved child
             dF, dJ = curv
             # (dF W)_cis = dF_iks W_ck with dF arranged as (k, (i, s))
             dFW = W @ np.swapaxes(dF, 2, 3).reshape(J.shape + (1, 2, 4))
@@ -197,7 +211,7 @@ def scalar_tables(space, elems: np.ndarray, xhat: np.ndarray, derivs: bool = Tru
                           (elems.size,) + xhat.shape[1:2] + (space.ref.n_basis,))
     grad = None
     if derivs:
-        F, J = space.mapping.jacobians(elems, xhat)
+        F, J = _jacobians(space.mapping, elems, xhat)
         grad = space.ref.grad(xhat) @ (_adjugate(F) / J[..., None, None])
     return psi, grad
 
@@ -213,8 +227,7 @@ def eval_velocity(vs: VelocitySpace, elems: np.ndarray, coeffs: np.ndarray,
     v_ref is Piola mapped; the divergence is (1/J) div_ref v_ref.
     """
     elems, xhat = _batch(elems, xhat)
-    bent = vs.mapping.is_deformed[elems].any()
-    F, J, *curv = vs.mapping.jacobians(elems, xhat, derivs=bent)
+    F, J, *curv = _jacobians(vs.mapping, elems, xhat, derivs=True)
     c = np.asarray(coeffs).reshape(elems.size, -1, 2, 1)
     a = (vs.nodal_blocks[_rows(vs, elems)] @ c)[..., 0]
     vref = vs.ref.eval(xhat) @ a
@@ -223,7 +236,7 @@ def eval_velocity(vs: VelocitySpace, elems: np.ndarray, coeffs: np.ndarray,
     val = (F @ vref[..., None])[..., 0] / Jq
     div = (dref[..., 0, 0] + dref[..., 1, 1]) / J
     up = F @ dref / Jq[..., None]
-    if bent:
+    if curv:
         dF, dJ = curv
         up += (np.einsum("eqiks,eqk->eqis", dF, vref) / Jq[..., None]
                - val[..., None] * (dJ / Jq)[:, :, None, :])
@@ -236,8 +249,9 @@ class VelocityField:
     space: VelocitySpace
     coeffs: np.ndarray
 
-    def local_coeffs(self, e) -> np.ndarray:
-        return self.coeffs[self.space.elem_dofs[_rows(self.space, np.asarray(e))]]
+    def local_coeffs(self, elems: np.ndarray) -> np.ndarray:
+        """Local dof values (ne, n_local) of the children `elems`."""
+        return self.coeffs[self.space.elem_dofs[_rows(self.space, elems)]]
 
     def at(self, elems: np.ndarray, xhat: np.ndarray):
         return eval_velocity(self.space, elems, self.local_coeffs(elems), xhat)
@@ -248,8 +262,9 @@ class ScalarField:
     space: object
     coeffs: np.ndarray
 
-    def local_coeffs(self, e) -> np.ndarray:
-        return self.coeffs[self.space.elem_dofs[_rows(self.space, np.asarray(e))]]
+    def local_coeffs(self, elems: np.ndarray) -> np.ndarray:
+        """Local dof values (ne, n_local) of the children `elems`."""
+        return self.coeffs[self.space.elem_dofs[_rows(self.space, elems)]]
 
     def at(self, elems: np.ndarray, xhat: np.ndarray, derivs: bool = True):
         """Value (ne, nq) and physical gradient (ne, nq, 2), None without
@@ -260,7 +275,7 @@ class ScalarField:
         val = (space.ref.eval(xhat) @ c[..., None])[..., 0]
         grad = None
         if derivs:
-            F, J = space.mapping.jacobians(elems, xhat)
+            F, J = _jacobians(space.mapping, elems, xhat)
             dref = c[:, None, None] @ space.ref.grad(xhat)
             grad = (dref @ (_adjugate(F) / J[..., None, None]))[..., 0, :]
         return val, grad

@@ -348,6 +348,95 @@ def per_node_deformation(ls, phi_p1, sets, degree: int,
                                kept_nodes=np.array(sorted(kept), dtype=np.int64))
 
 
+# ---------------------------------------------------------------------------
+# the closed forms of both exact cases written with literal powers, as an
+# oracle for the product forms of `harness`
+
+
+def literal_closed_forms(example: int) -> dict:
+    """u, grad_u, p, grad_p, f, phi and dphi of `exact_example<example>`."""
+    if example == 1:
+        def phi(x):
+            return x[:, 0] ** 4 + x[:, 1] ** 4 - 0.25
+
+        def dphi(x):
+            return np.column_stack([4.0 * x[:, 0] ** 3, 4.0 * x[:, 1] ** 3])
+
+        def u(x):
+            X, Y = x[:, 0], x[:, 1]
+            c = np.cos(2.0 * np.pi * (X ** 4 + Y ** 4))
+            return np.column_stack([4.0 * Y ** 3 * c, -4.0 * X ** 3 * c])
+
+        def grad_u(x):
+            X, Y = x[:, 0], x[:, 1]
+            r = X ** 4 + Y ** 4
+            c = np.cos(2.0 * np.pi * r)
+            s = np.sin(2.0 * np.pi * r)
+            g = np.empty((x.shape[0], 2, 2))
+            g[:, 0, 0] = -32.0 * np.pi * X ** 3 * Y ** 3 * s
+            g[:, 0, 1] = 12.0 * Y ** 2 * c - 32.0 * np.pi * Y ** 6 * s
+            g[:, 1, 0] = -12.0 * X ** 2 * c + 32.0 * np.pi * X ** 6 * s
+            g[:, 1, 1] = 32.0 * np.pi * X ** 3 * Y ** 3 * s
+            return g
+
+        def p(x):
+            X, Y = x[:, 0], x[:, 1]
+            return np.sin(np.pi * X * Y) + X ** 3 + Y ** 3
+
+        def grad_p(x):
+            X, Y = x[:, 0], x[:, 1]
+            c = np.cos(np.pi * X * Y)
+            return np.column_stack([np.pi * Y * c + 3.0 * X ** 2,
+                                    np.pi * X * c + 3.0 * Y ** 2])
+
+        def f(x):
+            X, Y = x[:, 0], x[:, 1]
+            r = X ** 4 + Y ** 4
+            c = np.cos(2.0 * np.pi * r)
+            s = np.sin(2.0 * np.pi * r)
+            lap1 = (-96.0 * np.pi * X ** 2 * Y ** 3 * s
+                    - 256.0 * np.pi ** 2 * X ** 6 * Y ** 3 * c
+                    + 24.0 * Y * c - 288.0 * np.pi * Y ** 5 * s
+                    - 256.0 * np.pi ** 2 * Y ** 9 * c)
+            lap2 = -(-96.0 * np.pi * Y ** 2 * X ** 3 * s
+                     - 256.0 * np.pi ** 2 * Y ** 6 * X ** 3 * c
+                     + 24.0 * X * c - 288.0 * np.pi * X ** 5 * s
+                     - 256.0 * np.pi ** 2 * X ** 9 * c)
+            gp = grad_p(x)
+            return np.column_stack([-lap1 + gp[:, 0], -lap2 + gp[:, 1]])
+    else:
+        def phi(x):
+            r = np.hypot(x[:, 0], x[:, 1])
+            th = np.arctan2(x[:, 1], x[:, 0])
+            return r - 0.7 + 0.2 * np.cos(6.0 * th)
+
+        def dphi(x):
+            r = np.hypot(x[:, 0], x[:, 1])
+            th = np.arctan2(x[:, 1], x[:, 0])
+            g = np.empty_like(x, dtype=float)
+            safe = np.where(r < 1e-12, 1.0, r)
+            s6 = np.sin(6.0 * th)
+            g[:, 0] = x[:, 0] / safe + 1.2 * x[:, 1] * s6 / safe ** 2
+            g[:, 1] = x[:, 1] / safe - 1.2 * x[:, 0] * s6 / safe ** 2
+            g[r < 1e-12] = (1.0, 0.0)
+            return g
+
+        def u(x):
+            return np.zeros_like(x, dtype=float)
+
+        def grad_u(x):
+            return np.zeros((x.shape[0], 2, 2))
+
+        def p(x):
+            return x[:, 0] ** 5 + x[:, 1] ** 5
+
+        def grad_p(x):
+            return np.column_stack([5.0 * x[:, 0] ** 4, 5.0 * x[:, 1] ** 4])
+
+        f = grad_p
+    return dict(u=u, grad_u=grad_u, p=p, grad_p=grad_p, f=f, phi=phi, dphi=dphi)
+
+
 @pytest.fixture(scope="session")
 def quartic_case_h03():
     """Quartic level set on the coarse mesh, k=2: the workhorse configuration."""

@@ -13,7 +13,7 @@ from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, build_geometr
                                run_interface_sweep, solve_level, write_config,
                                write_data, write_vtk)
 from cutstokes.solver import condition_estimate
-from tests.conftest import fit_rate, read_config
+from tests.conftest import fit_rate, literal_closed_forms, read_config
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +57,55 @@ def test_example1_forcing_matches_fd_at_origin():
         lap += (ex.u(dp)[0] - 2 * ex.u(x0)[0] + ex.u(dm)[0]) / eps ** 2
     want = -lap + ex.grad_p(x0)[0]
     assert np.abs(ex.f(x0)[0] - want).max() <= 1e-6
+
+
+def test_example1_forcing_matches_fd():
+    # f = -lap(u) + grad(p) where f does not vanish: second differences of u
+    # at random points
+    ex = exact_example1()
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(-0.8, 0.8, size=(200, 2))
+    eps = 1e-3
+    lap = np.zeros_like(pts)
+    for j in range(2):
+        dp = pts.copy()
+        dm = pts.copy()
+        dp[:, j] += eps
+        dm[:, j] -= eps
+        lap += (ex.u(dp) - 2 * ex.u(pts) + ex.u(dm)) / eps ** 2
+    f = ex.f(pts)
+    assert np.abs(f - (-lap + ex.grad_p(pts))).max() <= 1e-4 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("make", [exact_example1, exact_example2],
+                         ids=["example1", "example2"])
+def test_levelset_gradient_matches_fd(make):
+    ls = make().levelset
+    rng = np.random.default_rng(25)
+    pts = rng.uniform(-0.8, 0.8, size=(200, 2))
+    eps = 1e-6
+    g = ls.gradient(pts)
+    for j in range(2):
+        dp = pts.copy()
+        dm = pts.copy()
+        dp[:, j] += eps
+        dm[:, j] -= eps
+        fd = (ls.value(dp) - ls.value(dm)) / (2 * eps)
+        assert np.abs(g[:, j] - fd).max() <= 1e-6 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_closed_forms_match_literal_powers(example):
+    # the product forms agree with the same formulas written with `**`, to
+    # round-off relative to the largest value
+    ex = harness._EXAMPLES[example]()
+    mine = dict(u=ex.u, grad_u=ex.grad_u, p=ex.p, grad_p=ex.grad_p, f=ex.f,
+                phi=ex.levelset.value, dphi=ex.levelset.gradient)
+    rng = np.random.default_rng(26)
+    pts = rng.uniform(-1.0, 1.0, size=(1000, 2))
+    for name, want in literal_closed_forms(example).items():
+        ref = want(pts)
+        assert np.abs(mine[name](pts) - ref).max() <= 1e-14 * np.abs(ref).max(), name
 
 
 def test_example1_velocity_tangent_to_interface():

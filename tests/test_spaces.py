@@ -342,13 +342,13 @@ def test_batched_divergence_from_reference_identity(case):
     _, _, div = uf.at(bent, xbent)
     _, _, tab = velocity_tables(vs, bent, xbent, derivs=False)
     for i, e in enumerate(bent):
-        c = uf.local_coeffs(e).reshape(-1, 2)
+        c = uf.local_coeffs([e])[0].reshape(-1, 2)
         a = np.einsum("mkc,mc->mk", vs.nodal_blocks[vs.element_row[e]], c)
         _, J = (a[0] for a in mp.jacobians([e], xbent[i]))
         want = np.einsum("qms,ms->q", vs.ref.grad(xbent[i]), a) / J
         scale = np.abs(want).max()
         assert np.abs(div[i] - want).max() <= 1e-13 * scale
-        assert np.abs(tab[i] @ uf.local_coeffs(e) - want).max() <= 1e-13 * scale
+        assert np.abs(tab[i] @ uf.local_coeffs([e])[0] - want).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("pick, shape", [(lambda act: int(act[0]), r"\(\)"),
@@ -368,7 +368,11 @@ def test_evaluators_take_element_arrays_only(case, pick, shape):
              "scalar_tables": lambda: scalar_tables(qs, elems, pts),
              "eval_velocity": lambda: eval_velocity(vs, elems, np.zeros(vs.n_local), pts),
              "VelocityField.at": lambda: VelocityField(vs, np.zeros(vs.n_dofs)).at(elems, pts),
-             "ScalarField.at": lambda: ScalarField(qs, np.zeros(qs.n_dofs)).at(elems, pts)}
+             "ScalarField.at": lambda: ScalarField(qs, np.zeros(qs.n_dofs)).at(elems, pts),
+             "VelocityField.local_coeffs":
+                 lambda: VelocityField(vs, np.zeros(vs.n_dofs)).local_coeffs(elems),
+             "ScalarField.local_coeffs":
+                 lambda: ScalarField(qs, np.zeros(qs.n_dofs)).local_coeffs(elems)}
     for name, call in calls.items():
         with pytest.raises(ValueError, match=rf"element indices of shape {shape}"):
             call()
