@@ -13,9 +13,11 @@ per owner, and the facets are stacked in groups of at most GROUP_SIZE whose
 two owners' dofs are folded onto the patch dofs by index arrays.
 
 All matrices are returned in CSR form.  Symmetric local blocks are mirrored
-from their upper triangle before insertion and triplets are merged by a
-stable sort on (row, col), so assembled matrices are exactly symmetric and
-bit-reproducible run to run.
+from their upper triangle before insertion.  The blocks are merged by two
+stable counting passes, by column and then by row (see `_Triplets`), which
+sum the duplicates of every entry in insertion order; an entry and its
+mirror are thus summed in the same order, so assembled matrices are exactly
+symmetric and bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -39,35 +41,53 @@ __all__ = [
 
 
 class _Triplets:
-    """Triplet buffer merged deterministically into CSR."""
+    """Local blocks merged deterministically into CSR, without a sort.
+
+    The blocks are kept as handed in.  `matrix` reads them as one CSR matrix
+    with a row per (block, element, local row), its "runs", and merges it by
+    two stable counting passes: `tocsc` groups the entries by column, and,
+    with each run relabelled to its global row, `tocsr` groups them by row.
+    Each row then holds its columns in ascending order, and the duplicates
+    of an entry side by side in insertion order, which `sum_duplicates` adds
+    from left to right.  An entry and its mirror are thus summed in the same
+    order, so a matrix built from symmetric blocks is exactly symmetric.
+    """
 
     def __init__(self):
-        self._r, self._c, self._v = [], [], []
+        self._blocks = []
 
     def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         """Local blocks vals (ne, nr, nc) at rows (ne, nr) and cols (ne, nc)."""
-        nr, nc = rows.shape[1], cols.shape[1]
-        self._r.append(np.repeat(rows, nc, axis=1).ravel())
-        self._c.append(np.tile(cols, (1, nr)).ravel())
-        self._v.append(vals.reshape(-1, nr * nc).ravel())
+        self._blocks.append((rows, cols, vals))
 
     def matrix(self, nrows: int, ncols: int) -> sp.csr_matrix:
-        if not self._r:
+        """The sum of the blocks, shape (nrows, ncols); empties the buffer."""
+        blocks, self._blocks = self._blocks, []
+        n = sum(v.size for _, _, v in blocks)
+        runs = sum(r.size for r, _, _ in blocks)
+        if not n:
             return sp.csr_matrix((nrows, ncols))
-        r = np.concatenate(self._r)
-        c = np.concatenate(self._c)
-        v = np.concatenate(self._v)
-        # stable sort keeps insertion order within each entry, so duplicate
-        # sums are performed in the same order every run and for both halves
-        # of a symmetric insertion
-        key = r * ncols + c
-        order = np.argsort(key, kind="stable")
-        key, v = key[order], v[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        vals = np.add.reduceat(v, first)
-        kk = key[first]
-        return sp.csr_matrix((vals, (kk // ncols, kk % ncols)),
-                             shape=(nrows, ncols))
+        # scipy's index rule: 32-bit indices while every count fits
+        idx = np.int32 if max(n, runs, nrows, ncols) <= np.iinfo(np.int32).max else np.int64
+        data = np.empty(n)
+        cols = np.empty(n, dtype=idx)
+        indptr = np.zeros(runs + 1, dtype=idx)
+        row_of_run = np.empty(runs, dtype=idx)
+        at = run = 0
+        for i, (r, c, v) in enumerate(blocks):
+            data[at:at + v.size].reshape(v.shape)[...] = v
+            cols[at:at + v.size].reshape(v.shape)[...] = c[:, None]
+            indptr[run + 1:run + r.size + 1] = at + c.shape[1] * np.arange(1, r.size + 1)
+            row_of_run[run:run + r.size] = r.ravel()
+            at, run = at + v.size, run + r.size
+            blocks[i] = None
+        M = sp.csr_matrix((data, cols, indptr), shape=(runs, ncols)).tocsc()
+        del data, cols, indptr
+        M = sp.csc_matrix((M.data, row_of_run[M.indices], M.indptr), shape=(nrows, ncols))
+        del row_of_run
+        M = M.tocsr()
+        M.sum_duplicates()
+        return M
 
 
 def _sym(loc: np.ndarray) -> np.ndarray:
@@ -98,7 +118,8 @@ def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
     h = quad.am.macro.h
     tri = _Triplets()
 
-    for elems, xh, w in quad.volume_groups():
+    # on an undeformed child grad u : grad v is a polynomial of degree 2k - 2
+    for elems, xh, w in quad.volume_groups(2 * vs.degree - 2):
         _, grad, _ = velocity_tables(vs, elems, xh)
         wj = w * mp.jacobians(elems, xh)[1]
         dofs = vs.elem_dofs[vs.element_row[elems]]

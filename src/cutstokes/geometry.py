@@ -464,12 +464,14 @@ class CutQuadrature:
     count of their cut parts (one or two sub-triangles).  The groups on
     `ref_rule` hold undeformed children first, then deformed ones, never
     both: the deformation moves only the cut band's nodes, and only a group
-    with a moved child pays for the curved map.  `band_normals`
-    (per cut child, on `ref_rule`) and `interface_rule` are stacked in the
-    order of `cut_elems`.  The build checks that the Jacobian is positive at
-    every point of the volume groups; areas and the interface length are
-    sums of w * J over the groups and of the interface weights.  The mesh
-    `am` is the map's; the P1 level set must live on it.
+    with a moved child pays for the curved map.  A form whose integrand is a
+    polynomial on undeformed children (no curved map, no data such as f)
+    passes its degree and gets the smaller rule exact for it there.
+    `band_normals` (per cut child, on `ref_rule`) and `interface_rule` are
+    stacked in the order of `cut_elems`.  The build checks that the Jacobian
+    is positive at every point of the volume groups; areas and the interface
+    length are sums of w * J over the groups and of the interface weights.
+    The mesh `am` is the map's; the P1 level set must live on it.
     """
 
     sets: ElementSets
@@ -520,21 +522,25 @@ class CutQuadrature:
                 raise GeometryError(
                     f"nonpositive Jacobian in volume rule of element {bad[0]}")
 
-    def _split_groups(self, elems: np.ndarray):
-        """`ref_rule` groups over `elems`, the undeformed children first."""
+    def _split_groups(self, elems: np.ndarray, affine_degree: int | None):
+        """`ref_rule` groups over `elems`, the undeformed children first, on
+        the rule exact for `affine_degree` when it is given."""
         bent = self.mapping.is_deformed[elems]
-        for part in (elems[~bent], elems[bent]):
-            yield from _groups(part, *self.ref_rule)
+        flat = self.ref_rule if affine_degree is None else triangle_rule(affine_degree)
+        yield from _groups(elems[~bent], *flat)
+        yield from _groups(elems[bent], *self.ref_rule)
 
-    def volume_groups(self):
-        """Yield (elems, xhat, weights) groups covering the fluid domain."""
-        yield from self._split_groups(self.inside_elems)
+    def volume_groups(self, affine_degree: int | None = None):
+        """Yield (elems, xhat, weights) groups covering the fluid domain; the
+        undeformed children get the rule exact for `affine_degree` if given."""
+        yield from self._split_groups(self.inside_elems, affine_degree)
         for group in self.cut_groups:
             yield from _groups(*group)
 
-    def bulk_groups(self):
-        """Yield (elems, xhat, weights) groups covering the whole active mesh."""
-        yield from self._split_groups(self.sets.active_children)
+    def bulk_groups(self, affine_degree: int | None = None):
+        """Yield (elems, xhat, weights) groups covering the whole active mesh,
+        with `affine_degree` as in `volume_groups`."""
+        yield from self._split_groups(self.sets.active_children, affine_degree)
 
     @property
     def interface(self) -> dict[int, InterfaceRule]:

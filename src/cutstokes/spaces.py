@@ -151,15 +151,18 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
     shape = val.shape[:2] + (vs.n_local,)
     grad = None
     if derivs:
-        up = dpsi[..., None, None, :] * FW[..., None] / Jq[..., None]
+        Finv = _adjugate(F) / J[..., None, None]
+        # grad_cij = (F W / J)_ci (dpsi F^{-1})_j: the physical gradients of
+        # the scalar basis, spread over the component axes
+        grad = (FW / Jq)[..., None] * (dpsi @ Finv)[:, :, :, None, None]
         if curv:    # the dF and dJ terms, exact zeros without a moved child
             dF, dJ = curv
             # (dF W)_cis = dF_iks W_ck with dF arranged as (k, (i, s))
             dFW = W @ np.swapaxes(dF, 2, 3).reshape(J.shape + (1, 2, 4))
-            up += (psi[..., None] * dFW.reshape(FW.shape + (2,)) / Jq[..., None]
-                   - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
-        Finv = _adjugate(F) / J[..., None, None]
-        grad = (up @ Finv[:, :, None, None]).reshape(shape + (2, 2))
+            up = (psi[..., None] * dFW.reshape(FW.shape + (2,)) / Jq[..., None]
+                  - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
+            grad += up @ Finv[:, :, None, None]
+        grad = grad.reshape(shape + (2, 2))
     return val.reshape(shape + (2,)), grad, div.reshape(shape)
 
 

@@ -130,6 +130,18 @@ def pinned_factor(system):
     return lu, lu.solve(r)
 
 
+def add_at_sum(blocks, shape) -> np.ndarray:
+    """Dense sum of local blocks (rows (ne, nr), cols (ne, nc), vals
+    (ne, nr, nc)) by `np.add.at`, which adds the entries one by one in
+    insertion order: the oracle for `forms._Triplets`."""
+    out = np.zeros(shape)
+    for rows, cols, vals in blocks:
+        r = np.broadcast_to(rows[:, :, None], vals.shape)
+        c = np.broadcast_to(cols[:, None, :], vals.shape)
+        np.add.at(out, (r.ravel(), c.ravel()), vals.ravel())
+    return out
+
+
 def per_facet_ghost_penalty(quad, space, gamma_gp, facets=None) -> sp.csr_matrix:
     """`assemble_ghost_penalty` one facet and one owner at a time, folding
     the jump onto the patch dofs with `np.unique`: the oracle for the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutstokes.forms import (assemble_a, assemble_b, assemble_c,
+from cutstokes.forms import (_Triplets, _sym, assemble_a, assemble_b, assemble_c,
                              assemble_ghost_penalty, assemble_j, assemble_rhs,
                              build_saddle_system, pressure_mean_vector)
 from cutstokes.geometry import IsoDeformation, build_quadratures
@@ -12,7 +12,7 @@ from cutstokes.spaces import (ContinuousPressureSpace, MultiplierSpace,
                               PressureSpace, VelocitySpace,
                               VelocityField, velocity_tables)
 from cutstokes.reference import triangle_rule
-from tests.conftest import (boundary_dofs, build_case, circle_levelset, fit_rate,
+from tests.conftest import (add_at_sum, boundary_dofs, build_case, circle_levelset, fit_rate,
                             interpolate_scalar, interpolate_velocity,
                             per_facet_ghost_penalty, pinned_factor,
                             quartic_levelset, rhs_by_tables)
@@ -64,6 +64,68 @@ def test_a_exactly_symmetric(case):
         rhs = v @ (A @ u)
         scale = np.linalg.norm(u) * np.linalg.norm(v)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def _random_blocks(rng, ne, nr, nc, n_rows, n_cols, symmetric=False):
+    # dofs drawn with replacement, so an entry repeats within a block, a
+    # row and across elements; values spread over 16 decades, so the sum
+    # of an entry depends on the order of its terms
+    rows = rng.integers(0, n_rows, (ne, nr))
+    cols = rows if symmetric else rng.integers(0, n_cols, (ne, nc))
+    vals = rng.standard_normal((ne, nr, nc)) * 10.0 ** rng.uniform(-8, 8, (ne, nr, nc))
+    return rows, cols, _sym(vals) if symmetric else vals
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "rectangular", "mixed_widths"])
+def test_triplets_match_insertion_order_sum(kind):
+    # the merge adds each entry's terms in insertion order, as np.add.at does
+    rng = np.random.default_rng(11)
+    if kind == "symmetric":        # A, J, the ghost penalty
+        shape = (40, 40)
+        blocks = [_random_blocks(rng, 30, 6, 6, 40, 40, symmetric=True),
+                  _random_blocks(rng, 20, 6, 6, 40, 40, symmetric=True)]
+    elif kind == "rectangular":    # B and C
+        shape = (15, 50)
+        blocks = [_random_blocks(rng, 25, 3, 12, *shape)]
+    else:                          # ghost-penalty facet groups of other widths
+        shape = (60, 60)
+        blocks = [_random_blocks(rng, 10, w, w, 60, 60, symmetric=True)
+                  for w in (9, 4, 12, 9)]
+    tri = _Triplets()
+    for b in blocks:
+        tri.add(*b)
+    M = tri.matrix(*shape)
+    assert M.shape == shape and M.has_canonical_format
+    assert M.toarray().tobytes() == add_at_sum(blocks, shape).tobytes()
+    if kind != "rectangular":
+        assert (M != M.T).nnz == 0
+
+
+def test_triplets_empty_buffer():
+    M = _Triplets().matrix(4, 7)
+    assert M.shape == (4, 7) and M.nnz == 0
+
+
+def test_triplets_keep_cancellation_order():
+    # 1e16 - 1e16 + 1 is 1 in insertion order; a sum of the sorted values,
+    # -1e16 + 1 + 1e16, would read 0
+    tri = _Triplets()
+    dofs = np.array([[2, 5]])
+    for v in (1e16, -1e16, 1.0):
+        tri.add(dofs, dofs, np.array([[[0.5, v], [v, 0.25]]]))
+        tri.add(np.array([[0, 3]]), np.array([[1, 4]]), np.ones((1, 2, 2)))
+    M = tri.matrix(6, 6)
+    assert M[2, 5] == 1.0 and M[5, 2] == 1.0
+
+
+def test_level1_matrices_exactly_symmetric(ex1_quads):
+    quad = ex1_quads[1]
+    cfg = StudyConfig()
+    vs = VelocitySpace(quad.sets, quad.mapping, cfg.k)
+    for M in (assemble_a(quad, vs, cfg.gamma_n),
+              assemble_ghost_penalty(quad, vs, cfg.gamma_gp)):
+        D = (M - M.T).tocoo()
+        assert D.nnz == 0 or np.abs(D.data).max() == 0.0
 
 
 def test_a_matches_independent_quadrature(case):
