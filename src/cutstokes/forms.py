@@ -122,7 +122,7 @@ def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
     for elems, xh, w in quad.volume_groups(2 * vs.degree - 2):
         _, grad, _ = velocity_tables(vs, elems, xh)
         wj = w * mp.jacobians(elems, xh)[1]
-        dofs = vs.elem_dofs[vs.element_row[elems]]
+        dofs = vs.elem_dofs[vs.rows(elems)]
         tri.add(dofs, dofs, _sym(_local(wj, grad, grad)))
 
     r = quad.interface_rule
@@ -130,7 +130,7 @@ def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
     nd = np.einsum("eqs,eqdcs->eqdc", r.normals, grad)
     K1 = _local(r.weights, val, nd)
     pen = _sym(_local(r.weights * (gamma_n / h), val, val))
-    dofs = vs.elem_dofs[vs.element_row[r.elems]]
+    dofs = vs.elem_dofs[vs.rows(r.elems)]
     tri.add(dofs, dofs, pen - (K1 + np.swapaxes(K1, 1, 2)))
 
     return tri.matrix(vs.n_dofs, vs.n_dofs)
@@ -150,7 +150,7 @@ def assemble_b(quad: CutQuadrature, vs: VelocitySpace,
     Ghat = np.einsum("q,qi,qmk->imk", wts, qv, dpsi)
     W = np.transpose(vs.nodal_blocks, (0, 1, 3, 2))
     loc = -np.einsum("imk,emck->eimc", Ghat, W)
-    loc = loc.reshape(vs.elements.size, ps.n_per, vs.n_local)
+    loc = loc.reshape(vs.elements.size, ps.n_local, vs.n_local)
     tri = _Triplets()
     tri.add(ps.elem_dofs, vs.elem_dofs, loc)
     return tri.matrix(ps.n_dofs, vs.n_dofs)
@@ -164,8 +164,7 @@ def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
     mu, _ = scalar_tables(ms, r.elems, r.xhat, derivs=False)
     loc = _local(r.weights, mu, np.einsum("eqjc,eqc->eqj", val, r.normals))
     tri = _Triplets()
-    tri.add(ms.elem_dofs[ms.element_row[r.elems]],
-            vs.elem_dofs[vs.element_row[r.elems]], loc)
+    tri.add(ms.elem_dofs[ms.rows(r.elems)], vs.elem_dofs[vs.rows(r.elems)], loc)
     return tri.matrix(ms.n_dofs, vs.n_dofs)
 
 
@@ -216,6 +215,7 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
     composition polynomial, evaluated at foreign reference coordinates of
     the undeformed children.  Both owners' integrals enter one symmetric
     block per facet on the patch's unique dofs, the same count on every facet.
+    A facet that is not interior, or an owner outside the space, raises.
     """
     if facets is None:
         facets = quad.sets.gp_facets
@@ -223,6 +223,7 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
     bad = facets[sides[:, 1] < 0]
     if bad.size:
         raise ValueError(f"facet {bad[0]} is not interior")
+    side_dofs = space.elem_dofs[space.rows(sides)]
     scale = gamma_gp / quad.am.macro.h ** 2
     n = space.n_dofs
     owners, where = np.unique(sides, return_inverse=True)
@@ -233,7 +234,7 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
     for s in range(0, facets.size, GROUP_SIZE):
         pair, at = sides[s:s + GROUP_SIZE], where[s:s + GROUP_SIZE]
         rows = np.arange(pair.shape[0])[:, None]
-        dofs = space.elem_dofs[space.element_row[pair]] + n * rows[..., None]
+        dofs = side_dofs[s:s + GROUP_SIZE] + n * rows[..., None]
         keys, fold = np.unique(dofs, return_inverse=True)
         udofs = keys.reshape(pair.shape[0], -1)
         fold = fold.reshape(dofs.shape) - udofs.shape[1] * rows[..., None]
@@ -265,7 +266,7 @@ def assemble_j(quad: CutQuadrature, ms: MultiplierSpace,
     _, grad = scalar_tables(ms, cut, pts)
     nd = np.einsum("eqmj,eqj->eqm", grad, quad.band_normals)
     loc = _sym(_local(wts * quad.mapping.jacobians(cut, pts)[1], nd, nd))
-    dofs = ms.elem_dofs[ms.element_row[cut]]
+    dofs = ms.elem_dofs[ms.rows(cut)]
     tri = _Triplets()
     tri.add(dofs, dofs, (-h * gamma_lambda) * loc)
     return tri.matrix(ms.n_dofs, ms.n_dofs)
@@ -280,8 +281,9 @@ def assemble_rhs(quad: CutQuadrature, vs: VelocitySpace, f) -> np.ndarray:
         fx = _pointwise(f, mp.phys(elems, xh))
         g = w[..., None] * (fx[..., None, :] @ mp.jacobians(elems, xh)[0])[..., 0, :]
         pg = np.swapaxes(vs.ref.eval(xh), -1, -2) @ g
-        loc = (pg[..., None, :] @ vs.nodal_blocks[vs.element_row[elems]])[..., 0, :]
-        rhs += _scatter(vs.n_dofs, vs.elem_dofs[vs.element_row[elems]], loc)
+        rows = vs.rows(elems)
+        loc = (pg[..., None, :] @ vs.nodal_blocks[rows])[..., 0, :]
+        rhs += _scatter(vs.n_dofs, vs.elem_dofs[rows], loc)
     return rhs
 
 
@@ -310,10 +312,9 @@ def pressure_kernel(quad: CutQuadrature, ps: PressureSpace) -> np.ndarray:
     pts, wts = triangle_rule(2 * ps.degree)
     qv = ps.ref.eval(pts)
     mref = (qv * wts[:, None]).T @ qv
-    moments = np.zeros((ps.elements.size, ps.n_per))
+    moments = np.zeros((ps.elements.size, ps.n_local))
     for elems, xh, w in quad.volume_groups():
-        moments[ps.element_row[elems]] = np.einsum("...q,...qi->...i", w,
-                                                   ps.ref.eval(xh))
+        moments[ps.rows(elems)] = np.einsum("...q,...qi->...i", w, ps.ref.eval(xh))
     return np.linalg.solve(mref, moments.T).T.ravel()
 
 

@@ -373,8 +373,7 @@ def run_convergence(cfg: StudyConfig):
         del state
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-        write_data(os.path.join(cfg.out, f"{_study_tag(cfg)}.data"), rows,
-                   with_condest=cfg.with_condest)
+        write_data(os.path.join(cfg.out, f"{_study_tag(cfg)}.data"), rows)
         write_config(os.path.join(cfg.out, f"{_study_tag(cfg)}.manifest"), cfg)
     return rows
 
@@ -412,7 +411,6 @@ def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
             out = list(pool.map(_sweep_one, items))
     else:
         out = [_sweep_one(it) for it in items]
-    out.sort(key=lambda t: t[0])
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         lines = ["# i x kappa"]
@@ -447,9 +445,10 @@ def _write_text(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_data(path: str, rows, with_condest: bool = False) -> None:
-    header = "# lvl h l2u h1u l2p* l2d" + (" condest" if with_condest else "")
-    lines = [header]
+def write_data(path: str, rows) -> None:
+    """The study table, with a condest column when a row has an estimate."""
+    with_condest = any(np.isfinite(r.cond_estimate) for r in rows)
+    lines = ["# lvl h l2u h1u l2p* l2d" + (" condest" if with_condest else "")]
     for r in rows:
         cells = [str(r.lvl), _fmt(r.h), _fmt(r.l2u), _fmt(r.h1u),
                  _fmt(r.l2p_star), _fmt(r.l2div)]

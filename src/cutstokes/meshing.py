@@ -198,44 +198,31 @@ class AlfeldMesh:
         k = degree
         ne = self.n_children
         nv = self.vertices.shape[0]
-        nf = cm.facets.shape[0]
-        n_edge = nf * (k - 1)
+        n_edge = cm.facets.shape[0] * (k - 1)
         n_int_per = (k - 1) * (k - 2) // 2
-        coords = [self.vertices]
-        if k >= 2:
-            gl = gauss_lobatto_unit(k)[1:-1]
-            a = self.vertices[cm.facets[:, 0]]
-            b = self.vertices[cm.facets[:, 1]]
-            edge_pts = a[:, None, :] + gl[None, :, None] * (b - a)[:, None, :]
-            coords.append(edge_pts.reshape(-1, 2))
-        ref = reference_nodes(k)
-        n_int_total = ne * n_int_per
-        if n_int_per > 0:
-            ri = ref[3 + 3 * (k - 1):]
-            va = self.vertices[self.children[:, 0]]
-            vb = self.vertices[self.children[:, 1]]
-            vc = self.vertices[self.children[:, 2]]
-            ipts = (va[:, None, :]
-                    + ri[None, :, 0, None] * (vb - va)[:, None, :]
-                    + ri[None, :, 1, None] * (vc - va)[:, None, :])
-            coords.append(ipts.reshape(-1, 2))
-        coords = np.vstack(coords)
+        gl = gauss_lobatto_unit(k)[1:-1]
+        a = self.vertices[cm.facets[:, 0]]
+        b = self.vertices[cm.facets[:, 1]]
+        edge_pts = a[:, None, :] + gl[None, :, None] * (b - a)[:, None, :]
+        ri = reference_nodes(k)[3 + 3 * (k - 1):]
+        va, vb, vc = self.vertices[self.children].transpose(1, 0, 2)
+        ipts = (va[:, None, :]
+                + ri[None, :, 0, None] * (vb - va)[:, None, :]
+                + ri[None, :, 1, None] * (vc - va)[:, None, :])
+        coords = np.vstack([self.vertices, edge_pts.reshape(-1, 2), ipts.reshape(-1, 2)])
 
         e2n = np.empty((ne, (k + 1) * (k + 2) // 2), dtype=np.int64)
         e2n[:, 0:3] = self.children
-        if k >= 2:
-            for le, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-                fid = cm.tri_facets[:, le]
-                base = nv + fid[:, None] * (k - 1) + np.arange(k - 1)[None, :]
-                flip = self.children[:, a] > self.children[:, b]
-                base[flip] = base[flip][:, ::-1]
-                e2n[:, 3 + le * (k - 1): 3 + (le + 1) * (k - 1)] = base
-        if n_int_per > 0:
-            start = nv + n_edge
-            e2n[:, 3 + 3 * (k - 1):] = (start + n_int_per * np.arange(ne)[:, None]
-                                        + np.arange(n_int_per)[None, :])
+        for le, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+            fid = cm.tri_facets[:, le]
+            base = nv + fid[:, None] * (k - 1) + np.arange(k - 1)[None, :]
+            flip = self.children[:, a] > self.children[:, b]
+            base[flip] = base[flip][:, ::-1]
+            e2n[:, 3 + le * (k - 1): 3 + (le + 1) * (k - 1)] = base
+        e2n[:, 3 + 3 * (k - 1):] = (nv + n_edge + n_int_per * np.arange(ne)[:, None]
+                                    + np.arange(n_int_per)[None, :])
         ns = NodeSet(k, coords, e2n)
-        assert ns.n_nodes == nv + n_edge + n_int_total
+        assert ns.n_nodes == nv + n_edge + ne * n_int_per
         self._nodes[k] = ns
         return ns
 

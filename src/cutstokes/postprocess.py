@@ -59,7 +59,7 @@ def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
     for elems, xh, w in quad.volume_groups():
         wj = w * mp.jacobians(elems, xh)[1]
         val, grad = scalar_tables(qs, elems, xh)
-        dofs = qs.elem_dofs[qs.element_row[elems]]
+        dofs = qs.elem_dofs[qs.rows(elems)]
         tri.add(dofs, dofs, _sym(_local(wj, grad, grad)))
         fx = _pointwise(f, mp.phys(elems, xh))
         rhs += _scatter(n, dofs, np.einsum("eq,eqij,eqj->ei", wj, grad, fx))
@@ -71,7 +71,7 @@ def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
     _, grad = scalar_tables(qs, r.elems, r.xhat)
     rot = (r.normals[..., 1, None] * grad[..., 0]
            - r.normals[..., 0, None] * grad[..., 1])
-    rhs += _scatter(n, qs.elem_dofs[qs.element_row[r.elems]],
+    rhs += _scatter(n, qs.elem_dofs[qs.rows(r.elems)],
                     CURL_SIGN * np.einsum("eq,eq,eqi->ei", r.weights, wcurl, rot))
 
     K = tri.matrix(n, n)

@@ -21,8 +21,6 @@ def gauss_lobatto_unit(degree: int) -> np.ndarray:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree == 1:
-        return np.array([0.0, 1.0])
     leg = np.polynomial.legendre.Legendre.basis(degree)
     interior = np.sort(leg.deriv().roots().real)
     pts = np.concatenate(([-1.0], interior, [1.0]))
@@ -41,15 +39,11 @@ def reference_nodes(degree: int) -> np.ndarray:
     nodes = [v]
     gl = gauss_lobatto_unit(degree)[1:-1]
     for a, b in ((0, 1), (1, 2), (2, 0)):
-        if degree >= 2:
-            nodes.append(v[a] + np.outer(gl, v[b] - v[a]))
-    if degree >= 3:
-        interior = []
-        for i in range(1, degree):
-            for j in range(1, degree - i):
-                interior.append([i / degree, j / degree])
-        nodes.append(np.array(interior))
-    out = np.vstack([n for n in nodes if len(n)])
+        nodes.append(v[a] + np.outer(gl, v[b] - v[a]))
+    interior = [[i / degree, j / degree]
+                for i in range(1, degree) for j in range(1, degree - i)]
+    nodes.append(np.reshape(interior, (-1, 2)))
+    out = np.vstack(nodes)
     assert out.shape[0] == (degree + 1) * (degree + 2) // 2
     return out
 

@@ -169,28 +169,30 @@ def _refine(M: sp.spmatrix, apply, b: np.ndarray) -> tuple[np.ndarray, float]:
     velocity rows dominates it and hides the divergence row.  Corrections
     still halving after REFINE_MAXIT steps raise `IterationError`; a
     residual then above RESIDUAL_TOL means the factorization is unusable.
+    Both errors name the steps and the last two corrections' ratio.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    x, r, last = np.zeros_like(b), b, np.inf
+    x, r, sizes = np.zeros_like(b), b, [np.inf]
     for _ in range(REFINE_MAXIT):
         dx = apply(r)
         x += dx
         r = b - M @ x
-        size = np.linalg.norm(dx)
-        if not size < 0.5 * last:
+        sizes.append(np.linalg.norm(dx))
+        if not sizes[-1] < 0.5 * sizes[-2]:
             break
-        last = size
     else:
         raise IterationError(
-            f"the correction still halved after {REFINE_MAXIT} steps; the "
-            f"last relative residual was {np.linalg.norm(r) / bnorm:.3e}")
+            f"the correction still halved after {REFINE_MAXIT} steps (last ratio "
+            f"{sizes[-1] / sizes[-2]:.3g}); the last relative residual was "
+            f"{np.linalg.norm(r) / bnorm:.3e}")
     res = float(np.linalg.norm(r) / bnorm)
     if not res <= RESIDUAL_TOL:
         raise SingularSystemError(
-            f"relative residual {res:.3e} still above {RESIDUAL_TOL:.0e} "
-            f"after iterative refinement")
+            f"relative residual {res:.3e} still above {RESIDUAL_TOL:.0e} after "
+            f"{len(sizes) - 1} steps of iterative refinement, the last two "
+            f"corrections in ratio |dx_k|/|dx_k-1| = {sizes[-1] / sizes[-2]:.3g}")
     return x, res
 
 

@@ -8,18 +8,24 @@ the continuous post-process pressure space are mapped by composition.
 Degrees of freedom are physical nodal values throughout.  The continuous
 spaces share one node numbering, the global Lagrange nodes of their elements
 in index order; the velocity space gives node i the dofs 2i and 2i+1.
+Every space builds on `_Space`: the map, through which it reaches the mesh
+(`mapping.am`), the degree, the reference element, the children `elements`
+and `rows`, the one lookup from children (an index array of any shape) to
+their rows in the space's element arrays, which raises on a child outside.
 
-Basis tables and field evaluations take element arrays, as the map does
-(see `geometry`): a 1-D array of ne child indices, at reference points
-shared, shape (nq, 2), or per element, shape (ne, nq, 2), and every result
-has a leading ne axis.  Each space is built on a map and reaches the mesh
-through it (`mapping.am`).  A field is contracted with its local
-coefficients on the reference element before it is mapped, so evaluating it
-never builds per-basis tables.  The terms with derivatives of F and J are
+Basis tables and field evaluations take element arrays, as the map does (see
+`geometry`): a 1-D array of ne child indices, at reference points shared,
+shape (nq, 2), or per element, shape (ne, nq, 2), and every result has a
+leading ne axis.  A scalar field is its `scalar_tables` contracted with its
+local coefficients.  A velocity field is contracted on the reference element
+before it is Piola mapped: its tables carry 2 n_k basis columns per point
+(12 at k = 2, against 3 for the k = 2 pressure), and reading it through them
+took a level-3 `solve_level` from 1.32-1.56 s to 2.03-2.46 s (three runs
+each, shared 2-core host).  The terms with derivatives of F and J are
 computed only for arrays that hold a moved child (`CutQuadrature` groups
 keep the others apart); on an array without one, F and J are constant per
-child and are formed once per child, then broadcast over the points, and
-so are F W, 1/J and F^{-1}.  The tables form F W elementwise, which keeps the
+child and are formed once per child, then broadcast over the points, and so
+are F W, 1/J and F^{-1}.  The tables form F W elementwise, which keeps the
 exact zeros of the affine Lagrange basis; field contractions, vectors rather
 than matrix entries, use `matmul`.
 """
@@ -41,19 +47,41 @@ __all__ = [
 ]
 
 
-class _NodalScalarSpace:
-    """Continuous composition-mapped scalar Lagrange space on `elements`, and
-    the node numbering of every continuous space: the global Lagrange nodes
-    of `elements` in index order."""
+class _Space:
+    """The children `elements` of a space, and per child of the mesh its row
+    `element_row` in the space's element arrays, -1 off the space."""
 
     def __init__(self, mapping: IsoDeformation, degree: int, elements: np.ndarray):
         self.mapping = mapping
         self.degree = degree
         self.ref = reference_element(degree)
-        self.node_set = mapping.am.lagrange_nodes(degree)
         self.elements = np.asarray(elements)
         self.element_row = np.full(mapping.am.n_children, -1, dtype=np.int64)
         self.element_row[self.elements] = np.arange(self.elements.size)
+
+    def rows(self, elems: np.ndarray) -> np.ndarray:
+        """Rows of the children `elems`, an index array of any shape; the
+        first child not in the space raises."""
+        r = self.element_row[elems]
+        if (r < 0).any():
+            raise ValueError(f"element {elems[r < 0][0]} is not in the space")
+        return r
+
+    @property
+    def n_local(self) -> int:
+        """Dofs per element."""
+        return self.elem_dofs.shape[1]
+
+
+class _NodalScalarSpace(_Space):
+    """Continuous composition-mapped scalar Lagrange space on `elements`, and
+    the node numbering of every continuous space: the global Lagrange nodes
+    of `elements` in index order.  `_comp` maps a global node to its dof,
+    -1 off the space."""
+
+    def __init__(self, mapping: IsoDeformation, degree: int, elements: np.ndarray):
+        super().__init__(mapping, degree, elements)
+        self.node_set = mapping.am.lagrange_nodes(degree)
         e2n = self.node_set.elem2node
         self.nodes = np.unique(e2n[self.elements])
         self._comp = np.full(e2n.max() + 1, -1, dtype=np.int64)
@@ -77,7 +105,7 @@ class VelocitySpace(_NodalScalarSpace):
             raise ValueError("velocity degree must be >= 2")
         super().__init__(mapping, degree, sets.active_children)
         self.n_dofs = 2 * self.n_nodes
-        self.elem_dofs = (2 * self.elem_dofs[..., None] + [0, 1]).reshape(-1, self.n_local)
+        self.elem_dofs = (2 * self.elem_dofs[..., None] + [0, 1]).reshape(self.elements.size, -1)
 
         F, J = mapping.jacobians(self.elements, reference_nodes(degree))
         if (J <= 0).any():
@@ -96,20 +124,6 @@ class VelocitySpace(_NodalScalarSpace):
             raise GeometryError(
                 f"nodal Piola blocks nearly singular on element {bad} "
                 f"(condition {self.max_local_condition:.2e})")
-
-    @property
-    def n_local(self) -> int:
-        return 2 * self.ref.n_basis
-
-
-def _rows(space, elems: np.ndarray) -> np.ndarray:
-    """Rows of the children `elems`, a 1-D array, in the space's element
-    arrays; inactive ones raise."""
-    elems = _elements(elems)
-    r = space.element_row[elems]
-    if (r < 0).any():
-        raise ValueError(f"element {elems[r < 0][0]} is not active")
-    return r
 
 
 def _jacobians(mapping: IsoDeformation, elems: np.ndarray, xhat: np.ndarray,
@@ -136,7 +150,7 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
     elems, xhat = _batch(elems, xhat)
     F, J, *curv = _jacobians(vs.mapping, elems, xhat, derivs)
     # W[e, m, c, :] = B_m e_c: the reference field of dof (m, c) is psi_m W[m, c]
-    W = np.swapaxes(vs.nodal_blocks[_rows(vs, elems)], -1, -2)[:, None]
+    W = np.swapaxes(vs.nodal_blocks[vs.rows(elems)], -1, -2)[:, None]
     psi = vs.ref.eval(xhat)[..., None, None]
     dpsi = vs.ref.grad(xhat)
     Jq = J[:, :, None, None, None]
@@ -166,26 +180,20 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
     return val.reshape(shape + (2,)), grad, div.reshape(shape)
 
 
-class PressureSpace:
+class PressureSpace(_Space):
     """Discontinuous degree k-1 pressures, mapped by composition.
 
-    Dofs are reference nodal values per active child; the space dimension is
-    (#active children) * k(k+1)/2.
+    Dofs are reference nodal values per active child, numbered child by
+    child: the row r of a child owns dofs r*n to (r+1)*n - 1, n = k(k+1)/2,
+    and the space dimension is (#active children) * n.
     """
 
     def __init__(self, sets: ElementSets, mapping: IsoDeformation, degree: int):
         if degree < 1:
             raise ValueError("pressure degree must be >= 1")
-        self.mapping = mapping
-        self.degree = degree
-        self.ref = reference_element(degree)
-        self.elements = sets.active_children
-        self.element_row = np.full(mapping.am.n_children, -1, dtype=np.int64)
-        self.element_row[self.elements] = np.arange(self.elements.size)
-        self.n_per = self.ref.n_basis
-        self.n_dofs = self.elements.size * self.n_per
-        self.elem_dofs = (self.n_per * np.arange(self.elements.size)[:, None]
-                          + np.arange(self.n_per)[None, :])
+        super().__init__(mapping, degree, sets.active_children)
+        self.n_dofs = self.elements.size * self.ref.n_basis
+        self.elem_dofs = np.arange(self.n_dofs).reshape(self.elements.size, -1)
 
 
 class MultiplierSpace(_NodalScalarSpace):
@@ -232,7 +240,7 @@ def eval_velocity(vs: VelocitySpace, elems: np.ndarray, coeffs: np.ndarray,
     elems, xhat = _batch(elems, xhat)
     F, J, *curv = _jacobians(vs.mapping, elems, xhat, derivs=True)
     c = np.asarray(coeffs).reshape(elems.size, -1, 2, 1)
-    a = (vs.nodal_blocks[_rows(vs, elems)] @ c)[..., 0]
+    a = (vs.nodal_blocks[vs.rows(elems)] @ c)[..., 0]
     vref = vs.ref.eval(xhat) @ a
     dref = np.swapaxes(a, 1, 2)[:, None] @ vs.ref.grad(xhat)
     Jq = J[..., None]
@@ -248,38 +256,26 @@ def eval_velocity(vs: VelocitySpace, elems: np.ndarray, coeffs: np.ndarray,
 
 
 @dataclass
-class VelocityField:
-    space: VelocitySpace
+class _Field:
+    space: _Space
     coeffs: np.ndarray
 
     def local_coeffs(self, elems: np.ndarray) -> np.ndarray:
         """Local dof values (ne, n_local) of the children `elems`."""
-        return self.coeffs[self.space.elem_dofs[_rows(self.space, elems)]]
+        return self.coeffs[self.space.elem_dofs[self.space.rows(_elements(elems))]]
 
+
+class VelocityField(_Field):
     def at(self, elems: np.ndarray, xhat: np.ndarray):
         return eval_velocity(self.space, elems, self.local_coeffs(elems), xhat)
 
 
-@dataclass
-class ScalarField:
-    space: object
-    coeffs: np.ndarray
-
-    def local_coeffs(self, elems: np.ndarray) -> np.ndarray:
-        """Local dof values (ne, n_local) of the children `elems`."""
-        return self.coeffs[self.space.elem_dofs[_rows(self.space, elems)]]
-
+class ScalarField(_Field):
     def at(self, elems: np.ndarray, xhat: np.ndarray, derivs: bool = True):
         """Value (ne, nq) and physical gradient (ne, nq, 2), None without
-        derivs; the coefficients are contracted on the reference element."""
-        elems, xhat = _batch(elems, xhat)
-        space = self.space
+        derivs: `scalar_tables` contracted with the local coefficients."""
         c = self.local_coeffs(elems)
-        val = (space.ref.eval(xhat) @ c[..., None])[..., 0]
-        grad = None
+        psi, grad = scalar_tables(self.space, elems, xhat, derivs)
         if derivs:
-            F, J = _jacobians(space.mapping, elems, xhat)
-            dref = c[:, None, None] @ space.ref.grad(xhat)
-            grad = (dref @ (_adjugate(F) / J[..., None, None]))[..., 0, :]
-        return val, grad
-
+            grad = (c[:, None, None] @ grad)[..., 0, :]
+        return (psi @ c[..., None])[..., 0], grad

@@ -302,6 +302,24 @@ def test_gp_rejects_boundary_facet(quartic_case_h03):
         assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, facets)
 
 
+@pytest.mark.parametrize("make", [lambda sets, mp: ContinuousPressureSpace(sets, mp, 1),
+                                  lambda sets, mp: MultiplierSpace(sets, mp, 1)],
+                         ids=["continuous_pressure", "multiplier"])
+def test_gp_rejects_owner_outside_space(quartic_case_h03, make):
+    # an owner outside the space has no dofs in it: its facet must raise
+    # and name it, not assemble onto the dofs of some other element
+    am, phi, sets, defo, quad = quartic_case_h03
+    space = make(sets, quad.mapping)
+    inside = np.zeros(am.n_children, dtype=bool)
+    inside[space.elements] = True
+    t0, t1 = am.child_mesh.facet_tris.T
+    both = np.flatnonzero((t1 >= 0) & inside[t0] & inside[np.maximum(t1, 0)])
+    one = np.flatnonzero((t1 >= 0) & inside[t0] & ~inside[np.maximum(t1, 0)])
+    facets = np.concatenate([both[:3], one[:2]])
+    with pytest.raises(ValueError, match=rf"^element {t1[one[0]]} is not in the space$"):
+        assemble_ghost_penalty(quad, space, StudyConfig().gamma_gp, facets)
+
+
 def test_gp_deformed_bounded_by_p1():
     # the penalty on the deformed band must stay as bounded as on the
     # polygonal one: an extension through a folded foreign map blew the

@@ -207,7 +207,7 @@ def test_write_data_schema(tmp_path):
     rows = [ResultRow(lvl=0, h=0.3, l2u=1.0, h1u=2.0, l2p_star=3.0,
                       l2div=4e-12),
             ResultRow(lvl=1, h=0.15, l2u=0.1, h1u=0.5, l2p_star=0.8,
-                      l2div=2e-12, cond_estimate=1e7)]
+                      l2div=2e-12)]
     path = str(tmp_path / "t.data")
     write_data(path, rows)
     lines = open(path).read().strip().split("\n")
@@ -217,7 +217,8 @@ def test_write_data_schema(tmp_path):
     assert len(cols) == 6
     assert int(cols[0]) == 0
     assert float(cols[1]) == 0.3
-    write_data(path, rows, with_condest=True)
+    # a finite condition estimate on any row adds the condest column
+    write_data(path, [rows[0], replace(rows[1], cond_estimate=1e7)])
     lines = open(path).read().strip().split("\n")
     assert lines[0] == "# lvl h l2u h1u l2p* l2d condest"
     assert len(lines[1].split()) == 7

@@ -241,3 +241,16 @@ def test_refine_damped_apply_reaches_round_off(ex1_level0):
     x, res = solver._refine(M, apply, b)
     assert res <= 1e-13
     assert len(applies) > 10
+
+
+def test_refine_diverging_apply_names_growth():
+    # 2.5 M^-1 makes each correction -1.5 times the last: the second one no
+    # longer halves, and the error names the two steps and that growth
+    rng = np.random.default_rng(20)
+    R = rng.standard_normal((20, 20))
+    M = sp.csc_matrix(R.T @ R + np.eye(20))
+    apply, applies = _counted_lu(M, 2.5)
+    with pytest.raises(SingularSystemError,
+                       match=r"after 2 steps .*\|dx_k\|/\|dx_k-1\| = 1\.5$"):
+        solver._refine(M, apply, rng.standard_normal(20))
+    assert len(applies) == 2
