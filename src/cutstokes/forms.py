@@ -215,10 +215,13 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
     composition polynomial, evaluated at foreign reference coordinates of
     the undeformed children.  Both owners' integrals enter one symmetric
     block per facet on the patch's unique dofs, the same count on every facet.
-    A facet that is not interior, or an owner outside the space, raises.
+    `facets` is a 1-D sequence of facet indices, by default every ghost
+    penalty facet.  A facet that is not interior, or an owner outside the
+    space, raises.
     """
     if facets is None:
         facets = quad.sets.gp_facets
+    facets = np.asarray(facets, dtype=np.int64)
     sides = quad.am.child_mesh.facet_tris[facets]
     bad = facets[sides[:, 1] < 0]
     if bad.size:

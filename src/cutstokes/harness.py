@@ -212,6 +212,8 @@ class StudyConfig:
             raise ValueError("h0 must be positive")
         if self.gamma_n <= 0:
             raise ValueError(f"gamma_n must be positive, got {self.gamma_n}")
+        if self.vtk and not self.out:
+            raise ValueError("vtk needs an output directory, but out is empty")
 
 
 @dataclass
@@ -366,7 +368,7 @@ def run_convergence(cfg: StudyConfig):
     for lvl in range(cfg.levels):
         row, state = solve_level(cfg, lvl, exact)
         rows.append(row)
-        if cfg.out and cfg.vtk:
+        if cfg.vtk:
             os.makedirs(cfg.out, exist_ok=True)
             write_vtk(os.path.join(cfg.out, f"{_study_tag(cfg)}_lvl{lvl}.vtk"),
                       state)
@@ -403,6 +405,9 @@ def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
     shifts are independent, so they fan out over cfg.workers processes.  The
     manifest records the mesh size h as `h0`.
     """
+    if cfg.example != 1:
+        raise ValueError(f"the sweep shifts the interface of example 1, "
+                         f"got example = {cfg.example}")
     if n < 1:
         raise ValueError(f"the sweep needs n >= 1 shift steps, got n = {n}")
     items = [(cfg, i, h, n) for i in range(n + 1)]
@@ -445,16 +450,32 @@ def _write_text(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the study table: header, ResultRow field, console format and whether the
+# console adds its EOC; columns are only appended, so their numbers keep
+_STUDY_COLUMNS = (("lvl", "lvl", "4d", False),
+                  ("h", "h", "10.4e", False),
+                  ("l2u", "l2u", "11.4e", True),
+                  ("h1u", "h1u", "11.4e", True),
+                  ("l2p*", "l2p_star", "11.4e", True),
+                  ("l2d", "l2div", "10.2e", False),
+                  ("h1p*", "h1p_star", "11.4e", True))
+
+
+def _study_columns(rows) -> tuple:
+    """The study columns of `rows`, condest last when a row has an estimate."""
+    if any(np.isfinite(r.cond_estimate) for r in rows):
+        return _STUDY_COLUMNS + (("condest", "cond_estimate", "11.4e", False),)
+    return _STUDY_COLUMNS
+
+
 def write_data(path: str, rows) -> None:
-    """The study table, with a condest column when a row has an estimate."""
-    with_condest = any(np.isfinite(r.cond_estimate) for r in rows)
-    lines = ["# lvl h l2u h1u l2p* l2d" + (" condest" if with_condest else "")]
+    """The study table `lvl h l2u h1u l2p* l2d h1p*`, then `condest` when a
+    row has an estimate; floats are written as `_FMT`."""
+    cols = _study_columns(rows)
+    lines = ["# " + " ".join(head for head, *_ in cols)]
     for r in rows:
-        cells = [str(r.lvl), _fmt(r.h), _fmt(r.l2u), _fmt(r.h1u),
-                 _fmt(r.l2p_star), _fmt(r.l2div)]
-        if with_condest:
-            cells.append(_fmt(r.cond_estimate))
-        lines.append(" ".join(cells))
+        vals = (getattr(r, field) for _, field, *_ in cols)
+        lines.append(" ".join(str(v) if isinstance(v, int) else _fmt(v) for v in vals))
     _write_text(path, lines)
 
 

@@ -300,6 +300,18 @@ def test_gp_rejects_boundary_facet(quartic_case_h03):
     facets = np.concatenate([sets.gp_facets[:3], boundary[[4, 2]]])
     with pytest.raises(ValueError, match=rf"^facet {boundary[4]} is not interior$"):
         assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, facets)
+    # a list is taken as the equal array, and its checks still run
+    with pytest.raises(ValueError, match=rf"^facet {boundary[4]} is not interior$"):
+        assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, facets.tolist())
+
+
+def test_gp_facets_as_list(quartic_case_h03):
+    am, phi, sets, defo, quad = quartic_case_h03
+    vs = VelocitySpace(sets, quad.mapping, 2)
+    facets = sets.gp_facets[:5]
+    G = assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, facets)
+    L = assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, facets.tolist())
+    assert G.nnz > 0 and (G != L).nnz == 0
 
 
 @pytest.mark.parametrize("make", [lambda sets, mp: ContinuousPressureSpace(sets, mp, 1),

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 from dataclasses import fields, replace
@@ -161,6 +162,9 @@ def test_config_validation():
         StudyConfig(h0=-0.1)
     with pytest.raises(ValueError, match="gamma_n must be positive, got 0"):
         StudyConfig(gamma_n=0)
+    # the fields would be written nowhere
+    with pytest.raises(ValueError, match="vtk needs an output directory"):
+        StudyConfig(vtk=True)
 
 
 def test_result_row_validation():
@@ -211,17 +215,17 @@ def test_write_data_schema(tmp_path):
     path = str(tmp_path / "t.data")
     write_data(path, rows)
     lines = open(path).read().strip().split("\n")
-    assert lines[0] == "# lvl h l2u h1u l2p* l2d"
+    assert lines[0] == "# lvl h l2u h1u l2p* l2d h1p*"
     assert len(lines) == 3
     cols = lines[1].split()
-    assert len(cols) == 6
+    assert len(cols) == 7
     assert int(cols[0]) == 0
     assert float(cols[1]) == 0.3
     # a finite condition estimate on any row adds the condest column
     write_data(path, [rows[0], replace(rows[1], cond_estimate=1e7)])
     lines = open(path).read().strip().split("\n")
-    assert lines[0] == "# lvl h l2u h1u l2p* l2d condest"
-    assert len(lines[1].split()) == 7
+    assert lines[0] == "# lvl h l2u h1u l2p* l2d h1p* condest"
+    assert len(lines[1].split()) == 8
 
 
 def test_reproducible_outputs(tmp_path):
@@ -245,7 +249,7 @@ def test_cli_converge(tmp_path, capsys):
                    "--out", out])
     assert rc == 0
     data = open(os.path.join(out, "converge_ex1_ho.data")).read()
-    assert data.startswith("# lvl h l2u h1u l2p* l2d")
+    assert data.split("\n")[0] == "# lvl h l2u h1u l2p* l2d h1p*"
     table = capsys.readouterr().out
     assert "lvl" in table and "eoc" in table
 
@@ -254,17 +258,53 @@ def test_cli_noflow(tmp_path):
     # the six-lobed star needs the standard h0; coarser meshes cannot
     # bracket the deformation roots
     out = str(tmp_path / "run")
-    rc = cli_main(["noflow", "--levels", "1", "--out", out])
+    rc = cli_main(["converge", "--example", "2", "--levels", "1", "--out", out])
     assert rc == 0
     assert os.path.exists(os.path.join(out, "noflow_lm1.data"))
 
 
 def test_cli_noflow_reports_kept_nodes(tmp_path, capsys):
     # the coarse star leaves deformation nodes in place; the run says which
-    rc = cli_main(["noflow", "--levels", "1", "--out", str(tmp_path / "run")])
+    rc = cli_main(["converge", "--example", "2", "--levels", "1",
+                   "--out", str(tmp_path / "run")])
     assert rc == 0
     table = capsys.readouterr().out
     assert "lvl 0: 4 deformation nodes left in place" in table
+
+
+def test_cli_flags_per_subcommand():
+    # each subcommand takes only the flags its driver reads
+    declared = {
+        "converge": {"--config", "--example", "--levels", "--k", "--k-lambda", "--h0",
+                     "--geom", "--gamma-n", "--gamma-gp", "--gamma-lambda", "--out",
+                     "--vtk", "--condest"},
+        "sweep": {"--config", "--k", "--k-lambda", "--h0", "--geom", "--gamma-n",
+                  "--gamma-gp", "--gamma-lambda", "--out", "--workers", "--shifts"},
+        "dump-geom": {"--config", "--example", "--k", "--h0", "--geom", "--out",
+                      "--level"},
+    }
+    sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == declared
+    assert sum(map(len, got.values())) == 31
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--example", "2"], ["sweep", "--levels", "3"],
+                                  ["converge", "--workers", "2"],
+                                  ["dump-geom", "--gamma-n", "7"],
+                                  ["converge", "--vtk"], ["noflow"]])
+def test_cli_usage_errors(argv, monkeypatch):
+    # a flag the subcommand does not read, a VTK dump with nowhere to go and
+    # the removed `noflow` are usage errors, refused before anything runs
+    def never(*args, **kwargs):
+        raise AssertionError("a driver started")
+
+    for name in ("run_convergence", "run_interface_sweep", "build_geometry"):
+        monkeypatch.setattr(cli, name, never)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_dump_geom(tmp_path):
@@ -349,6 +389,19 @@ def test_sweep_manifest_records_run_mesh_size(tmp_path):
     out = str(tmp_path / "sweep")
     run_interface_sweep(StudyConfig(h0=0.3, out=out), h=0.25, n=1)
     assert read_config(os.path.join(out, "sweep.manifest")).h0 == 0.25
+
+
+def test_sweep_rejects_other_examples(tmp_path, monkeypatch):
+    # the sweep shifts example 1's interface: another example is refused
+    # before any shift runs, not swept as example 1 under its name
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(harness, "_sweep_one", never)
+    cfg = StudyConfig(example=2, out=str(tmp_path / "sweep"))
+    with pytest.raises(ValueError, match="got example = 2"):
+        run_interface_sweep(cfg, h=0.25, n=1)
+    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("n", [0, -1])
