@@ -216,19 +216,21 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
     the undeformed children.  Both owners' integrals enter one symmetric
     block per facet on the patch's unique dofs, the same count on every facet.
     `facets` is a 1-D sequence of facet indices, by default every ghost
-    penalty facet.  A facet that is not interior, or an owner outside the
-    space, raises.
+    penalty facet; none gives the zero matrix.  A facet that is not
+    interior, or an owner outside the space, raises.
     """
-    if facets is None:
-        facets = quad.sets.gp_facets
-    facets = np.asarray(facets, dtype=np.int64)
+    facets = np.asarray(quad.sets.gp_facets if facets is None else facets, dtype=np.int64)
+    n = space.n_dofs
+    if facets.ndim != 1:
+        raise ValueError(f"facets must be a 1-D sequence, got shape {facets.shape}")
+    if not facets.size:
+        return sp.csr_matrix((n, n))
     sides = quad.am.child_mesh.facet_tris[facets]
     bad = facets[sides[:, 1] < 0]
     if bad.size:
         raise ValueError(f"facet {bad[0]} is not interior")
     side_dofs = space.elem_dofs[space.rows(sides)]
     scale = gamma_gp / quad.am.macro.h ** 2
-    n = space.n_dofs
     owners, where = np.unique(sides, return_inverse=True)
     x, Jw, val, coef = _extensions(quad, space, owners)
     where = where.reshape(sides.shape)
@@ -335,52 +337,55 @@ def pressure_mass_inverse(quad: CutQuadrature, ps: PressureSpace) -> sp.csr_matr
 
 @dataclass
 class SaddleSystem:
-    """Assembled symmetric system over (u, p, lambda, s), with the pressure
-    data of the penalty solve: `z_p` (see `pressure_kernel`) and the inverse
-    pressure mass `mass_inv`."""
+    """The symmetric saddle system over (u, p, lambda, s), held as its
+    blocks: the velocity block A (with the ghost penalty), the divergence B,
+    the multiplier coupling C and its stabilizer J, the pressure mean vector
+    `mean` and the right-hand side `rhs`, with the data of the penalty solve
+    (`solver.PenaltyFactor`): the kernel part `z_p` (see `pressure_kernel`)
+    and the inverse pressure mass `mass_inv`.
 
-    matrix: sp.csr_matrix
+    It is the only owner of the layout [[A, B^T, C^T, 0], [B, 0, 0, m],
+    [C, 0, J, 0], [0, m^T, 0, 0]], m = `mean`: `split` cuts a vector into its
+    parts, and `matrix` glues the blocks anew on each access and keeps no
+    copy, so the glued matrix exists only while a solve reads it.  Its
+    transposed blocks reuse the stored values: it is exactly symmetric.
+    """
+
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
+    J: sp.csr_matrix
+    mean: np.ndarray
     rhs: np.ndarray
+    z_p: np.ndarray
+    mass_inv: sp.csr_matrix
     n_u: int
     n_p: int
     n_m: int
-    z_p: np.ndarray
-    mass_inv: sp.csr_matrix
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        m = sp.csr_matrix(self.mean.reshape(-1, 1))
+        return sp.bmat([[self.A, self.B.T, self.C.T, None], [self.B, None, None, m],
+                        [self.C, None, self.J, None], [None, m.T, None, None]], format="csr")
 
     def split(self, x: np.ndarray):
-        u = x[:self.n_u]
-        p = x[self.n_u:self.n_u + self.n_p]
-        lam = x[self.n_u + self.n_p:self.n_u + self.n_p + self.n_m]
+        """(u, p, lambda, s) of a vector over the layout, views of x."""
+        u, p, lam = np.split(x[:-1], [self.n_u, self.n_u + self.n_p])
         return u, p, lam, float(x[-1])
 
 
 def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
                         J: sp.spmatrix, mean: np.ndarray, rhs_u: np.ndarray,
                         z_p: np.ndarray, mass_inv: sp.spmatrix) -> SaddleSystem:
-    """Assemble the blocks into one symmetric matrix.
-
-    Layout [[A, B^T, C^T, 0], [B, 0, 0, m], [C, 0, J, 0], [0, m^T, 0, 0]]
-    with m the pressure mean vector; the transposed blocks reuse the stored
-    values, so the result is exactly symmetric.
-
-    Without the mean row and the s column the (u, p, lambda) block has one
-    null vector, (0, z_p, 1): the pressure-space projection of the fluid
-    indicator with a constant multiplier, for which the pressure and the
-    interface flux terms cancel.  The mean row fixes its amplitude.  The
-    solver never factors the dense row: `solver.PenaltyFactor` iterates on
-    the velocity-multiplier block with `z_p` and `mass_inv`.
-    """
+    """The `SaddleSystem` of the blocks, with the velocity load rhs_u and
+    zero elsewhere; blocks of inconsistent dimensions raise."""
     n_u, n_p, n_m = A.shape[0], B.shape[0], C.shape[0]
     if (A.shape != (n_u, n_u) or B.shape != (n_p, n_u)
             or C.shape != (n_m, n_u) or J.shape != (n_m, n_m)
             or mean.shape != (n_p,) or rhs_u.shape != (n_u,)
             or z_p.shape != (n_p,) or mass_inv.shape != (n_p, n_p)):
         raise ValueError("saddle blocks have inconsistent dimensions")
-    mcol = sp.csr_matrix(mean.reshape(-1, 1))
-    M = sp.bmat([[A, B.T, C.T, None],
-                 [B, None, None, mcol],
-                 [C, None, J, None],
-                 [None, mcol.T, None, None]], format="csr")
-    rhs = np.zeros(M.shape[0])
-    rhs[:n_u] = rhs_u
-    return SaddleSystem(M, rhs, n_u, n_p, n_m, z_p, sp.csr_matrix(mass_inv))
+    return SaddleSystem(*map(sp.csr_matrix, (A, B, C, J)), mean,
+                        np.concatenate([rhs_u, np.zeros(n_p + n_m + 1)]), z_p,
+                        sp.csr_matrix(mass_inv), n_u, n_p, n_m)

@@ -206,8 +206,10 @@ class StudyConfig:
             raise ValueError(f"unknown example id {self.example}")
         if self.geom not in ("ho", "p1"):
             raise ValueError(f"geometry mode must be 'ho' or 'p1', got {self.geom!r}")
-        if self.levels < 1:
-            raise ValueError("need at least one level")
+        for name, low in (("levels", 1), ("k", 2), ("k_lambda", 1), ("workers", 1),
+                          ("gamma_gp", 0), ("gamma_lambda", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.h0 <= 0:
             raise ValueError("h0 must be positive")
         if self.gamma_n <= 0:
@@ -429,13 +431,8 @@ def compute_eoc(errors) -> list:
     """log2 ratios of consecutive errors under h-halving; None where a zero
     error makes the rate undefined."""
     errors = list(errors)
-    out = []
-    for a, b in zip(errors[:-1], errors[1:]):
-        if a > 0 and b > 0:
-            out.append(float(np.log2(a / b)))
-        else:
-            out.append(None)
-    return out
+    return [float(np.log2(a / b)) if a > 0 and b > 0 else None
+            for a, b in zip(errors[:-1], errors[1:])]
 
 
 _FMT = "%.10e"

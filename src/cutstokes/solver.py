@@ -2,16 +2,18 @@
 augmented-Lagrangian step on the velocity-multiplier block as the
 preconditioner.
 
-The Stokes saddle matrix is M = [[K, c], [c^T, 0]]: K is the (u, p, lambda)
-block and c = (0, m, 0) the zero-mean row of the pressure.  K alone has
-exactly one null vector, z = (0, z_p, 1): the projection of the fluid
-indicator onto the pressure space (the discrete constant pressure of
-Omega_h, which is not constant on cut children and changes sign there)
-paired with a constant multiplier, so that the pressure term cancels the
-interface flux term.  The mean row fixes the amplitude of z.  It is dense
-over every pressure dof and doubles the LU fill, so it is never factored:
-the part of the right-hand side along z fixes s, the rest is solved with K,
-and the mean row is met by adding a multiple of z.
+`forms.SaddleSystem` owns the (u, p, lambda, s) layout; this module reads
+its blocks A, B, C, J and the mean vector m by name and cuts vectors by its
+`split`.  The glued matrix is M = [[K, c], [c^T, 0]]: K is the
+(u, p, lambda) block and c = (0, m, 0) the zero-mean row of the pressure.
+K alone has exactly one null vector, z = (0, z_p, 1): the projection of
+the fluid indicator onto the pressure space (the discrete constant
+pressure of Omega_h, which is not constant on cut children and changes
+sign there) paired with a constant multiplier, so that the pressure term
+cancels the interface flux term.  The mean row fixes the amplitude of z.
+It is dense over every pressure dof and doubles the LU fill, so it is never
+factored: the part of the right-hand side along z fixes s, the rest is
+solved with K, and the mean row is met by adding a multiple of z.
 
 `PenaltyFactor` does not factor the pressure either.  The Scott-Vogelius
 pair has div V_h = Q_h, so the iterated penalty of Scott and Vogelius (the
@@ -21,7 +23,7 @@ M_p is the pressure mass, block diagonal because the pressure is
 discontinuous per child, so A + rho B^T M_p^-1 B has the sparsity of A.
 W has a sixth of the fill of K (made regular by pinning one multiplier
 dof) at level 0 and a twentieth at level 4.  z comes from the assembly
-(`SaddleSystem.z_p`) and is checked, not computed.
+(`SaddleSystem.z_p`) and is checked on the blocks, not computed.
 
 `PenaltyFactor.step` is one penalty step from p = 0, an approximate M^-1
 that costs one pair of triangular solves.  `_refine` is the only loop: the
@@ -35,10 +37,11 @@ rho M_p^-1 (B u - r_p).  A solve whose relative residual then lies above
 `solve_direct`.
 
 `solve_saddle` runs the loop once and `condition_estimate` once per
-Lanczos step.  M is symmetric, so its condition number is
-|lambda|_max(M) |lambda|_max(M^-1), and each factor is found by the
-implicitly restarted Lanczos method of ARPACK (`eigsh`) from a fixed start
-vector, so repeated estimates are equal.
+Lanczos step.  Both factor W first and glue M (`SaddleSystem.matrix`)
+afterwards, so M is never alive while SuperLU factors.  M is symmetric, so
+its condition number is |lambda|_max(M) |lambda|_max(M^-1), and each
+factor is found by the implicitly restarted Lanczos method of ARPACK
+(`eigsh`) from a fixed start vector, so repeated estimates are equal.
 """
 
 from __future__ import annotations
@@ -110,31 +113,26 @@ class PenaltyFactor:
     """
 
     def __init__(self, system: SaddleSystem):
-        M = sp.csr_matrix(system.matrix)
-        n_u, n_p, n_m = system.n_u, system.n_p, system.n_m
-        z = np.concatenate([np.zeros(n_u), system.z_p, np.ones(n_m)])
-        zz = np.append(z, 0.0)
-        kz = np.linalg.norm((M @ zz)[:-1])
-        kz_size = np.linalg.norm((abs(M) @ abs(zz))[:-1])
-        # compared without dividing: z may meet only zero columns of K
+        B, C, J, z_p = system.B, system.C, system.J, system.z_p
+        one, zero_u = np.ones(system.n_m), np.zeros(system.n_u)
+        self.z = z = np.concatenate([zero_u, z_p, one])
+        # K z = (B^T z_p + C^T 1, 0, J 1); compared without dividing: z may
+        # meet only zero columns of K
+        kz = np.linalg.norm(np.append(B.T @ z_p + C.T @ one, J @ one))
+        kz_size = np.linalg.norm(np.append(abs(B).T @ abs(z_p) + abs(C).T @ one, abs(J) @ one))
         if not kz <= KERNEL_TOL * kz_size:
             raise SingularSystemError(
                 "the assembled kernel (0, z_p, 1) is not a null vector of the "
                 f"saddle block: |Kz| = {kz:.3e}, |K||z| = {kz_size:.3e}")
-        c = M[:-1, [-1]].toarray().ravel()
+        c = np.concatenate([zero_u, system.mean, np.zeros(system.n_m)])
         self._cz = float(c @ z)
         if not abs(self._cz) > KERNEL_TOL * np.linalg.norm(c) * np.linalg.norm(z):
             raise SingularSystemError(
                 "the mean row does not fix the assembled kernel (0, z_p, 1): "
                 f"c.z = {self._cz:.3e}")
-        self.z, self._mean = z, c[n_u:n_u + n_p]
-        self._n = (n_u, n_p, n_m)
-        lam = slice(n_u + n_p, n_u + n_p + n_m)
-        self._B = M[n_u:n_u + n_p, :n_u]
-        self._Bt = sp.csr_matrix(self._B.T)
-        self._Minv = system.mass_inv
-        A = M[:n_u, :n_u] + PENALTY_RHO * (self._Bt @ self._Minv @ self._B)
-        W = sp.bmat([[A, M[:n_u, lam]], [M[lam, :n_u], M[lam, lam]]], format="csc")
+        self._system, self._Bt, self._Minv = system, sp.csr_matrix(B.T), system.mass_inv
+        A = system.A + PENALTY_RHO * (self._Bt @ self._Minv @ B)
+        W = sp.bmat([[A, C.T], [C, J]], format="csc")
         self._lu = _splu(W, "penalty velocity-multiplier block", **PENALTY_LU)
         # entries SuperLU stores for L and U; copying L and U out to count
         # their nonzeros would raise the peak memory
@@ -143,18 +141,16 @@ class PenaltyFactor:
 
     def step(self, r: np.ndarray) -> np.ndarray:
         """An approximate M^-1 r, for r = (r_K, r_beta) of length n + 1."""
-        n_u, n_p, n_m = self._n
-        z, m = self.z, self._mean
+        system, z = self._system, self.z
         s = float(z @ r[:-1]) / self._cz
-        r_u, r_p, r_m = np.split(r[:-1], [n_u, n_u + n_p])
-        r_p = r_p - s * m
+        r_u, r_p, r_m, r_beta = system.split(r)
+        r_p = r_p - s * system.mean
         self.steps += 1
-        y = self._lu.solve(np.concatenate(
-            [r_u + PENALTY_RHO * (self._Bt @ (self._Minv @ r_p)), r_m]))
-        u = y[:n_u]
-        p = PENALTY_RHO * (self._Minv @ (self._B @ u - r_p))
-        x = np.concatenate([u, p, y[n_u:]])
-        x += (r[-1] - m @ p) / self._cz * z
+        u, lam = np.split(self._lu.solve(np.concatenate(
+            [r_u + PENALTY_RHO * (self._Bt @ (self._Minv @ r_p)), r_m])), [system.n_u])
+        p = PENALTY_RHO * (self._Minv @ (system.B @ u - r_p))
+        x = np.concatenate([u, p, lam])
+        x += (r_beta - system.mean @ p) / self._cz * z
         return np.append(x, s)
 
 
@@ -243,7 +239,7 @@ def condition_estimate(system: SaddleSystem) -> float:
     `PenaltyFactor.step`.
     """
     factor = PenaltyFactor(system)
-    M = sp.csc_matrix(system.matrix)
+    M = system.matrix
     inverse = spla.LinearOperator(
         M.shape, matvec=lambda v: _refine(M, factor.step, v)[0], dtype=float)
     return _largest_magnitude(M) * _largest_magnitude(inverse)

@@ -314,6 +314,19 @@ def test_gp_facets_as_list(quartic_case_h03):
     assert G.nnz > 0 and (G != L).nnz == 0
 
 
+def test_gp_facets_empty_and_not_flat(quartic_case_h03):
+    # no facets assemble the zero matrix; a 2-D facet array is refused by its
+    # shape, not read as elements of the space
+    am, phi, sets, defo, quad = quartic_case_h03
+    vs = VelocitySpace(sets, quad.mapping, 2)
+    for empty in (np.array([], dtype=int), []):
+        G = assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp, empty)
+        assert G.shape == (vs.n_dofs, vs.n_dofs) and G.nnz == 0
+    with pytest.raises(ValueError, match=r"1-D sequence, got shape \(2, 2\)"):
+        assemble_ghost_penalty(quad, vs, StudyConfig().gamma_gp,
+                               sets.gp_facets[:4].reshape(2, 2))
+
+
 @pytest.mark.parametrize("make", [lambda sets, mp: ContinuousPressureSpace(sets, mp, 1),
                                   lambda sets, mp: MultiplierSpace(sets, mp, 1)],
                          ids=["continuous_pressure", "multiplier"])
@@ -414,10 +427,25 @@ def test_rhs_matches_tables(ex1_quads):
 
 def test_saddle_layout(case, solved_lvl0):
     _, st = solved_lvl0
-    M = st.system.matrix
+    system = st.system
+    M = system.matrix
     D = (M - M.T).tocoo()
     assert D.nnz == 0 or np.abs(D.data).max() == 0.0
     assert M.shape[0] == st.vs.n_dofs + st.ps.n_dofs + st.ms.n_dofs + 1
+    # each documented block of the glued matrix is the stored block, bit for
+    # bit, and every other block is empty
+    m = sp.csr_matrix(system.mean.reshape(-1, 1))
+    layout = [[system.A, system.B.T, system.C.T, None], [system.B, None, None, m],
+              [system.C, None, system.J, None], [None, m.T, None, None]]
+    ends = np.cumsum([0, system.n_u, system.n_p, system.n_m, 1])
+    for i, row in enumerate(layout):
+        for j, want in enumerate(row):
+            got = M[ends[i]:ends[i + 1], ends[j]:ends[j + 1]]
+            if want is None:
+                assert got.nnz == 0
+            else:
+                assert got.shape == want.shape and (got != want).nnz == 0
+                assert np.array_equal(got.toarray(), want.toarray())
 
 
 def test_saddle_dimension_mismatch(case):
@@ -438,8 +466,7 @@ def test_pressure_kernel_and_mass(solved_lvl0):
     inside = ps.elem_dofs[ps.element_row[st.quad.inside_elems]]
     assert np.abs(system.z_p[inside] - 1.0).max() <= 1e-13
     # the mean row is the mass matrix applied to the constant 1
-    mean = system.matrix[system.n_u:system.n_u + system.n_p, -1].toarray().ravel()
-    assert np.abs(system.mass_inv @ mean - 1.0).max() <= 1e-12
+    assert np.abs(system.mass_inv @ system.mean - 1.0).max() <= 1e-12
 
 
 def test_velocity_block_positive_definite(case):

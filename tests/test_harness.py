@@ -165,6 +165,13 @@ def test_config_validation():
     # the fields would be written nowhere
     with pytest.raises(ValueError, match="vtk needs an output directory"):
         StudyConfig(vtk=True)
+    # no Scott-Vogelius pair below k = 2, no multiplier space below degree 1,
+    # no negative stabilization and no pool without workers
+    for name, low, bad in (("k", 2, 1), ("k_lambda", 1, 0), ("workers", 1, 0),
+                           ("gamma_gp", 0, -0.1), ("gamma_lambda", 0, -0.1)):
+        with pytest.raises(ValueError, match=rf"^{name} must be at least {low}, got {bad}$"):
+            StudyConfig(**{name: bad})
+    StudyConfig(gamma_gp=0.0, gamma_lambda=0.0)
 
 
 def test_result_row_validation():
@@ -293,10 +300,13 @@ def test_cli_flags_per_subcommand():
 @pytest.mark.parametrize("argv", [["sweep", "--example", "2"], ["sweep", "--levels", "3"],
                                   ["converge", "--workers", "2"],
                                   ["dump-geom", "--gamma-n", "7"],
-                                  ["converge", "--vtk"], ["noflow"]])
+                                  ["converge", "--vtk"], ["noflow"],
+                                  ["converge", "--k", "1"], ["sweep", "--workers", "0"],
+                                  ["converge", "--gamma-gp", "-0.1"]])
 def test_cli_usage_errors(argv, monkeypatch):
-    # a flag the subcommand does not read, a VTK dump with nowhere to go and
-    # the removed `noflow` are usage errors, refused before anything runs
+    # a flag the subcommand does not read, a VTK dump with nowhere to go, the
+    # removed `noflow` and a config `StudyConfig` refuses are usage errors,
+    # refused before anything runs
     def never(*args, **kwargs):
         raise AssertionError("a driver started")
 

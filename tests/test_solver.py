@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutstokes import solver
-from cutstokes.forms import build_saddle_system
+from cutstokes.forms import SaddleSystem, build_saddle_system
 from cutstokes.harness import StudyConfig, solve_level
 from cutstokes.solver import (IterationError, PenaltyFactor,
                               SingularSystemError, condition_estimate,
@@ -86,15 +86,14 @@ def _relerr(x, ref):
 
 def test_saddle_factor_null_vector(ex1_level0):
     system = ex1_level0.system
-    n_u, n_p = system.n_u, system.n_p
     z_p = system.z_p
-    z = np.concatenate([np.zeros(n_u), z_p, np.ones(system.n_m)])
+    z = np.concatenate([np.zeros(system.n_u), z_p, np.ones(system.n_m)])
     K = system.matrix[:-1, :-1]
     assert np.linalg.norm(K @ z) <= 1e-12 * np.linalg.norm(abs(K) @ abs(z))
     # z_p is the pressure projection of the fluid indicator, so the mean row
     # integrates it to the fluid area (up to the interface rule, which sets
     # z, against the volume rule); it is not constant and changes sign
-    mean = system.matrix[n_u:n_u + n_p, -1].toarray().ravel()
+    mean = system.mean
     area = areas(ex1_level0.quad)[0]
     assert abs(mean @ z_p - area) <= 1e-3 * area
     assert z_p.min() < 0.0 < z_p.max()
@@ -162,6 +161,21 @@ def test_penalty_solve_matches_direct(ex1_level0):
         assert _relerr(x, solve_direct(system.matrix, rhs)) <= 1e-10
 
 
+def test_matrix_glued_only_after_the_factor(ex1_level0, monkeypatch):
+    # the factor reads the blocks alone; a solve and an estimate each glue
+    # the matrix once, after SuperLU has factored W
+    events, glue, splu = [], SaddleSystem.matrix.fget, solver._splu
+    monkeypatch.setattr(SaddleSystem, "matrix",
+                        property(lambda s: events.append("glue") or glue(s)))
+    monkeypatch.setattr(solver, "_splu",
+                        lambda *a, **kw: events.append("factor") or splu(*a, **kw))
+    system = ex1_level0.system
+    for run in (PenaltyFactor, solve_saddle, condition_estimate):
+        events.clear()
+        run(system)
+        assert events == ["factor"] + ["glue"] * (run is not PenaltyFactor)
+
+
 def test_penalty_fill_below_saddle_factor(ex1_level0):
     system, sol = ex1_level0.system, ex1_level0.sol
     penalty = PenaltyFactor(system)
@@ -198,12 +212,11 @@ def test_pressure_only_load(ex1_level0):
     # the first penalty step's u carries the whole load and the solution's u
     # vanishes, so a stop test relative to the current |B||u| is never met
     system = ex1_level0.system
-    n_u, n_p = system.n_u, system.n_p
+    n_p = system.n_p
     q = np.random.default_rng(18).standard_normal(n_p)
-    mean = system.matrix[n_u:n_u + n_p, -1].toarray().ravel()
+    mean = system.mean
     q -= (mean @ q) / (mean @ system.z_p) * system.z_p
-    rhs = np.zeros(system.matrix.shape[0])
-    rhs[:n_u] = system.matrix[:n_u, n_u:n_u + n_p] @ q
+    rhs = np.concatenate([system.B.T @ q, np.zeros(n_p + system.n_m + 1)])
     sol = solve_saddle(replace(system, rhs=rhs))
     assert sol.residual <= 1e-12
     assert np.linalg.norm(sol.u) <= 1e-12 * np.linalg.norm(q)
