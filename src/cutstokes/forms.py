@@ -14,7 +14,7 @@ two owners' dofs are folded onto the patch dofs by index arrays.
 
 All matrices are returned in CSR form.  Symmetric local blocks are mirrored
 from their upper triangle before insertion.  The blocks are merged by two
-stable counting passes, by column and then by row (see `_Triplets`), which
+stable counting passes, by column and then by row (see `_csr`), which
 sum the duplicates of every entry in insertion order; an entry and its
 mirror are thus summed in the same order, so assembled matrices are exactly
 symmetric and bit-reproducible run to run.
@@ -40,54 +40,46 @@ __all__ = [
 ]
 
 
-class _Triplets:
-    """Local blocks merged deterministically into CSR, without a sort.
+def _csr(nrows: int, ncols: int, blocks: list) -> sp.csr_matrix:
+    """The sum of local blocks, each (rows (ne, nr), cols (ne, nc), vals
+    (ne, nr, nc)), as a CSR matrix of shape (nrows, ncols), without a sort.
 
-    The blocks are kept as handed in.  `matrix` reads them as one CSR matrix
-    with a row per (block, element, local row), its "runs", and merges it by
-    two stable counting passes: `tocsc` groups the entries by column, and,
-    with each run relabelled to its global row, `tocsr` groups them by row.
-    Each row then holds its columns in ascending order, and the duplicates
-    of an entry side by side in insertion order, which `sum_duplicates` adds
-    from left to right.  An entry and its mirror are thus summed in the same
-    order, so a matrix built from symmetric blocks is exactly symmetric.
+    The blocks are read as one CSR matrix with a row per (block, element,
+    local row), its "runs", which is merged by two stable counting passes:
+    `tocsc` groups the entries by column, and, with each run relabelled to
+    its global row, `tocsr` groups them by row.  Each row then holds its
+    columns in ascending order, and the duplicates of an entry side by side
+    in insertion order, which `sum_duplicates` adds from left to right.  An
+    entry and its mirror are thus summed in the same order, so a matrix
+    built from symmetric blocks is exactly symmetric.  Each entry of
+    `blocks` is set to None once it is copied, so a block that only the
+    list holds is freed before the counting passes run.
     """
-
-    def __init__(self):
-        self._blocks = []
-
-    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        """Local blocks vals (ne, nr, nc) at rows (ne, nr) and cols (ne, nc)."""
-        self._blocks.append((rows, cols, vals))
-
-    def matrix(self, nrows: int, ncols: int) -> sp.csr_matrix:
-        """The sum of the blocks, shape (nrows, ncols); empties the buffer."""
-        blocks, self._blocks = self._blocks, []
-        n = sum(v.size for _, _, v in blocks)
-        runs = sum(r.size for r, _, _ in blocks)
-        if not n:
-            return sp.csr_matrix((nrows, ncols))
-        # scipy's index rule: 32-bit indices while every count fits
-        idx = np.int32 if max(n, runs, nrows, ncols) <= np.iinfo(np.int32).max else np.int64
-        data = np.empty(n)
-        cols = np.empty(n, dtype=idx)
-        indptr = np.zeros(runs + 1, dtype=idx)
-        row_of_run = np.empty(runs, dtype=idx)
-        at = run = 0
-        for i, (r, c, v) in enumerate(blocks):
-            data[at:at + v.size].reshape(v.shape)[...] = v
-            cols[at:at + v.size].reshape(v.shape)[...] = c[:, None]
-            indptr[run + 1:run + r.size + 1] = at + c.shape[1] * np.arange(1, r.size + 1)
-            row_of_run[run:run + r.size] = r.ravel()
-            at, run = at + v.size, run + r.size
-            blocks[i] = None
-        M = sp.csr_matrix((data, cols, indptr), shape=(runs, ncols)).tocsc()
-        del data, cols, indptr
-        M = sp.csc_matrix((M.data, row_of_run[M.indices], M.indptr), shape=(nrows, ncols))
-        del row_of_run
-        M = M.tocsr()
-        M.sum_duplicates()
-        return M
+    n = sum(v.size for _, _, v in blocks)
+    runs = sum(r.size for r, _, _ in blocks)
+    if not n:
+        return sp.csr_matrix((nrows, ncols))
+    # scipy's index rule: 32-bit indices while every count fits
+    idx = np.int32 if max(n, runs, nrows, ncols) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(n)
+    cols = np.empty(n, dtype=idx)
+    indptr = np.zeros(runs + 1, dtype=idx)
+    row_of_run = np.empty(runs, dtype=idx)
+    at = run = 0
+    for i, (r, c, v) in enumerate(blocks):
+        data[at:at + v.size].reshape(v.shape)[...] = v
+        cols[at:at + v.size].reshape(v.shape)[...] = c[:, None]
+        indptr[run + 1:run + r.size + 1] = at + c.shape[1] * np.arange(1, r.size + 1)
+        row_of_run[run:run + r.size] = r.ravel()
+        at, run = at + v.size, run + r.size
+        blocks[i] = None
+    M = sp.csr_matrix((data, cols, indptr), shape=(runs, ncols)).tocsc()
+    del data, cols, indptr
+    M = sp.csc_matrix((M.data, row_of_run[M.indices], M.indptr), shape=(nrows, ncols))
+    del row_of_run
+    M = M.tocsr()
+    M.sum_duplicates()
+    return M
 
 
 def _sym(loc: np.ndarray) -> np.ndarray:
@@ -116,14 +108,14 @@ def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
     the penalty gamma_n/h."""
     mp = quad.mapping
     h = quad.am.macro.h
-    tri = _Triplets()
+    blocks = []
 
     # on an undeformed child grad u : grad v is a polynomial of degree 2k - 2
     for elems, xh, w in quad.volume_groups(2 * vs.degree - 2):
         _, grad, _ = velocity_tables(vs, elems, xh)
         wj = w * mp.jacobians(elems, xh)[1]
         dofs = vs.elem_dofs[vs.rows(elems)]
-        tri.add(dofs, dofs, _sym(_local(wj, grad, grad)))
+        blocks.append((dofs, dofs, _sym(_local(wj, grad, grad))))
 
     r = quad.interface_rule
     val, grad, _ = velocity_tables(vs, r.elems, r.xhat)
@@ -131,9 +123,8 @@ def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
     K1 = _local(r.weights, val, nd)
     pen = _sym(_local(r.weights * (gamma_n / h), val, val))
     dofs = vs.elem_dofs[vs.rows(r.elems)]
-    tri.add(dofs, dofs, pen - (K1 + np.swapaxes(K1, 1, 2)))
-
-    return tri.matrix(vs.n_dofs, vs.n_dofs)
+    blocks.append((dofs, dofs, pen - (K1 + np.swapaxes(K1, 1, 2))))
+    return _csr(vs.n_dofs, vs.n_dofs, blocks)
 
 
 def assemble_b(quad: CutQuadrature, vs: VelocitySpace,
@@ -151,9 +142,7 @@ def assemble_b(quad: CutQuadrature, vs: VelocitySpace,
     W = np.transpose(vs.nodal_blocks, (0, 1, 3, 2))
     loc = -np.einsum("imk,emck->eimc", Ghat, W)
     loc = loc.reshape(vs.elements.size, ps.n_local, vs.n_local)
-    tri = _Triplets()
-    tri.add(ps.elem_dofs, vs.elem_dofs, loc)
-    return tri.matrix(ps.n_dofs, vs.n_dofs)
+    return _csr(ps.n_dofs, vs.n_dofs, [(ps.elem_dofs, vs.elem_dofs, loc)])
 
 
 def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
@@ -163,9 +152,8 @@ def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
     val, _, _ = velocity_tables(vs, r.elems, r.xhat, derivs=False)
     mu, _ = scalar_tables(ms, r.elems, r.xhat, derivs=False)
     loc = _local(r.weights, mu, np.einsum("eqjc,eqc->eqj", val, r.normals))
-    tri = _Triplets()
-    tri.add(ms.elem_dofs[ms.rows(r.elems)], vs.elem_dofs[vs.rows(r.elems)], loc)
-    return tri.matrix(ms.n_dofs, vs.n_dofs)
+    return _csr(ms.n_dofs, vs.n_dofs,
+                [(ms.elem_dofs[ms.rows(r.elems)], vs.elem_dofs[vs.rows(r.elems)], loc)])
 
 
 def _affine_coords(mp, e, x: np.ndarray) -> np.ndarray:
@@ -234,7 +222,7 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
     owners, where = np.unique(sides, return_inverse=True)
     x, Jw, val, coef = _extensions(quad, space, owners)
     where = where.reshape(sides.shape)
-    tri = _Triplets()
+    blocks = []
 
     for s in range(0, facets.size, GROUP_SIZE):
         pair, at = sides[s:s + GROUP_SIZE], where[s:s + GROUP_SIZE]
@@ -256,9 +244,9 @@ def assemble_ghost_penalty(quad: CutQuadrature, space, gamma_gp: float,
         jump = np.concatenate(jumps, axis=1)
         w = scale * np.concatenate([Jw[at[:, 0]], Jw[at[:, 1]]], axis=1)
         udofs %= n
-        tri.add(udofs, udofs, _sym(_local(w, jump, jump)))
+        blocks.append((udofs, udofs, _sym(_local(w, jump, jump))))
 
-    return tri.matrix(n, n)
+    return _csr(n, n, blocks)
 
 
 def assemble_j(quad: CutQuadrature, ms: MultiplierSpace,
@@ -272,9 +260,7 @@ def assemble_j(quad: CutQuadrature, ms: MultiplierSpace,
     nd = np.einsum("eqmj,eqj->eqm", grad, quad.band_normals)
     loc = _sym(_local(wts * quad.mapping.jacobians(cut, pts)[1], nd, nd))
     dofs = ms.elem_dofs[ms.rows(cut)]
-    tri = _Triplets()
-    tri.add(dofs, dofs, (-h * gamma_lambda) * loc)
-    return tri.matrix(ms.n_dofs, ms.n_dofs)
+    return _csr(ms.n_dofs, ms.n_dofs, [(dofs, dofs, (-h * gamma_lambda) * loc)])
 
 
 def assemble_rhs(quad: CutQuadrature, vs: VelocitySpace, f) -> np.ndarray:

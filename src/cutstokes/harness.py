@@ -9,7 +9,6 @@ is deterministic: identical configs reproduce identical files byte for byte.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -206,6 +205,9 @@ class StudyConfig:
             raise ValueError(f"unknown example id {self.example}")
         if self.geom not in ("ho", "p1"):
             raise ValueError(f"geometry mode must be 'ho' or 'p1', got {self.geom!r}")
+        for name in ("h0", "gamma_n", "gamma_gp", "gamma_lambda"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, low in (("levels", 1), ("k", 2), ("k_lambda", 1), ("workers", 1),
                           ("gamma_gp", 0), ("gamma_lambda", 0)):
             if getattr(self, name) < low:
@@ -227,7 +229,6 @@ class ResultRow:
     l2p_star: float
     l2div: float
     cond_estimate: float = float("nan")
-    wall_time: float = 0.0
     h1p_star: float = float("nan")
     kept_nodes: tuple = ()     # deformation nodes left in place
 
@@ -242,17 +243,13 @@ class ResultRow:
 class LevelState:
     """Everything built while solving one refinement level; the mesh, the
     element sets and the P1 level set are `quad.am`, `quad.sets` and
-    `quad.phi_p1`."""
+    `quad.phi_p1`, the velocity space and the continuous pressure space of
+    the recovery are `uh.space` and `pstar.space`."""
 
-    cfg: StudyConfig
     exact: ExactCase
-    lvl: int
-    h: float
     quad: CutQuadrature
-    vs: VelocitySpace
     ps: PressureSpace
     ms: MultiplierSpace
-    qs: ContinuousPressureSpace
     system: object
     sol: object
     uh: VelocityField
@@ -297,7 +294,6 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     """Build, solve and post-process one level; returns (ResultRow, LevelState)."""
     if exact is None:
         exact = _EXAMPLES[cfg.example]()
-    t0 = time.perf_counter()
     h = cfg.h0 / 2 ** lvl
     quad = build_geometry(cfg, exact, h)
     vs, ps, ms, system = assemble_level(cfg, quad, exact.f)
@@ -310,16 +306,13 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     uh = VelocityField(vs, sol.u)
     pc = recover_pressure(quad, qs, uh, exact.f, cfg.gamma_gp)
     pstar = ScalarField(qs, pc)
-    wall = time.perf_counter() - t0
 
-    state = LevelState(cfg, exact, lvl, h, quad, vs, ps, ms, qs, system, sol,
-                       uh, pstar)
+    state = LevelState(exact, quad, ps, ms, system, sol, uh, pstar)
     err = compute_errors(state)
     kept = quad.mapping.kept_nodes
     row = ResultRow(lvl=lvl, h=h, l2u=err["l2u"], h1u=err["h1u"],
                     l2p_star=err["l2p_star"], l2div=err["l2div"],
-                    cond_estimate=cond, wall_time=wall,
-                    h1p_star=err["h1p_star"],
+                    cond_estimate=cond, h1p_star=err["h1p_star"],
                     kept_nodes=tuple(int(i) for i in kept))
     return row, state
 
@@ -329,9 +322,8 @@ def compute_errors(state: LevelState) -> dict:
     level set: L2/H1 over the fluid domain and the divergence over the whole
     active mesh.  The exact pressure is compared after removing its discrete
     mean, matching the zero-mean normalization of the recovered one."""
-    cfg, exact, quad = state.cfg, state.exact, state.quad
-    equad = build_quadratures(quad.sets, quad.phi_p1, quad.mapping,
-                              order=2 * cfg.k + 4)
+    exact, quad, k = state.exact, state.quad, state.uh.space.degree
+    equad = build_quadratures(quad.sets, quad.phi_p1, quad.mapping, order=2 * k + 4)
     mp = equad.mapping
 
     area = vol_p = 0.0
@@ -354,7 +346,7 @@ def compute_errors(state: LevelState) -> dict:
 
     l2d = 0.0
     # on an undeformed child |div u_h|^2 is a polynomial of degree 2k - 2
-    for elems, xh, w in equad.bulk_groups(2 * cfg.k - 2):
+    for elems, xh, w in equad.bulk_groups(2 * k - 2):
         _, _, dv = state.uh.at(elems, xh)
         l2d += float(((w * mp.jacobians(elems, xh)[1]) * dv ** 2).sum())
 
@@ -546,8 +538,7 @@ def _vtk_mesh(title: str, P: np.ndarray, T: np.ndarray) -> list:
 def write_vtk(path: str, state: LevelState) -> None:
     """Legacy ASCII VTK dump of u_h and p* on the active mesh, each child
     sampled on its degree-k lattice (points are duplicated across cells)."""
-    k = state.cfg.k
-    xhat, tloc = _lattice(k)
+    xhat, tloc = _lattice(state.uh.space.degree)
     elems = state.quad.sets.active_children
     P = state.quad.mapping.phys(elems, xhat).reshape(-1, 2)
     U = state.uh.at(elems, xhat)[0].reshape(-1, 2)

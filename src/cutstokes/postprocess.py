@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import _Triplets, _local, _scatter, _sym, assemble_ghost_penalty
+from .forms import _csr, _local, _scatter, _sym, assemble_ghost_penalty
 from .geometry import CutQuadrature, _pointwise
 from .solver import solve_direct
 from .spaces import ContinuousPressureSpace, VelocityField, scalar_tables
@@ -53,14 +53,14 @@ def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
     mp = quad.mapping
     n = qs.n_dofs
 
-    tri = _Triplets()
+    blocks = []
     rhs = np.zeros(n)
     mean = np.zeros(n)
     for elems, xh, w in quad.volume_groups():
         wj = w * mp.jacobians(elems, xh)[1]
         val, grad = scalar_tables(qs, elems, xh)
         dofs = qs.elem_dofs[qs.rows(elems)]
-        tri.add(dofs, dofs, _sym(_local(wj, grad, grad)))
+        blocks.append((dofs, dofs, _sym(_local(wj, grad, grad))))
         fx = _pointwise(f, mp.phys(elems, xh))
         rhs += _scatter(n, dofs, np.einsum("eq,eqij,eqj->ei", wj, grad, fx))
         mean += _scatter(n, dofs, np.einsum("eq,eqi->ei", wj, val))
@@ -74,8 +74,8 @@ def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
     rhs += _scatter(n, qs.elem_dofs[qs.rows(r.elems)],
                     CURL_SIGN * np.einsum("eq,eq,eqi->ei", r.weights, wcurl, rot))
 
-    K = tri.matrix(n, n)
-    K = K + assemble_ghost_penalty(quad, qs, gamma_gp, facets=pressure_gp_facets(quad))
+    K = _csr(n, n, blocks) + assemble_ghost_penalty(quad, qs, gamma_gp,
+                                                    facets=pressure_gp_facets(quad))
 
     # nodes supported only on fully-outside elements never see the fluid or
     # a stabilized facet; pin them so the factorization stays regular

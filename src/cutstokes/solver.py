@@ -134,10 +134,6 @@ class PenaltyFactor:
         A = system.A + PENALTY_RHO * (self._Bt @ self._Minv @ B)
         W = sp.bmat([[A, C.T], [C, J]], format="csc")
         self._lu = _splu(W, "penalty velocity-multiplier block", **PENALTY_LU)
-        # entries SuperLU stores for L and U; copying L and U out to count
-        # their nonzeros would raise the peak memory
-        self.lu_nnz = int(self._lu.nnz)
-        self.steps = 0            # applies of `step`
 
     def step(self, r: np.ndarray) -> np.ndarray:
         """An approximate M^-1 r, for r = (r_K, r_beta) of length n + 1."""
@@ -145,7 +141,6 @@ class PenaltyFactor:
         s = float(z @ r[:-1]) / self._cz
         r_u, r_p, r_m, r_beta = system.split(r)
         r_p = r_p - s * system.mean
-        self.steps += 1
         u, lam = np.split(self._lu.solve(np.concatenate(
             [r_u + PENALTY_RHO * (self._Bt @ (self._Minv @ r_p)), r_m])), [system.n_u])
         p = PENALTY_RHO * (self._Minv @ (system.B @ u - r_p))
@@ -208,8 +203,6 @@ class Solution:
     lam: np.ndarray
     s: float
     residual: float
-    lu_nnz: int               # entries stored for L and U of W
-    steps: int                # applies of `PenaltyFactor.step`
 
 
 def solve_saddle(system: SaddleSystem) -> Solution:
@@ -218,8 +211,7 @@ def solve_saddle(system: SaddleSystem) -> Solution:
     factor = PenaltyFactor(system)
     x, res = _refine(system.matrix, factor.step, system.rhs)
     u, p, lam, s = system.split(x)
-    return Solution(u=u, p=p, lam=lam, s=s, residual=res,
-                    lu_nnz=factor.lu_nnz, steps=factor.steps)
+    return Solution(u=u, p=p, lam=lam, s=s, residual=res)
 
 
 def _largest_magnitude(op) -> float:

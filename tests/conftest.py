@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from cutstokes.meshing import (_orientations, alfeld_split, build_background_mesh,
                                classify_elements)
-from cutstokes.forms import _Triplets, _affine_coords, _extensions, _scatter, _sym
+from cutstokes.forms import _affine_coords, _csr, _extensions, _scatter, _sym
 from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet,
                                 _damped_deformation, _pointwise, interpolate_p1,
                                 build_deformation, build_quadratures)
@@ -133,7 +133,7 @@ def pinned_factor(system):
 def add_at_sum(blocks, shape) -> np.ndarray:
     """Dense sum of local blocks (rows (ne, nr), cols (ne, nc), vals
     (ne, nr, nc)) by `np.add.at`, which adds the entries one by one in
-    insertion order: the oracle for `forms._Triplets`."""
+    insertion order: the oracle for `forms._csr`."""
     out = np.zeros(shape)
     for rows, cols, vals in blocks:
         r = np.broadcast_to(rows[:, :, None], vals.shape)
@@ -158,7 +158,7 @@ def per_facet_ghost_penalty(quad, space, gamma_gp, facets=None) -> sp.csr_matrix
         owners = sorted({e for s in sides for e in s})
         arrays = _extensions(quad, space, np.array(owners))
         ext = {e: tuple(a[i] for a in arrays) for i, e in enumerate(owners)}
-    tri = _Triplets()
+    blocks = []
     for e1, e2 in sides:
         dofs = np.concatenate([space.elem_dofs[space.element_row[e1]],
                                space.elem_dofs[space.element_row[e2]]])
@@ -180,9 +180,9 @@ def per_facet_ghost_penalty(quad, space, gamma_gp, facets=None) -> sp.csr_matrix
             folded = np.zeros((jump.shape[0], udofs.size, jump.shape[2]))
             np.add.at(folded, (slice(None), fold), jump)
             loc = _sym(np.einsum("q,qdc,qec->de", Jw * scale, folded, folded))
-            tri.add(udofs[None], udofs[None], loc[None])
+            blocks.append((udofs[None], udofs[None], loc[None]))
     n = space.n_dofs
-    return tri.matrix(n, n)
+    return _csr(n, n, blocks)
 
 
 def node_positions(space) -> np.ndarray:

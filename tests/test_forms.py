@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutstokes.forms import (_Triplets, _sym, assemble_a, assemble_b, assemble_c,
+from cutstokes.forms import (_csr, _sym, assemble_a, assemble_b, assemble_c,
                              assemble_ghost_penalty, assemble_j, assemble_rhs,
                              build_saddle_system, pressure_mean_vector)
 from cutstokes.geometry import IsoDeformation, build_quadratures
@@ -91,10 +91,7 @@ def test_triplets_match_insertion_order_sum(kind):
         shape = (60, 60)
         blocks = [_random_blocks(rng, 10, w, w, 60, 60, symmetric=True)
                   for w in (9, 4, 12, 9)]
-    tri = _Triplets()
-    for b in blocks:
-        tri.add(*b)
-    M = tri.matrix(*shape)
+    M = _csr(*shape, list(blocks))
     assert M.shape == shape and M.has_canonical_format
     assert M.toarray().tobytes() == add_at_sum(blocks, shape).tobytes()
     if kind != "rectangular":
@@ -102,19 +99,28 @@ def test_triplets_match_insertion_order_sum(kind):
 
 
 def test_triplets_empty_buffer():
-    M = _Triplets().matrix(4, 7)
+    M = _csr(4, 7, [])
     assert M.shape == (4, 7) and M.nnz == 0
+
+
+def test_csr_releases_each_block():
+    # each block is dropped once copied, so a block that only the list
+    # holds is freed before the counting passes
+    rng = np.random.default_rng(12)
+    blocks = [_random_blocks(rng, 5, 3, 3, 10, 10) for _ in range(3)]
+    _csr(10, 10, blocks)
+    assert blocks == [None] * 3
 
 
 def test_triplets_keep_cancellation_order():
     # 1e16 - 1e16 + 1 is 1 in insertion order; a sum of the sorted values,
     # -1e16 + 1 + 1e16, would read 0
-    tri = _Triplets()
     dofs = np.array([[2, 5]])
+    blocks = []
     for v in (1e16, -1e16, 1.0):
-        tri.add(dofs, dofs, np.array([[[0.5, v], [v, 0.25]]]))
-        tri.add(np.array([[0, 3]]), np.array([[1, 4]]), np.ones((1, 2, 2)))
-    M = tri.matrix(6, 6)
+        blocks.append((dofs, dofs, np.array([[[0.5, v], [v, 0.25]]])))
+        blocks.append((np.array([[0, 3]]), np.array([[1, 4]]), np.ones((1, 2, 2))))
+    M = _csr(6, 6, blocks)
     assert M[2, 5] == 1.0 and M[5, 2] == 1.0
 
 
@@ -228,7 +234,7 @@ def test_c_tangential_field(case):
 def test_c_solved_flux_is_zero(case, solved_lvl0):
     # c_h(1, u_h) = 0 is one row of the solved system
     _, st = solved_lvl0
-    C = assemble_c(st.quad, st.vs, st.ms)
+    C = assemble_c(st.quad, st.uh.space, st.ms)
     assert abs(np.ones(st.ms.n_dofs) @ (C @ st.sol.u)) <= 1e-10
 
 
@@ -431,7 +437,7 @@ def test_saddle_layout(case, solved_lvl0):
     M = system.matrix
     D = (M - M.T).tocoo()
     assert D.nnz == 0 or np.abs(D.data).max() == 0.0
-    assert M.shape[0] == st.vs.n_dofs + st.ps.n_dofs + st.ms.n_dofs + 1
+    assert M.shape[0] == st.uh.space.n_dofs + st.ps.n_dofs + st.ms.n_dofs + 1
     # each documented block of the glued matrix is the stored block, bit for
     # bit, and every other block is empty
     m = sp.csr_matrix(system.mean.reshape(-1, 1))
@@ -482,7 +488,7 @@ def test_solution_divergence_free(solved_lvl0):
     pts, wts = quad.ref_rule
     h1 = 0.0
     worst = 0.0
-    for e in st.vs.elements:
+    for e in st.uh.space.elements:
         e = int(e)
         _, J = (a[0] for a in mp.jacobians([e], pts))
         v, g, d = (a[0] for a in st.uh.at([e], pts))

@@ -172,6 +172,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=rf"^{name} must be at least {low}, got {bad}$"):
             StudyConfig(**{name: bad})
     StudyConfig(gamma_gp=0.0, gamma_lambda=0.0)
+    # a non-finite size or weight is refused before the range checks
+    for name in ("h0", "gamma_n", "gamma_gp", "gamma_lambda"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+                StudyConfig(**{name: bad})
 
 
 def test_result_row_validation():
@@ -302,7 +307,11 @@ def test_cli_flags_per_subcommand():
                                   ["dump-geom", "--gamma-n", "7"],
                                   ["converge", "--vtk"], ["noflow"],
                                   ["converge", "--k", "1"], ["sweep", "--workers", "0"],
-                                  ["converge", "--gamma-gp", "-0.1"]])
+                                  ["converge", "--gamma-gp", "-0.1"],
+                                  ["converge", "--gamma-n", "nan"],
+                                  ["converge", "--gamma-gp", "inf"],
+                                  ["converge", "--gamma-lambda", "nan"],
+                                  ["converge", "--h0", "nan"]])
 def test_cli_usage_errors(argv, monkeypatch):
     # a flag the subcommand does not read, a VTK dump with nowhere to go, the
     # removed `noflow` and a config `StudyConfig` refuses are usage errors,

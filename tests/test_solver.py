@@ -177,11 +177,8 @@ def test_matrix_glued_only_after_the_factor(ex1_level0, monkeypatch):
 
 
 def test_penalty_fill_below_saddle_factor(ex1_level0):
-    system, sol = ex1_level0.system, ex1_level0.sol
-    penalty = PenaltyFactor(system)
-    assert sol.lu_nnz == penalty.lu_nnz
-    assert 0 < penalty.lu_nnz < pinned_factor(system)[0].nnz
-    assert sol.steps > 0
+    system = ex1_level0.system
+    assert 0 < PenaltyFactor(system)._lu.nnz < pinned_factor(system)[0].nnz
 
 
 @pytest.mark.parametrize("use", [PenaltyFactor, condition_estimate],
