@@ -22,7 +22,7 @@ from .geometry import (CutQuadrature, IsoDeformation, LevelSet,
                        build_deformation, build_quadratures, interpolate_p1)
 from .meshing import alfeld_split, build_background_mesh, classify_elements
 from .postprocess import recover_pressure
-from .solver import condition_estimate, solve_saddle
+from .solver import PenaltyFactor, condition_estimate, solve_saddle
 from .spaces import (ContinuousPressureSpace, MultiplierSpace, PressureSpace,
                      ScalarField, VelocityField, VelocitySpace)
 
@@ -297,10 +297,10 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     h = cfg.h0 / 2 ** lvl
     quad = build_geometry(cfg, exact, h)
     vs, ps, ms, system = assemble_level(cfg, quad, exact.f)
-    sol = solve_saddle(system)
-    cond = float("nan")
-    if cfg.with_condest:
-        cond = condition_estimate(system)
+    factor = PenaltyFactor(system)
+    sol = solve_saddle(factor)
+    cond = condition_estimate(factor) if cfg.with_condest else float("nan")
+    del factor   # free the LU of W before the recovery factors its own
 
     qs = ContinuousPressureSpace(quad.sets, quad.mapping, cfg.k - 1)
     uh = VelocityField(vs, sol.u)
@@ -388,7 +388,7 @@ def _sweep_one(args) -> tuple[int, float, float]:
     exact = replace(exact, levelset=LevelSet(lambda p: ls.value(p - s),
                                              lambda p: ls.gradient(p - s)))
     system = assemble_level(cfg, build_geometry(cfg, exact, h))[3]
-    kappa = condition_estimate(system)
+    kappa = condition_estimate(PenaltyFactor(system))
     return i, x0, kappa
 
 

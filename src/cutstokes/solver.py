@@ -36,12 +36,20 @@ rho M_p^-1 (B u - r_p).  A solve whose relative residual then lies above
 1e-9 is rejected.  The same loop, with an LU solve as the step, serves
 `solve_direct`.
 
+Each penalty step contracts the error by c = 1/(1 + rho mu), where mu is
+the smallest eigenvalue of the pressure Schur complement relative to M_p.
+PENALTY_RHO is large enough that every solve measured ends at the floor of
+the halving stop: the solve, two corrections that shrink by about c, one at
+round-off and one that no longer halves.
+
 `solve_saddle` runs the loop once and `condition_estimate` once per
-Lanczos step.  Both factor W first and glue M (`SaddleSystem.matrix`)
-afterwards, so M is never alive while SuperLU factors.  M is symmetric, so
-its condition number is |lambda|_max(M) |lambda|_max(M^-1), and each
-factor is found by the implicitly restarted Lanczos method of ARPACK
-(`eigsh`) from a fixed start vector, so repeated estimates are equal.
+Lanczos step, each with the `PenaltyFactor` it is given, which holds its
+system; a level that solves and estimates factors W once.  Both glue M
+(`SaddleSystem.matrix`) only after W is factored, so M is never alive while
+SuperLU factors.  M is symmetric, so its condition number is
+|lambda|_max(M) |lambda|_max(M^-1), and each factor is found by the
+implicitly restarted Lanczos method of ARPACK (`eigsh`) from a fixed start
+vector, so repeated estimates are equal.
 """
 
 from __future__ import annotations
@@ -61,8 +69,15 @@ RESIDUAL_TOL = 1e-9
 KERNEL_TOL = 1e-10
 # step cap of `_refine`
 REFINE_MAXIT = 100
-# penalty weight of the augmented-Lagrangian step in `PenaltyFactor`
-PENALTY_RHO = 1000.0
+# penalty weight of the augmented-Lagrangian step in `PenaltyFactor`.  Each
+# step contracts by c = 1/(1 + rho mu); on example 1, c is about 1e-5 at
+# k = 2 and 4e-4 at k = 4, level 0, so a solve takes the 5 steps of the
+# halving stop's floor (6 at k = 4, level 0).  rho = 1e3 took 9-10 steps at
+# k = 2 and 24 at k = 4, and stopped k = 4, level 2 (c = 0.69) and k = 3
+# with gamma_gp = 10 (c = 0.56) above RESIDUAL_TOL, at the first correction
+# that failed to halve.  rho = 1e7 takes no fewer steps, and 1e8 adds one
+# at k = 2, levels 2-3.
+PENALTY_RHO = 1e6
 # W is symmetric, with a positive definite velocity block and a multiplier
 # block whose diagonal is negative: a minimum-degree ordering of W + W^T
 # with diagonal pivots (a row exchange only below 1e-6 of the column) has a
@@ -130,14 +145,14 @@ class PenaltyFactor:
             raise SingularSystemError(
                 "the mean row does not fix the assembled kernel (0, z_p, 1): "
                 f"c.z = {self._cz:.3e}")
-        self._system, self._Bt, self._Minv = system, sp.csr_matrix(B.T), system.mass_inv
+        self.system, self._Bt, self._Minv = system, sp.csr_matrix(B.T), system.mass_inv
         A = system.A + PENALTY_RHO * (self._Bt @ self._Minv @ B)
         W = sp.bmat([[A, C.T], [C, J]], format="csc")
         self._lu = _splu(W, "penalty velocity-multiplier block", **PENALTY_LU)
 
     def step(self, r: np.ndarray) -> np.ndarray:
         """An approximate M^-1 r, for r = (r_K, r_beta) of length n + 1."""
-        system, z = self._system, self.z
+        system, z = self.system, self.z
         s = float(z @ r[:-1]) / self._cz
         r_u, r_p, r_m, r_beta = system.split(r)
         r_p = r_p - s * system.mean
@@ -205,10 +220,10 @@ class Solution:
     residual: float
 
 
-def solve_saddle(system: SaddleSystem) -> Solution:
-    """Solve the saddle system by `_refine` against the full
-    `system.matrix`, with `PenaltyFactor.step` as the apply."""
-    factor = PenaltyFactor(system)
+def solve_saddle(factor: PenaltyFactor) -> Solution:
+    """Solve the factor's saddle system by `_refine` against the full
+    `system.matrix`, with `factor.step` as the apply."""
+    system = factor.system
     x, res = _refine(system.matrix, factor.step, system.rhs)
     u, p, lam, s = system.split(x)
     return Solution(u=u, p=p, lam=lam, s=s, residual=res)
@@ -223,15 +238,14 @@ def _largest_magnitude(op) -> float:
     return float(abs(w[0]))
 
 
-def condition_estimate(system: SaddleSystem) -> float:
-    """kappa = |lambda|_max / |lambda|_min of the saddle matrix M.
+def condition_estimate(factor: PenaltyFactor) -> float:
+    """kappa = |lambda|_max / |lambda|_min of the factor's saddle matrix M.
 
     The largest magnitude comes from M, the smallest as the inverse of the
     largest magnitude of M^-1, each apply of which is a `_refine` solve with
-    `PenaltyFactor.step`.
+    `factor.step`.
     """
-    factor = PenaltyFactor(system)
-    M = system.matrix
+    M = factor.system.matrix
     inverse = spla.LinearOperator(
         M.shape, matvec=lambda v: _refine(M, factor.step, v)[0], dtype=float)
     return _largest_magnitude(M) * _largest_magnitude(inverse)

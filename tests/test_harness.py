@@ -13,7 +13,7 @@ from cutstokes.harness import (ResultRow, StudyConfig, _sweep_one, build_geometr
                                run_convergence,
                                run_interface_sweep, solve_level, write_config,
                                write_data, write_vtk)
-from cutstokes.solver import condition_estimate
+from cutstokes.solver import PenaltyFactor, condition_estimate
 from tests.conftest import fit_rate, literal_closed_forms, read_config
 
 
@@ -352,7 +352,7 @@ def test_sweep_shift_matches_solve_level_system():
     _, x0, kappa = _sweep_one((cfg, 1, 0.3, 2))
     assert x0 == 0.0
     _, state = solve_level(replace(cfg, h0=0.3), 0)
-    assert kappa == condition_estimate(state.system)
+    assert kappa == condition_estimate(PenaltyFactor(state.system))
 
 
 def test_sweep_mirrored_shifts_equal_kappa():
