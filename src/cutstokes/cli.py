@@ -6,8 +6,10 @@ interface-shift conditioning scan of example 1, and `dump-geom` writes the
 cut-geometry diagnostics of one level without solving.  Each subcommand
 takes only the flags its driver reads (any other is a usage error), each
 with the study default baked in, so `cutstokes converge` alone reproduces
-the standard table.  A key=value config file (--config) may set any
-`StudyConfig` field, so a run's manifest reproduces it; flags override it.
+the standard table; the no-flow table, resolved from h0 = 0.15 only, is
+`converge --example 2 --h0 0.15 --levels 4`.  A key=value config file
+(--config) may set any `StudyConfig` field, so a run's manifest reproduces
+it; flags override it.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ def _print_table(rows) -> None:
             for cells, rate in zip(body, [None] + compute_eoc(vals)):
                 cells.append(f"{rate:5.2f}" if rate is not None else "    -")
     print("\n".join(" ".join(cells) for cells in [head] + body))
-    for r in rows:
-        if r.kept_nodes:
-            print(f"lvl {r.lvl}: {len(r.kept_nodes)} deformation nodes left in "
-                  f"place (unresolved roots): {' '.join(map(str, r.kept_nodes))}")
 
 
 def _cmd_converge(args) -> int:

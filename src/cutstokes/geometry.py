@@ -143,19 +143,12 @@ class IsoDeformation:
     closure misses the cut band; `is_deformed` marks the children with a
     moved node and `deformed_children` lists them.
 
-    `root_failures` counts the root solves of `build_deformation` that failed
-    per stage ("interpolant", "exact") and `kept_nodes` lists the nodes whose
-    solve failed at both stages and which therefore kept their position; the
-    counts are nonzero only when it ran with `allow_unresolved`.
     `damping_rounds` counts the displacement halvings that unfolded the map.
     """
 
     am: AlfeldMesh
     degree: int
     node_disp: np.ndarray                # (n_nodes, 2)
-    root_failures: dict = field(default_factory=dict)
-    kept_nodes: np.ndarray = field(
-        default_factory=lambda: np.array([], dtype=np.int64))
     damping_rounds: int = 0
 
     def __post_init__(self):
@@ -261,7 +254,7 @@ def _newton_bisect(g, dg, n: int, lo: float, hi: float):
 
 
 def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
-                      degree: int, allow_unresolved: bool = False) -> IsoDeformation:
+                      degree: int) -> IsoDeformation:
     """Isoparametric deformation of the cut band of `phi_p1`'s mesh.
 
     For every Lagrange node of a cut child, solve along the normalized exact
@@ -274,11 +267,8 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
 
     A root that is not found within half a mesh size raises `GeometryError`
     naming the first such node in (cut child, local node) order and its
-    position: the feature is not resolved at this h.  With
-    `allow_unresolved` the failed solves are retried together against the
-    exact level set instead, and a node that fails that too keeps its
-    position for that child (delta = 0).  Both outcomes are recorded on the
-    result in `root_failures` and `kept_nodes`.
+    position: the feature is not resolved at this h, and the map is not
+    defined there.
     """
     if degree < 2:
         raise ValueError("deformation degree must be >= 2")
@@ -317,48 +307,32 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
     delta, status = _newton_bisect(g, dg, gids.size, lo, hi)
     # report the first fault in pair order, as a node-by-node sweep meets it
     status[flat] = 3
-    fatal = np.flatnonzero(status == 3 if allow_unresolved else status > 0)
+    fatal = np.flatnonzero(status)
     if fatal.size:
         i = fatal[0]
         raise GeometryError(_ROOT_FAULTS[status[i]].format(lo=lo, hi=hi, gid=gids[i],
                                                             pos=pos[i]))
-    failed = np.flatnonzero(status)
-    kept = failed[:0]
-    if failed.size:
-        # the local interpolant cannot reach the target inside the bracket
-        # (tight concave bends do this on coarse levels); the exact level
-        # set, which it approximates, may still
-        pf, Gf, tf = pos[failed], G[failed], targets[failed]
-        exact, estatus = _newton_bisect(
-            lambda i, d: ls.value(pf[i] + d[:, None] * Gf[i]) - tf[i],
-            lambda i, d: (ls.gradient(pf[i] + d[:, None] * Gf[i]) * Gf[i]).sum(-1),
-            failed.size, lo, hi)
-        kept = failed[estatus > 0]
-        delta[failed] = np.where(estatus > 0, 0.0, exact)
     sums = np.zeros((ns.n_nodes, 2))
     np.add.at(sums, gids, delta[:, None] * G)
     counts = np.bincount(gids, minlength=ns.n_nodes)
     moved = counts > 0
     disp = np.zeros((ns.n_nodes, 2))
     disp[moved] = sums[moved] / counts[moved, None]
-    return _damped_deformation(
-        am, sets, degree, disp,
-        root_failures={"interpolant": int(failed.size), "exact": int(kept.size)},
-        kept_nodes=np.unique(gids[kept]))
+    return _damped_deformation(am, sets, degree, disp)
 
 
 def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
-                        disp: np.ndarray, **record) -> IsoDeformation:
-    """The deformation by the nodal displacements `disp`, damped as below;
-    `record` holds the root-solve outcomes stored on it."""
+                        disp: np.ndarray) -> IsoDeformation:
+    """The deformation by the nodal displacements `disp`, damped as below."""
     if np.linalg.norm(disp, axis=1).max(initial=0.0) > 0.5 * am.macro.h * (1 + 1e-12):
         raise GeometryError("displacement exceeds half the mesh size")
 
     # On coarse meshes the O(h^2) displacements can reach a sizable fraction
     # of the (flat) child height and fold the polynomial map.  Damp the nodal
     # displacements of offending elements until every active child keeps a
-    # uniformly positive Jacobian; the loop is a no-op once the interface
-    # curvature is resolved.
+    # uniformly positive Jacobian.  Resolved meshes damp too: example 1 at
+    # h = 0.3 takes 1, 2, 3 rounds at k = 2, 3, 4, and the star of example 2
+    # 3, 3, 1 rounds at h = 0.15, 0.075, 0.0375 (k = 2).
     ns = am.lagrange_nodes(degree)
     active = np.zeros(am.n_children, dtype=bool)
     active[sets.active_children] = True
@@ -370,7 +344,7 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
     pts = np.column_stack([ii[keep] / L, jj[keep] / L])
     margin = 0.05
     for rounds in range(40):
-        deformation = IsoDeformation(am, degree, disp, damping_rounds=rounds, **record)
+        deformation = IsoDeformation(am, degree, disp, damping_rounds=rounds)
         check = deformation.deformed_children[active[deformation.deformed_children]]
         if check.size == 0:
             break

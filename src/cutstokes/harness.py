@@ -37,13 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactCase:
-    """Closed-form data of one manufactured problem (viscosity 1).
-
-    `allow_unresolved` is passed to `build_deformation`: a case whose
-    interface has features the coarse levels cannot resolve sets it, so that
-    nodes whose root is out of reach keep their position (and are counted)
-    instead of stopping the study.
-    """
+    """Closed-form data of one manufactured problem (viscosity 1).  A level
+    whose mesh does not resolve the interface raises `GeometryError`, so
+    example 2 starts its study at h0 = 0.15."""
 
     name: str
     levelset: LevelSet
@@ -52,7 +48,6 @@ class ExactCase:
     p: callable
     grad_p: callable
     f: callable
-    allow_unresolved: bool = False
 
 
 def _powers(x: np.ndarray):
@@ -137,10 +132,10 @@ def exact_example1() -> ExactCase:
 def exact_example2() -> ExactCase:
     """No-flow problem on a smoothed six-pointed star: u=0, f = grad p.
 
-    The star's concave bends are not resolved at the coarse standard levels
-    (h = 0.3 leaves 4 deformation nodes in place), so the case allows
-    unresolved deformation roots.  p = x^5 + y^5 is formed by products, as
-    in `exact_example1`.
+    The mesh resolves the star from h0 = 0.15 on (at h0 = 0.3 the root at
+    an inner tip, r = 0.5, is out of reach), so its table is
+    `converge --example 2 --h0 0.15 --levels 4`.  p = x^5 + y^5 is formed
+    by products, as in `exact_example1`.
     """
 
     def phi(x):
@@ -174,8 +169,7 @@ def exact_example2() -> ExactCase:
         *_, (X4, Y4) = _powers(x)
         return np.column_stack([5.0 * X4, 5.0 * Y4])
 
-    return ExactCase("example2", LevelSet(phi, dphi), u, grad_u, p, grad_p,
-                     grad_p, allow_unresolved=True)
+    return ExactCase("example2", LevelSet(phi, dphi), u, grad_u, p, grad_p, grad_p)
 
 
 _EXAMPLES = {1: exact_example1, 2: exact_example2}
@@ -230,7 +224,6 @@ class ResultRow:
     l2div: float
     cond_estimate: float = float("nan")
     h1p_star: float = float("nan")
-    kept_nodes: tuple = ()     # deformation nodes left in place
 
     def __post_init__(self):
         for name in ("l2u", "h1u", "l2p_star", "l2div"):
@@ -264,8 +257,7 @@ def build_geometry(cfg: StudyConfig, exact: ExactCase, h: float) -> CutQuadratur
     phi1 = interpolate_p1(exact.levelset, am)
     sets = classify_elements(phi1)
     if cfg.geom == "ho":
-        defo = build_deformation(exact.levelset, phi1, sets, cfg.k,
-                                 allow_unresolved=exact.allow_unresolved)
+        defo = build_deformation(exact.levelset, phi1, sets, cfg.k)
     else:
         defo = IsoDeformation.identity(am, cfg.k)
     return build_quadratures(sets, phi1, defo)
@@ -309,11 +301,9 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
 
     state = LevelState(exact, quad, ps, ms, system, sol, uh, pstar)
     err = compute_errors(state)
-    kept = quad.mapping.kept_nodes
     row = ResultRow(lvl=lvl, h=h, l2u=err["l2u"], h1u=err["h1u"],
                     l2p_star=err["l2p_star"], l2div=err["l2div"],
-                    cond_estimate=cond, h1p_star=err["h1p_star"],
-                    kept_nodes=tuple(int(i) for i in kept))
+                    cond_estimate=cond, h1p_star=err["h1p_star"])
     return row, state
 
 

@@ -294,8 +294,7 @@ def _scalar_newton_bisect(g, dg, lo: float, hi: float) -> float:
     raise GeometryError("root solve did not converge")
 
 
-def per_node_deformation(ls, phi_p1, sets, degree: int,
-                         allow_unresolved: bool = False):
+def per_node_deformation(ls, phi_p1, sets, degree: int):
     """`build_deformation` with one scalar root solve per (cut child, node)
     pair: the oracle for the batched iteration.  The damping is shared."""
     am = phi_p1.am
@@ -305,8 +304,6 @@ def per_node_deformation(ls, phi_p1, sets, degree: int,
     lo, hi = -0.5 * h, 0.5 * h
     sums = np.zeros((ns.n_nodes, 2))
     counts = np.zeros(ns.n_nodes)
-    failures = {"interpolant": 0, "exact": 0}
-    kept: set[int] = set()
     for e in sets.alfeld_cut:
         gids = ns.elem2node[e]
         pos = ns.coords[gids]
@@ -335,29 +332,13 @@ def per_node_deformation(ls, phi_p1, sets, degree: int,
             try:
                 delta = _scalar_newton_bisect(g, dg, lo, hi)
             except GeometryError as err:
-                if not allow_unresolved:
-                    raise GeometryError(f"{err} at node {gid} at {pos[m]}") from None
-                failures["interpolant"] += 1
-
-                def ge(d, m=m, G=G):
-                    return float(ls.value(pos[m] + d * G)[0]) - targets[m]
-
-                def dge(d, m=m, G=G):
-                    return float(ls.gradient(pos[m] + d * G)[0] @ G)
-
-                try:
-                    delta = _scalar_newton_bisect(ge, dge, lo, hi)
-                except GeometryError:
-                    failures["exact"] += 1
-                    kept.add(int(gid))
-                    delta = 0.0
+                raise GeometryError(f"{err} at node {gid} at {pos[m]}") from None
             sums[gid] += delta * G
             counts[gid] += 1.0
     moved = counts > 0
     disp = np.zeros((ns.n_nodes, 2))
     disp[moved] = sums[moved] / counts[moved, None]
-    return _damped_deformation(am, sets, degree, disp, root_failures=failures,
-                               kept_nodes=np.array(sorted(kept), dtype=np.int64))
+    return _damped_deformation(am, sets, degree, disp)
 
 
 # ---------------------------------------------------------------------------

@@ -241,30 +241,33 @@ def _oscillating_levelset() -> LevelSet:
 
 def test_deformation_batched_matches_per_node():
     # the masked iteration over all (cut child, node) pairs finds the roots
-    # and the fallbacks of the node-by-node solves
+    # of the node-by-node solves, and names the same first failing node
+    # where the mesh does not resolve the interface
     from cutstokes.harness import exact_example2
-    cases = [(quartic_levelset(), 0.3, False), (quartic_levelset(), 0.15, False),
-             (_oscillating_levelset(), 0.5, True),
-             (exact_example2().levelset, 0.3, True)]
-    for ls, h, allow in cases:
+    star = exact_example2().levelset
+
+    def split(ls, h):
         am = alfeld_split(build_background_mesh((-1, 1, -1, 1), h))
         phi = interpolate_p1(ls, am)
-        sets = classify_elements(phi)
-        got = build_deformation(ls, phi, sets, 2, allow_unresolved=allow)
-        ref = per_node_deformation(ls, phi, sets, 2, allow_unresolved=allow)
+        return phi, classify_elements(phi)
+
+    # the star at h = 0.15 is resolved, but its map is damped (3 rounds)
+    for ls, h in [(quartic_levelset(), 0.3), (quartic_levelset(), 0.15), (star, 0.15)]:
+        phi, sets = split(ls, h)
+        got = build_deformation(ls, phi, sets, 2)
+        ref = per_node_deformation(ls, phi, sets, 2)
         assert np.abs(got.node_disp - ref.node_disp).max() <= 1e-13 * h
         assert np.array_equal(got.deformed_children, ref.deformed_children)
-        assert got.root_failures == ref.root_failures
-        assert np.array_equal(got.kept_nodes, ref.kept_nodes)
         assert got.damping_rounds == ref.damping_rounds
-        if allow:
-            # without the fallback both name the same first failing node
-            msgs = []
-            for build in (build_deformation, per_node_deformation):
-                with pytest.raises(GeometryError) as err:
-                    build(ls, phi, sets, 2)
-                msgs.append(str(err.value))
-            assert msgs[0] == msgs[1]
+    assert got.damping_rounds == 3
+    for ls, h in [(_oscillating_levelset(), 0.5), (star, 0.3)]:
+        phi, sets = split(ls, h)
+        msgs = []
+        for build in (build_deformation, per_node_deformation):
+            with pytest.raises(GeometryError) as err:
+                build(ls, phi, sets, 2)
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1]
 
 
 def test_deformation_requires_cut_band():
@@ -291,21 +294,8 @@ def test_deformation_unbracketed_root():
         build_deformation(ls, phi, sets, 2)
 
 
-def test_deformation_allow_unresolved_records_fallbacks():
-    # the same unresolved oscillation: with the option every failed
-    # interpolant solve is counted, and here the exact level set rescues all
-    ls = LevelSet(lambda p: p[:, 1] - 0.45 + 0.2 * np.sin(15 * p[:, 0]),
-                  lambda p: np.column_stack([3.0 * np.cos(15 * p[:, 0]),
-                                             np.ones(len(p))]))
-    am = alfeld_split(build_background_mesh((-1, 1, -1, 1), 0.5))
-    phi = interpolate_p1(ls, am)
-    sets = classify_elements(phi)
-    defo = build_deformation(ls, phi, sets, 2, allow_unresolved=True)
-    assert defo.root_failures == {"interpolant": 23, "exact": 0}
-    assert defo.kept_nodes.size == 0
-
-
-def test_deformation_star_keeps_unresolved_nodes():
+def test_deformation_star_unresolved_at_coarse_mesh():
+    # at h = 0.3 the root at an inner tip of the star is out of reach
     from cutstokes.harness import exact_example2
     ls = exact_example2().levelset
     am = alfeld_split(build_background_mesh((-1, 1, -1, 1), 0.3))
@@ -313,17 +303,6 @@ def test_deformation_star_keeps_unresolved_nodes():
     sets = classify_elements(phi)
     with pytest.raises(GeometryError, match=r"node \d+ at \["):
         build_deformation(ls, phi, sets, 2)
-    defo = build_deformation(ls, phi, sets, 2, allow_unresolved=True)
-    assert defo.root_failures == {"interpolant": 18, "exact": 8}
-    assert defo.kept_nodes.size == 4
-    cut_nodes = am.lagrange_nodes(2).elem2node[sets.alfeld_cut]
-    assert np.isin(defo.kept_nodes, cut_nodes).all()
-
-
-def test_deformation_resolved_case_records_no_failures(quartic_case_h03):
-    defo = quartic_case_h03[3]
-    assert defo.root_failures == {"interpolant": 0, "exact": 0}
-    assert defo.kept_nodes.size == 0
 
 
 def test_deformation_vanishing_gradient():
