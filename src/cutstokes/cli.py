@@ -84,6 +84,8 @@ def _cmd_converge(args) -> int:
 def _cmd_sweep(args) -> int:
     # the sweep runs at h0 from --h0, else from the config file, else at 0.1
     cfg = _resolve(args, StudyConfig(h0=0.1))
+    if args.shifts < 1:
+        args.parser.error(f"--shifts must be >= 1, got {args.shifts}")
     out = run_interface_sweep(cfg, h=cfg.h0, n=args.shifts)
     kappas = np.array([k for _, _, k in out])
     print(f"{len(out)} shifts at h={cfg.h0}: kappa min {kappas.min():.4e} "
@@ -93,6 +95,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dump_geom(args) -> int:
     cfg = _resolve(args)
+    if args.level < 0:
+        args.parser.error(f"--level must be >= 0, got {args.level}")
     quad = build_geometry(cfg, _EXAMPLES[cfg.example](), cfg.h0 / 2 ** args.level)
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)

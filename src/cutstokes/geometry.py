@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .meshing import AlfeldMesh, ElementSets, snap_values
-from .reference import reference_element, segment_rule, triangle_rule
+from .reference import lattice, reference_element, segment_rule, triangle_rule
 
 REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # residual tolerance and step cap of the deformation root solves
@@ -170,13 +170,6 @@ class IsoDeformation:
     def max_displacement(self) -> float:
         return float(np.linalg.norm(self.node_disp, axis=1).max(initial=0.0))
 
-    def validate(self, elems: np.ndarray) -> None:
-        """Check det(Dphi) > 0 on a degree-2k rule of each element of `elems`."""
-        _, J = self.jacobians(elems, triangle_rule(2 * self.degree)[0])
-        bad = elems[(J <= 0).any(axis=-1)]
-        if bad.size:
-            raise GeometryError(f"deformation inverts element {int(bad[0])}")
-
     def _displace(self, elems, table):
         """Nodal displacements contracted with a reference table (E, nq, n_k,
         ...): sum_m d_mi table_qm... -> (ne, nq, 2, ...)."""
@@ -218,7 +211,7 @@ class IsoDeformation:
 
 _ROOT_FAULTS = {1: "root not bracketed in [{lo:.3e}, {hi:.3e}] at node {gid} at {pos}",
                 2: "root solve did not converge at node {gid} at {pos}",
-                3: "vanishing level-set gradient at node {gid}"}
+                3: "vanishing level-set gradient at node {gid} at {pos}"}
 
 
 def _newton_bisect(g, dg, n: int, lo: float, hi: float):
@@ -324,9 +317,6 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
 def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
                         disp: np.ndarray) -> IsoDeformation:
     """The deformation by the nodal displacements `disp`, damped as below."""
-    if np.linalg.norm(disp, axis=1).max(initial=0.0) > 0.5 * am.macro.h * (1 + 1e-12):
-        raise GeometryError("displacement exceeds half the mesh size")
-
     # On coarse meshes the O(h^2) displacements can reach a sizable fraction
     # of the (flat) child height and fold the polynomial map.  Damp the nodal
     # displacements of offending elements until every active child keeps a
@@ -338,10 +328,7 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
     active[sets.active_children] = True
     # boundary-including lattice: interior rules miss the boundary extrema of
     # the Jacobian polynomial
-    L = 4 * degree
-    ii, jj = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
-    keep = (ii + jj) <= L
-    pts = np.column_stack([ii[keep] / L, jj[keep] / L])
+    pts = lattice(4 * degree)[0]
     margin = 0.05
     for rounds in range(40):
         deformation = IsoDeformation(am, degree, disp, damping_rounds=rounds)
@@ -354,8 +341,8 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
             break
         disp[np.unique(ns.elem2node[bad])] *= 0.5
     else:
-        raise GeometryError("deformation damping failed to restore orientation")
-    deformation.validate(check)
+        raise GeometryError(f"deformation damping failed to restore orientation "
+                            f"of element {bad[0]}")
     return deformation
 
 
@@ -429,8 +416,9 @@ class CutQuadrature:
     """All quadrature data of one cut configuration.
 
     The rules of degree `order` are derived from the map and the
-    `cut_subdivide` of the cut children when the object is built.  The patch
-    rule of the ghost penalties has degree 4 * map degree.
+    `cut_subdivide` of the cut children when the object is built;
+    `build_quadratures(..., order=)` gives the rules of another degree.
+    The patch rule of the ghost penalties has degree 4 * map degree.
 
     Volume rules come in groups (elems, xhat, weights) such that the integral
     over a group is sum_q w_q * J(xhat_q) * f(x_q) per element: the inside
@@ -543,7 +531,8 @@ def build_quadratures(sets: ElementSets, phi_p1: DiscreteLevelSet,
                       deformation: IsoDeformation,
                       order: int | None = None) -> CutQuadrature:
     """Volume, interface, band and patch rules for one configuration, of
-    degree `order`, by default 2k+2 for the deformation degree k."""
+    degree `order`, by default 2k+2 for the deformation degree k;
+    `compute_errors` builds its rules of degree 2k+4 here."""
     if order is None:
         order = 2 * deformation.degree + 2
     return CutQuadrature(sets, phi_p1, deformation, order)

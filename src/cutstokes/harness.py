@@ -18,10 +18,11 @@ from .forms import (assemble_a, assemble_b, assemble_c,
                     assemble_ghost_penalty, assemble_j, assemble_rhs,
                     build_saddle_system, pressure_kernel,
                     pressure_mass_inverse, pressure_mean_vector)
-from .geometry import (CutQuadrature, IsoDeformation, LevelSet,
+from .geometry import (REF_VERTS, CutQuadrature, IsoDeformation, LevelSet,
                        build_deformation, build_quadratures, interpolate_p1)
 from .meshing import alfeld_split, build_background_mesh, classify_elements
 from .postprocess import recover_pressure
+from .reference import lattice
 from .solver import PenaltyFactor, condition_estimate, solve_saddle
 from .spaces import (ContinuousPressureSpace, MultiplierSpace, PressureSpace,
                      ScalarField, VelocityField, VelocitySpace)
@@ -494,25 +495,6 @@ def _parse_field(ftype: str, val: str):
     return val
 
 
-def _lattice(k: int):
-    """Reference lattice points of order k and the triangles connecting
-    them, for piecewise-linear export of degree-k fields."""
-    idx = {}
-    pts = []
-    for j in range(k + 1):
-        for i in range(k + 1 - j):
-            idx[(i, j)] = len(pts)
-            pts.append((i / k, j / k))
-    tris = []
-    for j in range(k):
-        for i in range(k - j):
-            tris.append((idx[(i, j)], idx[(i + 1, j)], idx[(i, j + 1)]))
-            if i + j < k - 1:
-                tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)],
-                             idx[(i, j + 1)]))
-    return np.array(pts), np.array(tris, dtype=np.int64)
-
-
 def _vtk_mesh(title: str, P: np.ndarray, T: np.ndarray) -> list:
     """Legacy ASCII VTK header, points and triangle cells."""
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
@@ -528,7 +510,7 @@ def _vtk_mesh(title: str, P: np.ndarray, T: np.ndarray) -> list:
 def write_vtk(path: str, state: LevelState) -> None:
     """Legacy ASCII VTK dump of u_h and p* on the active mesh, each child
     sampled on its degree-k lattice (points are duplicated across cells)."""
-    xhat, tloc = _lattice(state.uh.space.degree)
+    xhat, tloc = lattice(state.uh.space.degree)
     elems = state.quad.sets.active_children
     P = state.quad.mapping.phys(elems, xhat).reshape(-1, 2)
     U = state.uh.at(elems, xhat)[0].reshape(-1, 2)
@@ -549,8 +531,7 @@ def write_geometry(path_prefix: str, quad: CutQuadrature) -> None:
     """Geometry diagnostics: active mesh with its inside/cut classification
     as a VTK file, and the interface quadrature as an x y nx ny w table."""
     elems = quad.sets.active_children
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    P = quad.mapping.phys(elems, corners).reshape(-1, 2)
+    P = quad.mapping.phys(elems, REF_VERTS).reshape(-1, 2)
     T = np.arange(P.shape[0]).reshape(-1, 3)
 
     lines = _vtk_mesh("cutstokes geometry", P, T)

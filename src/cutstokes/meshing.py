@@ -50,24 +50,23 @@ def _build_facets(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     last = np.searchsorted(fid_sorted, np.arange(facets.shape[0]), side="right")
     count = last - first
     if count.max() > 2:
-        raise ValueError("non-manifold facet in triangulation")
+        bad = tuple(facets[np.argmax(count > 2)].tolist())
+        raise ValueError(f"non-manifold facet {bad} in triangulation")
     facet_tris[:, 0] = own_sorted[first]
     has2 = count == 2
     facet_tris[has2, 1] = own_sorted[first[has2] + 1]
     return facets, tri_facets, facet_tris
 
 
-def _orientations(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    u, w = b - a, c - a
-    return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-
-
 @dataclass
 class MacroMesh:
     """Conforming triangulation of the background box.
+
+    `build_background_mesh` guarantees what the method needs, so nothing
+    rechecks it: at least 2 x 2 cells, each split into (SW, SE, NE) and
+    (SW, NE, NW) of signed area dx dy / 2 > 0, congruent triangles, and one
+    or two owners per facet (`_build_facets` raises on more), as
+    `test_background_mesh_orientation_and_area` checks on several boxes.
 
     Attributes
     ----------
@@ -92,28 +91,6 @@ class MacroMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def diameters(self) -> np.ndarray:
-        v = self.vertices[self.triangles]
-        e = np.stack([
-            np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-            np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-            np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-        ])
-        return e.max(axis=0)
-
-    def validate(self) -> None:
-        if self.n_triangles == 0:
-            raise ValueError("empty mesh")
-        orient = _orientations(self.vertices, self.triangles)
-        if not (orient > 0).all():
-            raise ValueError("negatively oriented triangle present")
-        d = self.diameters()
-        if d.max() / d.min() > 4.0:
-            raise ValueError("mesh is not quasi-uniform (diameter ratio > 4)")
-        owners = (self.facet_tris >= 0).sum(axis=1)
-        if not ((owners == 1) | (owners == 2)).all():
-            raise ValueError("facet with invalid owner count")
-
 
 def build_background_mesh(box: tuple[float, float, float, float], h: float) -> MacroMesh:
     """Structured triangular mesh of `box` = (xmin, xmax, ymin, ymax).
@@ -137,9 +114,7 @@ def build_background_mesh(box: tuple[float, float, float, float], h: float) -> M
     v10, v01, v11 = v00 + ny + 1, v00 + 1, v00 + ny + 2
     tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     pitch = max((xmax - xmin) / nx, (ymax - ymin) / ny)
-    mesh = MacroMesh(vertices, tris, h=pitch)
-    mesh.validate()
-    return mesh
+    return MacroMesh(vertices, tris, h=pitch)
 
 
 @dataclass
@@ -221,10 +196,8 @@ class AlfeldMesh:
             e2n[:, 3 + le * (k - 1): 3 + (le + 1) * (k - 1)] = base
         e2n[:, 3 + 3 * (k - 1):] = (nv + n_edge + n_int_per * np.arange(ne)[:, None]
                                     + np.arange(n_int_per)[None, :])
-        ns = NodeSet(k, coords, e2n)
-        assert ns.n_nodes == nv + n_edge + ne * n_int_per
-        self._nodes[k] = ns
-        return ns
+        self._nodes[k] = NodeSet(k, coords, e2n)
+        return self._nodes[k]
 
 
 def alfeld_split(mesh: MacroMesh) -> AlfeldMesh:

@@ -43,9 +43,28 @@ def reference_nodes(degree: int) -> np.ndarray:
     interior = [[i / degree, j / degree]
                 for i in range(1, degree) for j in range(1, degree - i)]
     nodes.append(np.reshape(interior, (-1, 2)))
-    out = np.vstack(nodes)
-    assert out.shape[0] == (degree + 1) * (degree + 2) // 2
-    return out
+    return np.vstack(nodes)
+
+
+def lattice(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (i/k, j/k), i + j <= k, of the unit triangle's order-k lattice,
+    boundary included, and the triangles connecting them: the cells of a
+    piecewise-linear export of degree-k fields, and sample points that meet
+    the boundary extrema of a polynomial."""
+    idx = {}
+    pts = []
+    for j in range(k + 1):
+        for i in range(k + 1 - j):
+            idx[(i, j)] = len(pts)
+            pts.append((i / k, j / k))
+    tris = []
+    for j in range(k):
+        for i in range(k - j):
+            tris.append((idx[(i, j)], idx[(i + 1, j)], idx[(i, j + 1)]))
+            if i + j < k - 1:
+                tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)],
+                             idx[(i, j + 1)]))
+    return np.array(pts), np.array(tris, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

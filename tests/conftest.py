@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cutstokes.meshing import (_orientations, alfeld_split, build_background_mesh,
-                               classify_elements)
+from cutstokes.meshing import alfeld_split, build_background_mesh, classify_elements
 from cutstokes.forms import _affine_coords, _csr, _extensions, _scatter, _sym
 from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet,
                                 _damped_deformation, _pointwise, interpolate_p1,
@@ -70,9 +69,11 @@ def eval_ref(phi, e: int, xhat: np.ndarray) -> np.ndarray:
     return v[0] * (1 - xhat[:, 0] - xhat[:, 1]) + v[1] * xhat[:, 0] + v[2] * xhat[:, 1]
 
 
-def child_areas(am) -> np.ndarray:
-    """Signed areas of the Alfeld children."""
-    return 0.5 * _orientations(am.vertices, am.children)
+def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed areas of the triangles, positive when counterclockwise."""
+    v = vertices[triangles]
+    u, w = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    return 0.5 * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
 
 
 def facet_nodes(ns, am, fid: int) -> np.ndarray:
@@ -317,7 +318,7 @@ def per_node_deformation(ls, phi_p1, sets, degree: int):
         for m, gid in enumerate(gids):
             gn = np.linalg.norm(grads[m])
             if gn < 1e-12:
-                raise GeometryError(f"vanishing level-set gradient at node {gid}")
+                raise GeometryError(f"vanishing level-set gradient at node {gid} at {pos[m]}")
             G = grads[m] / gn
             GA = Ainv @ G
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad as quad1d
 from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elements
 from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 interpolate_p1, IsoDeformation, build_deformation,
-                                CutQuadrature, cut_subdivide,
+                                CutQuadrature, cut_subdivide, _damped_deformation,
                                 build_quadratures, REF_VERTS)
 from tests.conftest import (areas, build_case, circle_levelset, eval_ref,
                             gradient_fd_error, inverse_map, per_node_deformation,
@@ -312,11 +312,29 @@ def test_deformation_vanishing_gradient():
     am = alfeld_split(m)
     phi = interpolate_p1(ls, am)
     sets = classify_elements(phi)
-    with pytest.raises(GeometryError, match="gradient"):
+    with pytest.raises(GeometryError, match=r"gradient at node \d+ at \["):
         build_deformation(ls, phi, sets, 2)
+    # the quartic's gradient vanishes at the origin, node 4 of the 2 x 2 mesh
+    with pytest.raises(GeometryError,
+                       match=r"^vanishing level-set gradient at node 4 at \[0\. 0\.\]$"):
+        build_case(quartic_levelset(), 1.0, 2)
 
 
-def test_validate_rejects_inverted_map():
+def test_damping_failure_names_element(quartic_case_h03):
+    # a cut node thrown far off folds its elements beyond what 40 halvings
+    # of the displacements repair; the error names one of those elements
+    am, phi, sets, defo, quad = quartic_case_h03
+    ns = am.lagrange_nodes(2)
+    gid = ns.elem2node[sets.alfeld_cut[0], 0]
+    disp = defo.node_disp.copy()
+    disp[gid] += (1e15, 0.0)
+    with pytest.raises(GeometryError,
+                       match=r"failed to restore orientation of element \d+$") as err:
+        _damped_deformation(am, sets, 2, disp)
+    assert gid in ns.elem2node[int(str(err.value).split()[-1])]
+
+
+def test_quadrature_rejects_inverted_map():
     m = build_background_mesh((-1, 1, -1, 1), 1.0)
     am = alfeld_split(m)
     ns = am.lagrange_nodes(2)
@@ -325,9 +343,9 @@ def test_validate_rejects_inverted_map():
     va, vb, vc = am.child_vertices(e)
     # drag the first vertex across the opposite edge
     disp[ns.elem2node[e][0]] = 1.5 * ((vb + vc) / 2 - va)
-    defo = IsoDeformation(am, 2, disp)
-    with pytest.raises(GeometryError, match="inverts"):
-        defo.validate(defo.deformed_children)
+    phi = DiscreteLevelSet(am, -np.ones(am.vertices.shape[0]))
+    with pytest.raises(GeometryError, match="nonpositive Jacobian .* of element 0$"):
+        build_quadratures(classify_elements(phi), phi, IsoDeformation(am, 2, disp))
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,13 @@ def test_cli_flags_per_subcommand():
                                   ["converge", "--gamma-n", "nan"],
                                   ["converge", "--gamma-gp", "inf"],
                                   ["converge", "--gamma-lambda", "nan"],
-                                  ["converge", "--h0", "nan"]])
+                                  ["converge", "--h0", "nan"],
+                                  ["sweep", "--shifts", "0"],
+                                  ["dump-geom", "--level", "-1"]])
 def test_cli_usage_errors(argv, monkeypatch):
     # a flag the subcommand does not read, a VTK dump with nowhere to go, the
-    # removed `noflow` and a config `StudyConfig` refuses are usage errors,
-    # refused before anything runs
+    # removed `noflow`, a config `StudyConfig` refuses, no shift step and a
+    # negative level are usage errors, refused before anything runs
     def never(*args, **kwargs):
         raise AssertionError("a driver started")
 
