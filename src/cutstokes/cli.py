@@ -63,6 +63,7 @@ def _resolve(args: argparse.Namespace, base: StudyConfig = StudyConfig()) -> Stu
 def _print_table(rows) -> None:
     """The study table, each column with an EOC followed by it."""
     cols = _study_columns(rows)
+    hs = [r.h for r in rows]
     head, body = [], [[] for _ in rows]
     for name, field, spec, with_eoc in cols:
         vals = [getattr(r, field) for r in rows]
@@ -71,7 +72,7 @@ def _print_table(rows) -> None:
         head.append(name.rjust(len(body[0][-1])))
         if with_eoc:
             head.append("  eoc")
-            for cells, rate in zip(body, [None] + compute_eoc(vals)):
+            for cells, rate in zip(body, [None] + compute_eoc(vals, hs)):
                 cells.append(f"{rate:5.2f}" if rate is not None else "    -")
     print("\n".join(" ".join(cells) for cells in [head] + body))
 

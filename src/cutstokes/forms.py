@@ -255,7 +255,7 @@ def assemble_j(quad: CutQuadrature, ms: MultiplierSpace,
     over the cut band, with the normal extended off the interface."""
     h = quad.am.macro.h
     pts, wts = quad.ref_rule
-    cut = quad.cut_elems
+    cut = quad.sets.alfeld_cut
     _, grad = scalar_tables(ms, cut, pts)
     nd = np.einsum("eqmj,eqj->eqm", grad, quad.band_normals)
     loc = _sym(_local(wts * quad.mapping.jacobians(cut, pts)[1], nd, nd))

@@ -430,10 +430,9 @@ class CutQuadrature:
     polynomial on undeformed children (no curved map, no data such as f)
     passes its degree and gets the smaller rule exact for it there.
     `band_normals` (per cut child, on `ref_rule`) and `interface_rule` are
-    stacked in the order of `cut_elems`.  The build checks that the Jacobian
-    is positive at every point of the volume groups; areas and the interface
-    length are sums of w * J over the groups and of the interface weights.
-    The mesh `am` is the map's; the P1 level set must live on it.
+    stacked in the order of `sets.alfeld_cut`.  The build checks that the
+    Jacobian is positive at every point of the volume groups.  The mesh `am`
+    is the map's; the P1 level set must live on it.
     """
 
     sets: ElementSets
@@ -442,7 +441,6 @@ class CutQuadrature:
     order: int
     am: AlfeldMesh = field(init=False)
     inside_elems: np.ndarray = field(init=False)
-    cut_elems: np.ndarray = field(init=False)
     ref_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
     patch_rule: tuple[np.ndarray, np.ndarray] = field(init=False)
     cut_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(init=False)
@@ -454,7 +452,7 @@ class CutQuadrature:
         self.am = mapping.am
         if self.phi_p1.am is not self.am:
             raise ValueError("the P1 level set and the map live on different meshes")
-        self.cut_elems = cut = self.sets.alfeld_cut
+        cut = self.sets.alfeld_cut
         subtriangles, seg = cut_subdivide(self.phi_p1.child_values(cut))
         self.ref_rule = triangle_rule(self.order)
         self.patch_rule = triangle_rule(4 * mapping.degree)

@@ -24,8 +24,8 @@ from .meshing import alfeld_split, build_background_mesh, classify_elements
 from .postprocess import recover_pressure
 from .reference import lattice
 from .solver import PenaltyFactor, condition_estimate, solve_saddle
-from .spaces import (ContinuousPressureSpace, MultiplierSpace, PressureSpace,
-                     ScalarField, VelocityField, VelocitySpace)
+from .spaces import (MultiplierSpace, PressureSpace, ScalarField, VelocityField,
+                     VelocitySpace)
 
 __all__ = [
     "ExactCase", "StudyConfig", "ResultRow", "LevelState",
@@ -42,7 +42,6 @@ class ExactCase:
     whose mesh does not resolve the interface raises `GeometryError`, so
     example 2 starts its study at h0 = 0.15."""
 
-    name: str
     levelset: LevelSet
     u: callable
     grad_u: callable
@@ -127,7 +126,7 @@ def exact_example1() -> ExactCase:
         gp = grad_p(x)
         return np.column_stack([-lap1 + gp[:, 0], -lap2 + gp[:, 1]])
 
-    return ExactCase("example1", LevelSet(phi, dphi), u, grad_u, p, grad_p, f)
+    return ExactCase(LevelSet(phi, dphi), u, grad_u, p, grad_p, f)
 
 
 def exact_example2() -> ExactCase:
@@ -170,7 +169,7 @@ def exact_example2() -> ExactCase:
         *_, (X4, Y4) = _powers(x)
         return np.column_stack([5.0 * X4, 5.0 * Y4])
 
-    return ExactCase("example2", LevelSet(phi, dphi), u, grad_u, p, grad_p, grad_p)
+    return ExactCase(LevelSet(phi, dphi), u, grad_u, p, grad_p, grad_p)
 
 
 _EXAMPLES = {1: exact_example1, 2: exact_example2}
@@ -217,17 +216,19 @@ class StudyConfig:
 
 @dataclass
 class ResultRow:
+    """The norms of one level; h is the pitch of its background mesh."""
+
     lvl: int
     h: float
     l2u: float
     h1u: float
     l2p_star: float
     l2div: float
+    h1p_star: float
     cond_estimate: float = float("nan")
-    h1p_star: float = float("nan")
 
     def __post_init__(self):
-        for name in ("l2u", "h1u", "l2p_star", "l2div"):
+        for name in ("l2u", "h1u", "l2p_star", "l2div", "h1p_star"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} = {v} is not a finite error")
@@ -237,8 +238,9 @@ class ResultRow:
 class LevelState:
     """Everything built while solving one refinement level; the mesh, the
     element sets and the P1 level set are `quad.am`, `quad.sets` and
-    `quad.phi_p1`, the velocity space and the continuous pressure space of
-    the recovery are `uh.space` and `pstar.space`."""
+    `quad.phi_p1`, and the velocity space is `uh.space`.  `pstar` is the
+    recovered pressure p* that `recover_pressure` returns, defined on the
+    children that meet the fluid, `pstar.space.elements`."""
 
     exact: ExactCase
     quad: CutQuadrature
@@ -287,24 +289,18 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     """Build, solve and post-process one level; returns (ResultRow, LevelState)."""
     if exact is None:
         exact = _EXAMPLES[cfg.example]()
-    h = cfg.h0 / 2 ** lvl
-    quad = build_geometry(cfg, exact, h)
+    quad = build_geometry(cfg, exact, cfg.h0 / 2 ** lvl)
     vs, ps, ms, system = assemble_level(cfg, quad, exact.f)
     factor = PenaltyFactor(system)
     sol = solve_saddle(factor)
     cond = condition_estimate(factor) if cfg.with_condest else float("nan")
     del factor   # free the LU of W before the recovery factors its own
 
-    qs = ContinuousPressureSpace(quad.sets, quad.mapping, cfg.k - 1)
     uh = VelocityField(vs, sol.u)
-    pc = recover_pressure(quad, qs, uh, exact.f, cfg.gamma_gp)
-    pstar = ScalarField(qs, pc)
-
+    pstar = recover_pressure(quad, uh, exact.f, cfg.gamma_gp)
     state = LevelState(exact, quad, ps, ms, system, sol, uh, pstar)
-    err = compute_errors(state)
-    row = ResultRow(lvl=lvl, h=h, l2u=err["l2u"], h1u=err["h1u"],
-                    l2p_star=err["l2p_star"], l2div=err["l2div"],
-                    cond_estimate=cond, h1p_star=err["h1p_star"])
+    row = ResultRow(lvl=lvl, h=quad.am.macro.h, cond_estimate=cond,
+                    **compute_errors(state))
     return row, state
 
 
@@ -410,12 +406,14 @@ def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
     return out
 
 
-def compute_eoc(errors) -> list:
-    """log2 ratios of consecutive errors under h-halving; None where a zero
-    error makes the rate undefined."""
-    errors = list(errors)
-    return [float(np.log2(a / b)) if a > 0 and b > 0 else None
-            for a, b in zip(errors[:-1], errors[1:])]
+def compute_eoc(errors, hs) -> list:
+    """Rates log(e_i / e_i+1) / log(h_i / h_i+1) of consecutive errors at
+    mesh sizes hs; None where a zero error makes the rate undefined."""
+    errors, hs = list(errors), list(hs)
+    if len(errors) != len(hs):
+        raise ValueError(f"{len(errors)} errors but {len(hs)} mesh sizes")
+    return [float(np.log(a / b) / np.log(ha / hb)) if a > 0 and b > 0 else None
+            for a, b, ha, hb in zip(errors[:-1], errors[1:], hs[:-1], hs[1:])]
 
 
 _FMT = "%.10e"
@@ -508,10 +506,11 @@ def _vtk_mesh(title: str, P: np.ndarray, T: np.ndarray) -> list:
 
 
 def write_vtk(path: str, state: LevelState) -> None:
-    """Legacy ASCII VTK dump of u_h and p* on the active mesh, each child
-    sampled on its degree-k lattice (points are duplicated across cells)."""
+    """Legacy ASCII VTK dump of u_h and p* on the children where p* is
+    defined, those that meet the fluid, each sampled on its degree-k lattice
+    (points are duplicated across cells)."""
     xhat, tloc = lattice(state.uh.space.degree)
-    elems = state.quad.sets.active_children
+    elems = state.pstar.space.elements
     P = state.quad.mapping.phys(elems, xhat).reshape(-1, 2)
     U = state.uh.at(elems, xhat)[0].reshape(-1, 2)
     Q = state.pstar.at(elems, xhat, derivs=False)[0].ravel()

@@ -73,8 +73,12 @@ class MacroMesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, positively oriented
     h : float
-        Grid pitch of the structured builder; halves exactly on refinement.
-        All 1/h penalty scalings refer to this value.
+        Grid pitch of the structured builder, the larger of side/n over the
+        axes, each divided into n = ceil(side/h) cells for the requested h.
+        Halving the requested h need not halve the pitch (h = 0.3, 0.15,
+        0.075 give 7, 14 and 27 cells on a side of 2), so the levels of a
+        study are not nested.  All 1/h penalty scalings, the study tables'
+        h and their rates refer to this value.
     """
 
     vertices: np.ndarray

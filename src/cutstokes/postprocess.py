@@ -2,10 +2,11 @@
 
 The multiplier formulation only controls the pressure up to the O(h^1/2)
 boundary-layer error of the extended-by-zero pressure, so the physical
-pressure is recovered afterwards: a Poisson solve in the continuous degree
-k-1 space driven by f and a boundary curl term, stabilized by the scalar
-ghost penalty on the facets between uncut and cut elements, and pinned by a
-zero-mean constraint over the fluid domain.
+pressure p* is recovered afterwards on the discrete fluid domain: a Poisson
+solve in the continuous degree k-1 space on the children that meet the fluid
+(`ContinuousPressureSpace`), driven by f and a boundary curl term,
+stabilized by the scalar ghost penalty on the facets between uncut and cut
+elements, and fixed by a zero-mean constraint over the fluid domain.
 
 The boundary term is assembled from the scalar curl w = d1 u2 - d2 u1 via
 the in-plane identity n x (curl u) . grad q = w (n2 d1 q - n1 d2 q); the
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 from .forms import _csr, _local, _scatter, _sym, assemble_ghost_penalty
 from .geometry import CutQuadrature, _pointwise
 from .solver import solve_direct
-from .spaces import ContinuousPressureSpace, VelocityField, scalar_tables
+from .spaces import ContinuousPressureSpace, ScalarField, VelocityField, scalar_tables
 
 __all__ = ["pressure_gp_facets", "recover_pressure"]
 
@@ -46,11 +47,13 @@ def pressure_gp_facets(quad: CutQuadrature) -> np.ndarray:
     return np.flatnonzero(pair)
 
 
-def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
-                     uh: VelocityField, f, gamma_gp: float) -> np.ndarray:
-    """Solve for the recovered pressure, with the ghost-penalty weight
-    gamma_gp on `pressure_gp_facets`; returns its nodal coefficients."""
+def recover_pressure(quad: CutQuadrature, uh: VelocityField, f,
+                     gamma_gp: float) -> ScalarField:
+    """The recovered pressure p* of the velocity uh, in the degree k-1
+    `ContinuousPressureSpace` on the children that meet the fluid, with the
+    ghost-penalty weight gamma_gp on `pressure_gp_facets`."""
     mp = quad.mapping
+    qs = ContinuousPressureSpace(quad.sets, mp, uh.space.degree - 1)
     n = qs.n_dofs
 
     blocks = []
@@ -76,16 +79,7 @@ def recover_pressure(quad: CutQuadrature, qs: ContinuousPressureSpace,
 
     K = _csr(n, n, blocks) + assemble_ghost_penalty(quad, qs, gamma_gp,
                                                     facets=pressure_gp_facets(quad))
-
-    # nodes supported only on fully-outside elements never see the fluid or
-    # a stabilized facet; pin them so the factorization stays regular
-    free = K.diagonal() > 0.0
-    if not free.all():
-        pin = sp.diags((~free).astype(float), format="csr")
-        K = K + pin
-
     mcol = sp.csr_matrix(mean.reshape(-1, 1))
     M = sp.bmat([[K, mcol], [mcol.T, None]], format="csr")
-    b = np.concatenate([rhs, [0.0]])
-    x = solve_direct(M, b)
-    return x[:n]
+    x = solve_direct(M, np.concatenate([rhs, [0.0]]))
+    return ScalarField(qs, x[:n])

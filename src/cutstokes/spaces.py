@@ -81,8 +81,7 @@ class _NodalScalarSpace(_Space):
 
     def __init__(self, mapping: IsoDeformation, degree: int, elements: np.ndarray):
         super().__init__(mapping, degree, elements)
-        self.node_set = mapping.am.lagrange_nodes(degree)
-        e2n = self.node_set.elem2node
+        e2n = mapping.am.lagrange_nodes(degree).elem2node
         self.nodes = np.unique(e2n[self.elements])
         self._comp = np.full(e2n.max() + 1, -1, dtype=np.int64)
         self._comp[self.nodes] = np.arange(self.nodes.size)
@@ -208,10 +207,12 @@ class MultiplierSpace(_NodalScalarSpace):
 
 
 class ContinuousPressureSpace(_NodalScalarSpace):
-    """Continuous degree k-1 space on the active mesh for pressure recovery."""
+    """Continuous degree k-1 space of the recovered pressure p*, on the
+    children that meet the fluid (inside or cut), so every node lies in the
+    support of the recovery's volume forms."""
 
     def __init__(self, sets: ElementSets, mapping: IsoDeformation, degree: int):
-        super().__init__(mapping, degree, sets.active_children)
+        super().__init__(mapping, degree, np.flatnonzero(sets.child_class < 2))
 
 
 def scalar_tables(space, elems: np.ndarray, xhat: np.ndarray, derivs: bool = True):

@@ -96,7 +96,7 @@ def boundary_facets(am, elements) -> np.ndarray:
 def boundary_dofs(vs) -> np.ndarray:
     """Velocity dofs of the nodes lying on the boundary of the active mesh."""
     am = vs.mapping.am
-    ids = [facet_nodes(vs.node_set, am, int(fid))
+    ids = [facet_nodes(am.lagrange_nodes(vs.degree), am, int(fid))
            for fid in boundary_facets(am, vs.elements)]
     gids = np.unique(np.concatenate(ids)) if ids else np.array([], dtype=np.int64)
     cg = vs._comp[gids]
@@ -189,11 +189,12 @@ def per_facet_ghost_penalty(quad, space, gamma_gp, facets=None) -> sp.csr_matrix
 def node_positions(space) -> np.ndarray:
     """Mapped (physical) positions of the global nodes of a continuous
     space, in its dof numbering (the velocity space: its node numbering)."""
-    pos = space.node_set.coords[space.nodes].copy()
+    nodes = space.mapping.am.lagrange_nodes(space.degree)
+    pos = nodes.coords[space.nodes].copy()
     if space.degree == space.mapping.degree:
         pos += space.mapping.node_disp[space.nodes]
     else:
-        loc = space._comp[space.node_set.elem2node[space.elements]]
+        loc = space._comp[nodes.elem2node[space.elements]]
         pos[loc] = space.mapping.phys(space.elements, reference_nodes(space.degree))
     return pos
 

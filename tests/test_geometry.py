@@ -474,7 +474,7 @@ def test_groups_never_mix_deformed_and_undeformed(ex1_quads):
               (1.8543612934917122, 2.025042626752238)]
     for base, pin in zip(ex1_quads, pinned):
         mp = base.mapping
-        fluid = np.concatenate([base.inside_elems, base.cut_elems])
+        fluid = np.concatenate([base.inside_elems, base.sets.alfeld_cut])
         for quad in (base, replace(base, order=2 * mp.degree + 4)):
             for groups, cover in ((quad.volume_groups(), fluid),
                                   (quad.bulk_groups(), quad.sets.active_children)):

@@ -134,10 +134,14 @@ def test_example2_fields():
 
 
 def test_compute_eoc():
-    assert compute_eoc([1.0, 0.25]) == [2.0]
-    assert compute_eoc([1.0, 0.125]) == [3.0]
-    assert compute_eoc([1.0, 1.0, 1.0]) == [0.0, 0.0]
-    assert compute_eoc([1.0, 0.0]) == [None]
+    assert compute_eoc([1.0, 0.25], [1.0, 0.5]) == [2.0]
+    assert compute_eoc([1.0, 0.125], [1.0, 0.5]) == [3.0]
+    assert compute_eoc([1.0, 1.0, 1.0], [1.0, 0.5, 0.25]) == [0.0, 0.0]
+    assert compute_eoc([1.0, 0.0], [1.0, 0.5]) == [None]
+    # the rate is taken against the mesh sizes given, not a halving
+    assert compute_eoc([2.25, 1.0], [3.0, 2.0]) == pytest.approx([2.0], rel=1e-15)
+    with pytest.raises(ValueError, match="^2 errors but 3 mesh sizes$"):
+        compute_eoc([1.0, 0.5], [1.0, 0.5, 0.25])
 
 
 def test_fit_rate():
@@ -183,9 +187,16 @@ def test_config_validation():
 def test_result_row_validation():
     with pytest.raises(ValueError):
         ResultRow(lvl=0, h=0.3, l2u=float("nan"), h1u=1.0, l2p_star=1.0,
-                  l2div=0.0)
+                  l2div=0.0, h1p_star=1.0)
     with pytest.raises(ValueError):
-        ResultRow(lvl=0, h=0.3, l2u=1.0, h1u=-1.0, l2p_star=1.0, l2div=0.0)
+        ResultRow(lvl=0, h=0.3, l2u=1.0, h1u=-1.0, l2p_star=1.0, l2div=0.0,
+                  h1p_star=1.0)
+    with pytest.raises(ValueError, match="^h1p_star = nan is not a finite error$"):
+        ResultRow(lvl=0, h=0.3, l2u=1.0, h1u=1.0, l2p_star=1.0, l2div=0.0,
+                  h1p_star=float("nan"))
+    # the condition estimate alone may be missing
+    assert np.isnan(ResultRow(lvl=0, h=0.3, l2u=1.0, h1u=1.0, l2p_star=1.0,
+                              l2div=0.0, h1p_star=1.0).cond_estimate)
 
 
 def test_config_roundtrip(tmp_path):
@@ -222,9 +233,9 @@ def test_config_unknown_key(tmp_path):
 
 def test_write_data_schema(tmp_path):
     rows = [ResultRow(lvl=0, h=0.3, l2u=1.0, h1u=2.0, l2p_star=3.0,
-                      l2div=4e-12),
+                      l2div=4e-12, h1p_star=5.0),
             ResultRow(lvl=1, h=0.15, l2u=0.1, h1u=0.5, l2p_star=0.8,
-                      l2div=2e-12)]
+                      l2div=2e-12, h1p_star=2.0)]
     path = str(tmp_path / "t.data")
     write_data(path, rows)
     lines = open(path).read().strip().split("\n")
@@ -481,6 +492,18 @@ def test_write_vtk(tmp_path):
     np.testing.assert_allclose(pres, p, rtol=1e-9, atol=0)
 
 
+def test_write_vtk_samples_fluid_children(tmp_path):
+    # example 1, level 1: p* is defined on the 584 children that meet the
+    # fluid, so only those are written, not all 594 active ones
+    _, state = solve_level(StudyConfig(levels=2), 1)
+    path = str(tmp_path / "lvl1.vtk")
+    write_vtk(path, state)
+    lines = open(path).read().split("\n")
+    assert "POINTS 3504 double" in lines
+    assert "CELLS 2336 9344" in lines
+    assert "POINT_DATA 3504" in lines
+
+
 # ---------------------------------------------------------------------------
 # the example-1 study and the no-flow comparison
 
@@ -500,13 +523,20 @@ def test_study_norms_pinned(ex1_ho_study):
             assert abs(got - ref) <= 1e-10 * ref, (row.lvl, name, got, ref)
 
 
+def test_study_mesh_sizes(ex1_ho_study):
+    # each row carries the pitch of its background mesh: 7, 14, 27, 54 and
+    # 107 cells on a side of 2 for h0 = 0.3, not 0.3 / 2**lvl
+    assert [r.h for r in ex1_ho_study] == [2 / n for n in (7, 14, 27, 54, 107)]
+
+
 def test_study_rates(ex1_ho_study):
     # k=2: L2 velocity k+1, H1 velocity k, divergence at round-off (<= 3.8e-14
     # measured; a solve stopped on the global residual gives 9e-13 at level 4)
     rows = ex1_ho_study
     assert all(r.l2div <= 2e-13 for r in rows), [r.l2div for r in rows]
-    l2 = compute_eoc([r.l2u for r in rows])[1:]
-    h1 = compute_eoc([r.h1u for r in rows])[1:]
+    hs = [r.h for r in rows]
+    l2 = compute_eoc([r.l2u for r in rows], hs)[1:]
+    h1 = compute_eoc([r.h1u for r in rows], hs)[1:]
     assert len(l2) == 3
     assert min(l2) >= 2.7, l2
     assert min(h1) >= 1.8, h1
@@ -515,10 +545,12 @@ def test_study_rates(ex1_ho_study):
 def test_multiplier_degree_pressure_robustness():
     # no-flow case (u = 0, f = grad p): the velocity error is pure pressure
     # pollution, and the degree-2 multiplier must keep it smaller and let it
-    # fall faster (EOC 4.12 and 4.65, ratio 17.9 at level 2 measured)
-    l2u = {kl: [r.l2u for r in run_convergence(
-        StudyConfig(example=2, k_lambda=kl, h0=0.15, levels=3))] for kl in (1, 2)}
+    # fall faster (EOC 4.34 and 4.65 against the mesh pitch, ratio 17.9 at
+    # level 2 measured)
+    rows = {kl: run_convergence(StudyConfig(example=2, k_lambda=kl, h0=0.15, levels=3))
+            for kl in (1, 2)}
+    l2u = {kl: [r.l2u for r in rows[kl]] for kl in rows}
     assert all(b < a for a, b in zip(l2u[1], l2u[2])), l2u
-    eoc = compute_eoc(l2u[2])
+    eoc = compute_eoc(l2u[2], [r.h for r in rows[2]])
     assert min(eoc) >= 3.8, eoc
     assert l2u[1][2] >= 10 * l2u[2][2], l2u

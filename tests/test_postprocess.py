@@ -3,10 +3,9 @@ import pytest
 
 from cutstokes import postprocess
 from cutstokes.geometry import IsoDeformation, build_quadratures
-from cutstokes.harness import StudyConfig, exact_example1
+from cutstokes.harness import StudyConfig, exact_example1, solve_level
 from cutstokes.postprocess import pressure_gp_facets, recover_pressure
-from cutstokes.spaces import (ContinuousPressureSpace, ScalarField,
-                              VelocitySpace, VelocityField)
+from cutstokes.spaces import VelocitySpace, VelocityField
 from tests.conftest import (areas, build_case, fit_rate, interpolate_scalar,
                             quartic_levelset)
 
@@ -14,22 +13,22 @@ GAMMA_GP = StudyConfig().gamma_gp
 
 
 class _ExactVelocity:
-    """Stand-in for a solved field: reports exact gradients at mapped points."""
+    """Stand-in for a solved field in the velocity space `space`: reports
+    exact gradients at mapped points."""
 
-    def __init__(self, mapping, grad):
-        self.mapping = mapping
+    def __init__(self, space, grad):
+        self.space = space
         self.grad = grad
 
     def at(self, e, xhat):
-        x = self.mapping.phys(e, xhat)
+        x = self.space.mapping.phys(e, xhat)
         return None, self.grad(x.reshape(-1, 2)).reshape(x.shape + (2,)), None
 
 
-def _l2_error(quad, qs, pc, p_exact):
+def _l2_error(quad, fld, p_exact):
     # compare in the zero-mean quotient: shift the exact pressure by its
     # discrete mean over the fluid domain
     mp = quad.mapping
-    fld = ScalarField(qs, pc)
     num = den = 0.0
     for elems, xh, w in quad.volume_groups():
         _, J = mp.jacobians(elems, xh)
@@ -63,10 +62,9 @@ def test_gp_facet_selection(quartic_case_h03):
 def test_zero_data_zero_pressure(quartic_case_h03):
     am, phi, sets, defo, quad = quartic_case_h03
     vs = VelocitySpace(sets, quad.mapping, 2)
-    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     uh = VelocityField(vs, np.zeros(vs.n_dofs))
-    pc = recover_pressure(quad, qs, uh, lambda x: np.zeros_like(x), GAMMA_GP)
-    assert np.abs(pc).max() <= 1e-14
+    pstar = recover_pressure(quad, uh, lambda x: np.zeros_like(x), GAMMA_GP)
+    assert np.abs(pstar.coeffs).max() <= 1e-14
 
 
 def test_linear_gradient_recovered_exactly():
@@ -76,23 +74,20 @@ def test_linear_gradient_recovered_exactly():
     ident = IsoDeformation.identity(am, 2)
     quad = build_quadratures(sets, phi, ident)
     vs = VelocitySpace(sets, quad.mapping, 2)
-    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     uh = VelocityField(vs, np.zeros(vs.n_dofs))
     g = lambda x: 0.3 + 2.0 * x[:, 0] - x[:, 1]
     f = lambda x: np.broadcast_to([2.0, -1.0], x.shape)
-    pc = recover_pressure(quad, qs, uh, f, GAMMA_GP)
-    d = pc - interpolate_scalar(qs, g)
+    pstar = recover_pressure(quad, uh, f, GAMMA_GP)
+    d = pstar.coeffs - interpolate_scalar(pstar.space, g)
     # any constant offset is fine, nothing else is
     assert d.max() - d.min() <= 1e-10
 
 
 def test_mean_zero(quartic_case_h015):
     am, phi, sets, defo, quad = quartic_case_h015
-    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     ex = exact_example1()
-    uh = _ExactVelocity(quad.mapping, ex.grad_u)
-    pc = recover_pressure(quad, qs, uh, ex.f, GAMMA_GP)
-    fld = ScalarField(qs, pc)
+    uh = _ExactVelocity(VelocitySpace(sets, quad.mapping, 2), ex.grad_u)
+    fld = recover_pressure(quad, uh, ex.f, GAMMA_GP)
     mean = norm2 = 0.0
     for elems, xh, w in quad.volume_groups():
         _, J = quad.mapping.jacobians(elems, xh)
@@ -105,14 +100,13 @@ def test_mean_zero(quartic_case_h015):
 def test_curl_sign(quartic_case_h015, monkeypatch):
     # flipping the boundary-term sign must stall the error at O(1)
     am, phi, sets, defo, quad = quartic_case_h015
-    qs = ContinuousPressureSpace(sets, quad.mapping, 1)
     ex = exact_example1()
-    uh = _ExactVelocity(quad.mapping, ex.grad_u)
+    uh = _ExactVelocity(VelocitySpace(sets, quad.mapping, 2), ex.grad_u)
     errs = {}
     for sign in (-1.0, 1.0):
         monkeypatch.setattr(postprocess, "CURL_SIGN", sign)
-        pc = recover_pressure(quad, qs, uh, ex.f, GAMMA_GP)
-        errs[sign] = _l2_error(quad, qs, pc, ex.p)
+        pstar = recover_pressure(quad, uh, ex.f, GAMMA_GP)
+        errs[sign] = _l2_error(quad, pstar, ex.p)
     assert errs[1.0] > 0.1
     assert errs[-1.0] <= 0.2 * errs[1.0]
 
@@ -121,3 +115,27 @@ def test_h1_rate_over_study(ex1_ho_study):
     rows = ex1_ho_study
     rate = fit_rate([r.h for r in rows], [r.h1p_star for r in rows])
     assert rate >= 0.7, [r.h1p_star for r in rows]
+
+
+def test_recovery_space_is_the_fluid_children():
+    # example 1, level 1, k = 2: p* lives on the 584 children that meet the
+    # fluid, not on all 594 active ones, with the same 317 dofs
+    _, state = solve_level(StudyConfig(levels=2), 1)
+    sets = state.quad.sets
+    space = state.pstar.space
+    assert np.array_equal(space.elements, np.flatnonzero(sets.child_class < 2))
+    assert (space.elements.size, sets.active_children.size) == (584, 594)
+    assert (space.degree, space.n_dofs) == (1, 317)
+
+
+def test_recovery_nodes_lie_on_fluid_children():
+    # k = 3, level 1: ten degree-2 nodes of the active mesh touch only
+    # children outside the fluid; none of them is a dof of p*
+    _, state = solve_level(StudyConfig(k=3, levels=2), 1)
+    am, sets = state.quad.am, state.quad.sets
+    e2n = am.lagrange_nodes(2).elem2node
+    fluid = np.unique(e2n[sets.child_class < 2])
+    active = np.unique(e2n[sets.active_children])
+    assert np.setdiff1d(active, fluid).size == 10
+    assert np.array_equal(state.pstar.space.nodes, fluid)
+    assert np.isfinite(state.pstar.coeffs).all()
