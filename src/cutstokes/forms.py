@@ -112,13 +112,13 @@ def assemble_a(quad: CutQuadrature, vs: VelocitySpace,
 
     # on an undeformed child grad u : grad v is a polynomial of degree 2k - 2
     for elems, xh, w in quad.volume_groups(2 * vs.degree - 2):
-        _, grad, _ = velocity_tables(vs, elems, xh)
+        _, grad = velocity_tables(vs, elems, xh)
         wj = w * mp.jacobians(elems, xh)[1]
         dofs = vs.elem_dofs[vs.rows(elems)]
         blocks.append((dofs, dofs, _sym(_local(wj, grad, grad))))
 
     r = quad.interface_rule
-    val, grad, _ = velocity_tables(vs, r.elems, r.xhat)
+    val, grad = velocity_tables(vs, r.elems, r.xhat)
     nd = np.einsum("eqs,eqdcs->eqdc", r.normals, grad)
     K1 = _local(r.weights, val, nd)
     pen = _sym(_local(r.weights * (gamma_n / h), val, val))
@@ -149,7 +149,7 @@ def assemble_c(quad: CutQuadrature, vs: VelocitySpace,
                ms: MultiplierSpace) -> sp.csr_matrix:
     """Interface coupling (mu, n_h . v) on the discrete interface."""
     r = quad.interface_rule
-    val, _, _ = velocity_tables(vs, r.elems, r.xhat, derivs=False)
+    val, _ = velocity_tables(vs, r.elems, r.xhat, derivs=False)
     mu, _ = scalar_tables(ms, r.elems, r.xhat, derivs=False)
     loc = _local(r.weights, mu, np.einsum("eqjc,eqc->eqj", val, r.normals))
     return _csr(ms.n_dofs, vs.n_dofs,

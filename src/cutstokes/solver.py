@@ -49,7 +49,13 @@ system; a level that solves and estimates factors W once.  Both glue M
 SuperLU factors.  M is symmetric, so its condition number is
 |lambda|_max(M) |lambda|_max(M^-1), and each factor is found by the
 implicitly restarted Lanczos method of ARPACK (`eigsh`) from a fixed start
-vector, so repeated estimates are equal.
+vector, so repeated estimates are equal.  The estimate needs each apply of
+M^-1 only to 1e-12, not to round-off, so its loop also stops once the next
+correction that the last ratio predicts lies below CONDEST_APPLY_TOL |x|:
+3 steps where the halving stop takes 5 or 6 (93 against 164 for one
+estimate at level 0 of example 1).  Each apply is judged by its normwise
+backward error, because the applies along the smallest modes return an x
+far larger than b.
 """
 
 from __future__ import annotations
@@ -86,9 +92,16 @@ PENALTY_RHO = 1e6
 # the full matrix, which every solve gets, rejects a factor spoilt by growth.
 PENALTY_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-6,
                   options=dict(SymmetricMode=True))
-# relative accuracy of the eigenvalue magnitudes in `condition_estimate`;
-# 1e-10 gives the same digits on the sweep systems but a second Lanczos cycle
-CONDEST_TOL = 1e-8
+# ARPACK's bound on the Ritz residual in `condition_estimate`, relative to
+# the Ritz value.  The eigenvalue's error is second order in that residual
+# (Kato-Temple): against 1e-10, 1e-6 moves kappa by at most 1.7e-10
+# relative on the sweep at h = 0.1 (1e-8 by 1.2e-14) and halves the forward
+# Lanczos matvecs there (81 against 151 at x0 = -0.2)
+CONDEST_TOL = 1e-6
+# the estimate's inverse applies also stop once the predicted next
+# correction is below this part of |x|: from the third step on, corrections
+# of 1e-12 to 1e-13 of |x| are the round-off floor of the W solves
+CONDEST_APPLY_TOL = 1e-12
 
 
 class SingularSystemError(RuntimeError):
@@ -164,18 +177,24 @@ class PenaltyFactor:
         return np.append(x, s)
 
 
-def _refine(M: sp.spmatrix, apply, b: np.ndarray) -> tuple[np.ndarray, float]:
+def _refine(M: sp.spmatrix, apply, b: np.ndarray, tol: float = 0.0,
+            m_norm: float = 0.0) -> tuple[np.ndarray, float]:
     """Solve Mx = b by the iteration x <- x + apply(b - M x) from x = 0;
-    returns x and its relative residual.
+    returns x and its backward error |b - M x| / (m_norm |x| + |b|), by
+    default the relative residual.
 
     `apply` is an approximate M^-1: one `PenaltyFactor.step`, or an LU solve,
     for which the loop is iterative refinement.  It stops when the
     correction no longer halves, which is where round-off stops the solve:
     the residual would be the wrong measure, because the round-off of the
-    velocity rows dominates it and hides the divergence row.  Corrections
-    still halving after REFINE_MAXIT steps raise `IterationError`; a
-    residual then above RESIDUAL_TOL means the factorization is unusable.
-    Both errors name the steps and the last two corrections' ratio.
+    velocity rows dominates it and hides the divergence row.  With tol > 0
+    it also stops, from the second step on, once the next correction that
+    the last ratio predicts, (|dx_k|/|dx_k-1|) |dx_k|, is at most tol |x|.
+    Corrections still halving after REFINE_MAXIT steps raise
+    `IterationError`; a backward error then above RESIDUAL_TOL means the
+    factorization is unusable.  Both errors name the steps and the last two
+    corrections' ratio.  m_norm = |M|_2 makes it the normwise backward
+    error, which stays at round-off for a solution far larger than b.
     """
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -188,17 +207,20 @@ def _refine(M: sp.spmatrix, apply, b: np.ndarray) -> tuple[np.ndarray, float]:
         sizes.append(np.linalg.norm(dx))
         if not sizes[-1] < 0.5 * sizes[-2]:
             break
+        if len(sizes) > 2 and sizes[-1] / sizes[-2] * sizes[-1] <= tol * np.linalg.norm(x):
+            break
     else:
         raise IterationError(
             f"the correction still halved after {REFINE_MAXIT} steps (last ratio "
             f"{sizes[-1] / sizes[-2]:.3g}); the last relative residual was "
             f"{np.linalg.norm(r) / bnorm:.3e}")
-    res = float(np.linalg.norm(r) / bnorm)
+    res = float(np.linalg.norm(r) / (m_norm * np.linalg.norm(x) + bnorm))
     if not res <= RESIDUAL_TOL:
         raise SingularSystemError(
-            f"relative residual {res:.3e} still above {RESIDUAL_TOL:.0e} after "
-            f"{len(sizes) - 1} steps of iterative refinement, the last two "
-            f"corrections in ratio |dx_k|/|dx_k-1| = {sizes[-1] / sizes[-2]:.3g}")
+            f"{'backward error' if m_norm else 'relative residual'} {res:.3e} still "
+            f"above {RESIDUAL_TOL:.0e} after {len(sizes) - 1} steps of iterative "
+            f"refinement, the last two corrections in ratio |dx_k|/|dx_k-1| = "
+            f"{sizes[-1] / sizes[-2]:.3g}")
     return x, res
 
 
@@ -231,7 +253,8 @@ def solve_saddle(factor: PenaltyFactor) -> Solution:
 
 def _largest_magnitude(op) -> float:
     """|lambda|_max of a symmetric operator by ARPACK's implicitly restarted
-    Lanczos, from the start vector of ones, to CONDEST_TOL relative."""
+    Lanczos, from the start vector of ones, to a relative Ritz residual of
+    CONDEST_TOL."""
     n = op.shape[0]
     w = spla.eigsh(op, k=1, which="LM", v0=np.ones(n), tol=CONDEST_TOL,
                    return_eigenvectors=False)
@@ -243,9 +266,14 @@ def condition_estimate(factor: PenaltyFactor) -> float:
 
     The largest magnitude comes from M, the smallest as the inverse of the
     largest magnitude of M^-1, each apply of which is a `_refine` solve with
-    `factor.step`.
+    `factor.step` that stops at CONDEST_APPLY_TOL and is judged by its
+    normwise backward error with |M|_2 = |lambda|_max: the Lanczos vectors
+    align with the smallest modes, so |x| reaches 4e7 |b| (k = 4, h = 0.1),
+    and the relative residual cannot fall below about eps |M||x|/|b|.
     """
     M = factor.system.matrix
+    top = _largest_magnitude(M)
     inverse = spla.LinearOperator(
-        M.shape, matvec=lambda v: _refine(M, factor.step, v)[0], dtype=float)
-    return _largest_magnitude(M) * _largest_magnitude(inverse)
+        M.shape, matvec=lambda v: _refine(M, factor.step, v, CONDEST_APPLY_TOL, top)[0],
+        dtype=float)
+    return top * _largest_magnitude(inverse)

@@ -140,18 +140,15 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
                     derivs: bool = True):
     """Local velocity basis tables at reference points of the children `elems`.
 
-    Returns (val, grad, div): shapes (ne, nq, 2*n_k, 2),
-    (ne, nq, 2*n_k, 2, 2) and (ne, nq, 2*n_k); `grad` is None when derivs
-    is False.  Dof ordering is node major, component minor, matching
-    `elem_dofs`.  The divergence comes from the reference identity
-    div v = (1/J) div_ref v_ref, not from the gradient trace.
+    Returns (val, grad): shapes (ne, nq, 2*n_k, 2) and (ne, nq, 2*n_k, 2, 2);
+    `grad` is None when derivs is False.  Dof ordering is node major,
+    component minor, matching `elem_dofs`.
     """
     elems, xhat = _batch(elems, xhat)
     F, J, *curv = _jacobians(vs.mapping, elems, xhat, derivs)
     # W[e, m, c, :] = B_m e_c: the reference field of dof (m, c) is psi_m W[m, c]
     W = np.swapaxes(vs.nodal_blocks[vs.rows(elems)], -1, -2)[:, None]
     psi = vs.ref.eval(xhat)[..., None, None]
-    dpsi = vs.ref.grad(xhat)
     Jq = J[:, :, None, None, None]
     # (F W)_ci = F_ik W_ck, before psi and without fused multiply-adds: on
     # undeformed children F W = det(A) I exactly, so the tables keep the
@@ -160,14 +157,13 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
     Fq = F[:, :, None, None]
     FW = W[..., :, None, 0] * Fq[..., 0] + W[..., :, None, 1] * Fq[..., 1]
     val = psi * FW / Jq
-    div = (W @ dpsi[..., None])[..., 0] / Jq[..., 0]
     shape = val.shape[:2] + (vs.n_local,)
     grad = None
     if derivs:
         Finv = _adjugate(F) / J[..., None, None]
         # grad_cij = (F W / J)_ci (dpsi F^{-1})_j: the physical gradients of
         # the scalar basis, spread over the component axes
-        grad = (FW / Jq)[..., None] * (dpsi @ Finv)[:, :, :, None, None]
+        grad = (FW / Jq)[..., None] * (vs.ref.grad(xhat) @ Finv)[:, :, :, None, None]
         if curv:    # the dF and dJ terms, exact zeros without a moved child
             dF, dJ = curv
             # (dF W)_cis = dF_iks W_ck with dF arranged as (k, (i, s))
@@ -176,7 +172,7 @@ def velocity_tables(vs: VelocitySpace, elems: np.ndarray, xhat: np.ndarray,
                   - val[..., None] * (dJ / J[..., None])[:, :, None, None, None, :])
             grad += up @ Finv[:, :, None, None]
         grad = grad.reshape(shape + (2, 2))
-    return val.reshape(shape + (2,)), grad, div.reshape(shape)
+    return val.reshape(shape + (2,)), grad
 
 
 class PressureSpace(_Space):

@@ -260,6 +260,16 @@ def rhs_by_tables(quad, vs, f) -> np.ndarray:
     return rhs
 
 
+def divergence_table(vs, elems, xhat) -> np.ndarray:
+    """Piola divergences (ne, nq, 2 n_k) of the velocity basis of the
+    children `elems`, by the reference identity div v = (1/J) div_ref v_ref
+    rather than the gradient trace: the oracle for `assemble_b`."""
+    W = np.swapaxes(vs.nodal_blocks[vs.rows(np.asarray(elems))], -1, -2)[:, None]
+    J = vs.mapping.jacobians(elems, xhat)[1]
+    div = (W @ vs.ref.grad(xhat)[..., None])[..., 0] / J[..., None, None]
+    return div.reshape(J.shape + (vs.n_local,))
+
+
 def _scalar_newton_bisect(g, dg, lo: float, hi: float) -> float:
     """Root of one scalar g in [lo, hi]: Newton from 0 with bisection
     fallback; raises GeometryError like the batched solve reports."""

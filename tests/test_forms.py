@@ -10,9 +10,10 @@ from cutstokes.harness import StudyConfig, exact_example1, solve_level
 from cutstokes.postprocess import pressure_gp_facets
 from cutstokes.spaces import (ContinuousPressureSpace, MultiplierSpace,
                               PressureSpace, VelocitySpace,
-                              VelocityField, velocity_tables)
+                              VelocityField)
 from cutstokes.reference import triangle_rule
-from tests.conftest import (add_at_sum, boundary_dofs, build_case, circle_levelset, fit_rate,
+from tests.conftest import (add_at_sum, boundary_dofs, build_case, circle_levelset,
+                            divergence_table, fit_rate,
                             interpolate_scalar, interpolate_velocity,
                             per_facet_ghost_penalty, pinned_factor,
                             quartic_levelset, rhs_by_tables)
@@ -187,7 +188,7 @@ def test_b_two_route(case):
     total = 0.0
     for row, e in enumerate(ps.elements):
         e = int(e)
-        _, _, div = (a[0] for a in velocity_tables(vs, [e], pts))
+        div = divergence_table(vs, [e], pts)[0]
         _, J = (a[0] for a in mp.jacobians([e], pts))
         dloc = div @ cv[vs.elem_dofs[vs.element_row[e]]]
         qloc = qv @ cq[ps.elem_dofs[row]]

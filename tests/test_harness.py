@@ -379,6 +379,16 @@ def test_sweep_mirrored_shifts_equal_kappa():
     assert abs(k_left - k_right) <= 1e-12 * k_right
 
 
+def test_sweep_k4_applies_judged_by_backward_error():
+    # at k = 4 the estimate's inverse applies solve for Lanczos vectors along
+    # the smallest modes, |x| up to 1.8e6 |b|: backward stable, but with a
+    # relative residual above RESIDUAL_TOL (1.8e-9), which rejected them
+    out = run_interface_sweep(StudyConfig(k=4), h=0.3, n=2)
+    kappas = [kappa for _, _, kappa in out]
+    assert np.isfinite(kappas).all()
+    assert abs(kappas[0] - kappas[2]) <= 1e-9 * kappas[2]
+
+
 def test_cli_sweep(tmp_path):
     out = str(tmp_path / "sweep")
     rc = cli_main(["sweep", "--shifts", "2", "--h0", "0.25", "--out", out])

@@ -127,6 +127,17 @@ def test_condition_estimate_saddle_path(ex1_level0):
     assert abs(saddle - dense) <= 1e-9 * dense
 
 
+def test_condest_applies_stop_at_the_estimate_accuracy(ex1_level0, monkeypatch):
+    # each inverse apply stops once the predicted next correction is below
+    # 1e-12 |x|, not at the halving stop's floor (164 steps)
+    steps, step = [], PenaltyFactor.step
+    monkeypatch.setattr(PenaltyFactor, "step",
+                        lambda self, r: steps.append(1) or step(self, r))
+    kappa = condition_estimate(PenaltyFactor(ex1_level0.system))
+    assert len(steps) <= 100, len(steps)
+    assert abs(kappa - 447955.52149) <= 1e-9 * kappa
+
+
 def test_condest_factors_saddle_once_per_level(monkeypatch):
     shapes = []
     splu = spla.splu

@@ -9,8 +9,8 @@ from cutstokes.spaces import (VelocitySpace, PressureSpace, MultiplierSpace,
                               ContinuousPressureSpace, velocity_tables,
                               scalar_tables, eval_velocity,
                               VelocityField, ScalarField)
-from tests.conftest import (interpolate_scalar, interpolate_velocity, inverse_map,
-                            node_positions, quartic_levelset)
+from tests.conftest import (divergence_table, interpolate_scalar, interpolate_velocity,
+                            inverse_map, node_positions, quartic_levelset)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def test_affine_elements_reduce_to_lagrange(case):
     pts = rng.random((6, 2)) * 0.3 + 0.05
     psi = vs.ref.eval(pts)
     for e in undeformed(sets, quad.mapping)[:5]:
-        val, grad, div = (a[0] for a in velocity_tables(vs, [e], pts))
+        val, grad = (a[0] for a in velocity_tables(vs, [e], pts))
         want = np.zeros_like(val)
         for m in range(psi.shape[1]):
             want[:, 2 * m, 0] = psi[:, m]
@@ -89,7 +89,7 @@ def test_undeformed_tables_keep_exact_zeros(case):
     assert plain.any() and not plain.all()
     # a mixed group (full path) and an all-undeformed one (no curvature terms)
     for elems, rows in ((inside, plain), (inside[plain], slice(None))):
-        val, grad, _ = velocity_tables(vs, elems, quad.ref_rule[0])
+        val, grad = velocity_tables(vs, elems, quad.ref_rule[0])
         val, grad = val[rows], grad[rows]
         assert (val[..., 0::2, 1] == 0).all() and (val[..., 1::2, 0] == 0).all()
         assert (grad[..., 0::2, 1, :] == 0).all() and (grad[..., 1::2, 0, :] == 0).all()
@@ -340,7 +340,7 @@ def test_batched_divergence_from_reference_identity(case):
     rng = np.random.default_rng(12)
     uf = VelocityField(vs, rng.standard_normal(vs.n_dofs))
     _, _, div = uf.at(bent, xbent)
-    _, _, tab = velocity_tables(vs, bent, xbent, derivs=False)
+    tab = divergence_table(vs, bent, xbent)
     for i, e in enumerate(bent):
         c = uf.local_coeffs([e])[0].reshape(-1, 2)
         a = np.einsum("mkc,mc->mk", vs.nodal_blocks[vs.element_row[e]], c)
