@@ -98,7 +98,7 @@ def _cmd_dump_geom(args) -> int:
     cfg = _resolve(args)
     if args.level < 0:
         args.parser.error(f"--level must be >= 0, got {args.level}")
-    quad = build_geometry(cfg, _EXAMPLES[cfg.example](), cfg.h0 / 2 ** args.level)
+    quad = build_geometry(cfg, _EXAMPLES[cfg.example]().levelset, cfg.h0 / 2 ** args.level)
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
     prefix = os.path.join(outdir, f"geom_ex{cfg.example}_{cfg.geom}_lvl{args.level}")

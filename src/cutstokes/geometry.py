@@ -5,8 +5,9 @@ the level set on the split mesh, and the discrete domain is their image
 under one isoparametric map, `IsoDeformation`: Phi_h = affine + a nodal
 displacement of the velocity degree k.  The displacement moves each Lagrange
 node of a cut element along the level-set gradient until the elementwise
-degree-k interpolant matches the P1 value at the node, which places the
-mapped P1 interface within O(h^{k+1}) of the exact one.  All quadrature is
+degree-k interpolant matches the P1 value at the node (a root that Newton's
+method finds from 0 within half a mesh size); this places the mapped P1
+interface within O(h^{k+1}) of the exact one.  All quadrature is
 generated in reference coordinates of the undeformed children; physical
 weights carry det(DPhi_h) through the element Jacobian.
 
@@ -209,41 +210,34 @@ class IsoDeformation:
 # isoparametric deformation
 
 
-_ROOT_FAULTS = {1: "root not bracketed in [{lo:.3e}, {hi:.3e}] at node {gid} at {pos}",
+_ROOT_FAULTS = {1: "Newton step left [{lo:.3e}, {hi:.3e}] at node {gid} at {pos}",
                 2: "root solve did not converge at node {gid} at {pos}",
-                3: "vanishing level-set gradient at node {gid} at {pos}"}
+                3: "vanishing level-set gradient at node {gid} at {pos}",
+                4: "non-finite level-set gradient at node {gid} at {pos}"}
 
 
-def _newton_bisect(g, dg, n: int, lo: float, hi: float):
-    """Roots in [lo, hi] of n scalar functions, iterated together: Newton
-    from 0 with bisection fallback once bracketed.  `g(i, x)`, `dg(i, x)`
-    evaluate functions i at x.  Returns the roots and a status per function:
-    0 solved, 1 root not bracketed, 2 no convergence within ROOT_MAX_ITER."""
+def _newton(g, dg, n: int, lo: float, hi: float):
+    """Roots in [lo, hi] of n scalar functions by Newton from 0, iterated
+    together.  `g(i, x)`, `dg(i, x)` evaluate functions i at x.  Returns the
+    roots and a status per function: 0 solved, 1 a step left [lo, hi] (a
+    zero derivative's infinite or nan step included), 2 no convergence within
+    ROOT_MAX_ITER."""
     x, status = np.zeros(n), np.full(n, 2)
     act = np.arange(n)
-    gx, glo = g(act, x), g(act, np.full(n, lo))
-    bracket = glo * g(act, np.full(n, hi)) <= 0.0
-    blo, bhi, gblo = np.full(n, lo), np.full(n, hi), glo
+    gx = g(act, x)
     for step in range(ROOT_MAX_ITER + 1):
-        solved = np.abs(gx[act]) <= ROOT_TOL
+        solved = np.abs(gx) <= ROOT_TOL
         status[act[solved]] = 0
-        act = act[~solved]
-        # shrink the bracket to the half that keeps the sign change
-        b = act[bracket[act]]
-        lower = gblo[b] * gx[b] <= 0.0
-        bhi[b] = np.where(lower, x[b], bhi[b])
-        blo[b], gblo[b] = np.where(lower, blo[b], x[b]), np.where(lower, gblo[b], gx[b])
+        act, gx = act[~solved], gx[~solved]
         if act.size == 0 or step == ROOT_MAX_ITER:
             return x, status
-        d = dg(act, x[act])
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x[act] - gx[act] / d
-        newton = (d != 0.0) & (lo <= xn) & (xn <= hi)
-        lost = ~newton & ~bracket[act]
-        status[act[lost]] = 1
-        act, xn, newton = act[~lost], xn[~lost], newton[~lost]
-        x[act] = np.where(newton, xn, 0.5 * (blo[act] + bhi[act]))
-        gx[act] = g(act, x[act])
+            xn = x[act] - gx / dg(act, x[act])
+        inside = (lo <= xn) & (xn <= hi)
+        status[act[~inside]] = 1
+        act = act[inside]
+        x[act] = xn[inside]
+        gx = g(act, x[act])
 
 
 def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
@@ -256,9 +250,10 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
     degree-k interpolant of the exact level set.  Nodes shared by several cut
     children receive the mean displacement; all other nodes stay put.  The
     root solves of all (cut child, local node) pairs run as one masked
-    Newton/bisection iteration (`_newton_bisect`).
+    Newton iteration from 0 (`_newton`).
 
-    A root that is not found within half a mesh size raises `GeometryError`
+    A Newton step that leaves half a mesh size, a solve that does not
+    converge, or a vanishing or non-finite gradient raises `GeometryError`
     naming the first such node in (cut child, local node) order and its
     position: the feature is not resolved at this h, and the map is not
     defined there.
@@ -285,8 +280,8 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
     targets = pv[:, 0] * (1 - xref[:, 0] - xref[:, 1]) + pv[:, 1] * xref[:, 0] + pv[:, 2] * xref[:, 1]
     grads = ls.gradient(pos)
     gn = np.linalg.norm(grads, axis=1)
-    flat = gn < 1e-12
-    G = grads / np.where(flat, 1.0, gn)[:, None]
+    flat, nonfinite = gn < 1e-12, ~np.isfinite(gn)
+    G = np.where(nonfinite[:, None], 0.0, grads) / np.where(flat | nonfinite, 1.0, gn)[:, None]
     GA = np.einsum("pij,pj->pi", Ainv, G)
 
     def g(i, d):
@@ -297,9 +292,9 @@ def build_deformation(ls: LevelSet, phi_p1: DiscreteLevelSet, sets: ElementSets,
         gr = ref.grad(xref[i] + d[:, None] * GA[i])
         return (np.einsum("pmk,pm->pk", gr, interp[i]) * GA[i]).sum(-1)
 
-    delta, status = _newton_bisect(g, dg, gids.size, lo, hi)
+    delta, status = _newton(g, dg, gids.size, lo, hi)
     # report the first fault in pair order, as a node-by-node sweep meets it
-    status[flat] = 3
+    status[flat], status[nonfinite] = 3, 4
     fatal = np.flatnonzero(status)
     if fatal.size:
         i = fatal[0]
@@ -333,8 +328,6 @@ def _damped_deformation(am: AlfeldMesh, sets: ElementSets, degree: int,
     for rounds in range(40):
         deformation = IsoDeformation(am, degree, disp, damping_rounds=rounds)
         check = deformation.deformed_children[active[deformation.deformed_children]]
-        if check.size == 0:
-            break
         _, J = deformation.jacobians(check, pts)
         bad = check[J.min(axis=1) <= margin * np.abs(deformation.detA[check])]
         if bad.size == 0:

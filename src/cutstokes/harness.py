@@ -252,15 +252,15 @@ class LevelState:
     pstar: ScalarField
 
 
-def build_geometry(cfg: StudyConfig, exact: ExactCase, h: float) -> CutQuadrature:
-    """Cut geometry of one level with mesh size h: background mesh, Alfeld
-    split, P1 level set, classification, isoparametric deformation (the
-    identity for geom="p1") and the quadrature rules."""
+def build_geometry(cfg: StudyConfig, ls: LevelSet, h: float) -> CutQuadrature:
+    """Cut geometry of the level set `ls` with mesh size h: background mesh,
+    Alfeld split, P1 level set, classification, isoparametric deformation
+    (the identity for geom="p1") and the quadrature rules."""
     am = alfeld_split(build_background_mesh(BOX, h))
-    phi1 = interpolate_p1(exact.levelset, am)
+    phi1 = interpolate_p1(ls, am)
     sets = classify_elements(phi1)
     if cfg.geom == "ho":
-        defo = build_deformation(exact.levelset, phi1, sets, cfg.k)
+        defo = build_deformation(ls, phi1, sets, cfg.k)
     else:
         defo = IsoDeformation.identity(am, cfg.k)
     return build_quadratures(sets, phi1, defo)
@@ -289,7 +289,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     """Build, solve and post-process one level; returns (ResultRow, LevelState)."""
     if exact is None:
         exact = _EXAMPLES[cfg.example]()
-    quad = build_geometry(cfg, exact, cfg.h0 / 2 ** lvl)
+    quad = build_geometry(cfg, exact.levelset, cfg.h0 / 2 ** lvl)
     vs, ps, ms, system = assemble_level(cfg, quad, exact.f)
     factor = PenaltyFactor(system)
     sol = solve_saddle(factor)
@@ -370,11 +370,9 @@ def _study_tag(cfg: StudyConfig) -> str:
 def _sweep_one(args) -> tuple[int, float, float]:
     cfg, i, h, n = args
     x0 = -0.2 + 0.4 * i / n
-    exact = exact_example1()
-    ls, s = exact.levelset, np.array([x0, 0.0])
-    exact = replace(exact, levelset=LevelSet(lambda p: ls.value(p - s),
-                                             lambda p: ls.gradient(p - s)))
-    system = assemble_level(cfg, build_geometry(cfg, exact, h))[3]
+    ls, s = exact_example1().levelset, np.array([x0, 0.0])
+    shifted = LevelSet(lambda p: ls.value(p - s), lambda p: ls.gradient(p - s))
+    system = assemble_level(cfg, build_geometry(cfg, shifted, h))[3]
     kappa = condition_estimate(PenaltyFactor(system))
     return i, x0, kappa
 
@@ -467,8 +465,8 @@ def _config_items(path: str) -> dict:
     kw = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value")

@@ -270,39 +270,21 @@ def divergence_table(vs, elems, xhat) -> np.ndarray:
     return div.reshape(J.shape + (vs.n_local,))
 
 
-def _scalar_newton_bisect(g, dg, lo: float, hi: float) -> float:
-    """Root of one scalar g in [lo, hi]: Newton from 0 with bisection
-    fallback; raises GeometryError like the batched solve reports."""
+def _scalar_newton(g, dg, lo: float, hi: float) -> float:
+    """Root of one scalar g by Newton from 0 with every iterate in [lo, hi];
+    raises GeometryError like the batched solve reports."""
     x = 0.0
     gx = g(x)
-    if abs(gx) <= ROOT_TOL:
-        return x
-    glo, ghi = g(lo), g(hi)
-    have_bracket = glo * ghi <= 0.0
-    blo, bhi = lo, hi
-    if have_bracket and glo * gx <= 0.0:
-        bhi = x
-    elif have_bracket:
-        blo = x
     for _ in range(ROOT_MAX_ITER):
-        d = dg(x)
-        step_ok = d != 0.0
-        if step_ok:
-            xn = x - gx / d
-            step_ok = lo <= xn <= hi
-        if not step_ok:
-            if not have_bracket:
-                raise GeometryError(f"root not bracketed in [{lo:.3e}, {hi:.3e}]")
-            xn = 0.5 * (blo + bhi)
-        x = xn
-        gx = g(x)
         if abs(gx) <= ROOT_TOL:
             return x
-        if have_bracket:
-            if g(blo) * gx <= 0.0:
-                bhi = x
-            else:
-                blo = x
+        d = dg(x)
+        if d == 0.0 or not lo <= x - gx / d <= hi:
+            raise GeometryError(f"Newton step left [{lo:.3e}, {hi:.3e}]")
+        x -= gx / d
+        gx = g(x)
+    if abs(gx) <= ROOT_TOL:
+        return x
     raise GeometryError("root solve did not converge")
 
 
@@ -328,6 +310,8 @@ def per_node_deformation(ls, phi_p1, sets, degree: int):
         grads = ls.gradient(pos)
         for m, gid in enumerate(gids):
             gn = np.linalg.norm(grads[m])
+            if not np.isfinite(gn):
+                raise GeometryError(f"non-finite level-set gradient at node {gid} at {pos[m]}")
             if gn < 1e-12:
                 raise GeometryError(f"vanishing level-set gradient at node {gid} at {pos[m]}")
             G = grads[m] / gn
@@ -342,7 +326,7 @@ def per_node_deformation(ls, phi_p1, sets, degree: int):
                 return float((gr.T @ interp_vals) @ GA)
 
             try:
-                delta = _scalar_newton_bisect(g, dg, lo, hi)
+                delta = _scalar_newton(g, dg, lo, hi)
             except GeometryError as err:
                 raise GeometryError(f"{err} at node {gid} at {pos[m]}") from None
             sums[gid] += delta * G
@@ -458,7 +442,7 @@ def ex1_quads():
     """Example 1, high-order geometry: the quadratures of levels 0 and 1,
     which hold undeformed, deformed and cut children."""
     cfg, exact = StudyConfig(example=1), exact_example1()
-    return [build_geometry(cfg, exact, cfg.h0 / 2 ** lvl) for lvl in (0, 1)]
+    return [build_geometry(cfg, exact.levelset, cfg.h0 / 2 ** lvl) for lvl in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from cutstokes.meshing import build_background_mesh, alfeld_split, classify_elem
 from cutstokes.geometry import (GeometryError, LevelSet, DiscreteLevelSet,
                                 interpolate_p1, IsoDeformation, build_deformation,
                                 CutQuadrature, cut_subdivide, _damped_deformation,
-                                build_quadratures, REF_VERTS)
+                                build_quadratures, REF_VERTS, ROOT_TOL, _newton)
 from tests.conftest import (areas, build_case, circle_levelset, eval_ref,
                             gradient_fd_error, inverse_map, per_node_deformation,
                             quartic_levelset)
@@ -290,8 +290,41 @@ def test_deformation_unbracketed_root():
     am = alfeld_split(m)
     phi = interpolate_p1(ls, am)
     sets = classify_elements(phi)
-    with pytest.raises(GeometryError, match="not bracketed|did not converge"):
+    with pytest.raises(GeometryError, match="Newton step left|did not converge"):
         build_deformation(ls, phi, sets, 2)
+
+
+def test_newton_step_leaving_bracket_is_a_fault():
+    # x^3 - 1e-3 has its root 0.1 inside [-0.25, 0.25], but g'(0) = 0 sends
+    # the first step to infinity: status 1, with no bisection to fall back
+    # on; x - 0.1 is solved in one step
+    def g(i, x):
+        return np.where(i == 0, x ** 3 - 1e-3, x - 0.1)
+
+    def dg(i, x):
+        return np.where(i == 0, 3 * x ** 2, 1.0)
+
+    x, status = _newton(g, dg, 2, -0.25, 0.25)
+    assert status.tolist() == [1, 0]
+    assert abs(x[1] - 0.1) <= ROOT_TOL
+
+
+def test_deformation_nonfinite_gradient():
+    # a gradient that is nan right of x = 0.3 is reported as such, not as a
+    # missing root, by the batched solve and the per-node oracle alike
+    def gradient(p):
+        grad = 2 * p
+        grad[p[:, 0] > 0.3] = np.nan
+        return grad
+
+    ls = LevelSet(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 0.25, gradient)
+    am = alfeld_split(build_background_mesh((-1, 1, -1, 1), 0.3))
+    phi = interpolate_p1(ls, am)
+    sets = classify_elements(phi)
+    for build in (build_deformation, per_node_deformation):
+        with pytest.raises(GeometryError,
+                           match=r"^non-finite level-set gradient at node 42 at \[ 0\.4285"):
+            build(ls, phi, sets, 2)
 
 
 def test_deformation_star_unresolved_at_coarse_mesh():

@@ -200,14 +200,19 @@ def test_result_row_validation():
 
 
 def test_config_roundtrip(tmp_path):
-    # every field off its default: the int, float, bool and str parsing
+    # every field off its default: the int, float, bool and str parsing; only
+    # a line that starts with # is a comment, so the path keeps its #
     cfg = StudyConfig(example=2, k=3, k_lambda=2, h0=0.25, levels=3,
                       gamma_n=25.0, gamma_gp=0.5, gamma_lambda=0.2, geom="p1",
-                      with_condest=True, out="somewhere", vtk=True, workers=2)
+                      with_condest=True, out=str(tmp_path / "run#1"), vtk=True, workers=2)
     off = [f.name for f in fields(StudyConfig) if getattr(cfg, f.name) == f.default]
     assert not off, off
     path = str(tmp_path / "study.cfg")
     write_config(path, cfg)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write("  # a comment line\n" + text)
     assert read_config(path) == cfg
 
 
@@ -352,7 +357,7 @@ def test_cli_dump_geom(tmp_path):
     assert (body[:, 4] > 0).all()
     assert np.abs(np.hypot(body[:, 2], body[:, 3]) - 1).max() <= 1e-9
     # the points are the mapped interface quadrature points
-    quad = build_geometry(StudyConfig(h0=0.3), exact_example1(), 0.3)
+    quad = build_geometry(StudyConfig(h0=0.3), exact_example1().levelset, 0.3)
     r = quad.interface_rule
     want = quad.mapping.phys(r.elems, r.xhat).reshape(-1, 2)
     printed = [["%.10e" % v for v in x] for x in want]
