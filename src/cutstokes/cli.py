@@ -9,7 +9,8 @@ with the study default baked in, so `cutstokes converge` alone reproduces
 the standard table; the no-flow table, resolved from h0 = 0.15 only, is
 `converge --example 2 --h0 0.15 --levels 4`.  A key=value config file
 (--config) may set any `StudyConfig` field, so a run's manifest reproduces
-it; flags override it.
+it; flags override it.  The sweep manifest does not record the shift
+count: `sweep --config` needs `--shifts` again, or it runs 100 shifts.
 """
 
 from __future__ import annotations

@@ -323,10 +323,11 @@ def pressure_mass_inverse(quad: CutQuadrature, ps: PressureSpace) -> sp.csr_matr
 
 @dataclass
 class SaddleSystem:
-    """The symmetric saddle system over (u, p, lambda, s), held as its
-    blocks: the velocity block A (with the ghost penalty), the divergence B,
-    the multiplier coupling C and its stabilizer J, the pressure mean vector
-    `mean` and the right-hand side `rhs`, with the data of the penalty solve
+    """The symmetric saddle system over (u, p, lambda, s) that
+    `build_saddle_system` assembles, held as its blocks: the velocity block
+    A (with the ghost penalty), the divergence B, the multiplier coupling C
+    and its stabilizer J, the pressure mean vector `mean` and the
+    right-hand side `rhs`, with the data of the penalty solve
     (`solver.PenaltyFactor`): the kernel part `z_p` (see `pressure_kernel`)
     and the inverse pressure mass `mass_inv`.
 
@@ -361,17 +362,20 @@ class SaddleSystem:
         return u, p, lam, float(x[-1])
 
 
-def build_saddle_system(A: sp.spmatrix, B: sp.spmatrix, C: sp.spmatrix,
-                        J: sp.spmatrix, mean: np.ndarray, rhs_u: np.ndarray,
-                        z_p: np.ndarray, mass_inv: sp.spmatrix) -> SaddleSystem:
-    """The `SaddleSystem` of the blocks, with the velocity load rhs_u and
-    zero elsewhere; blocks of inconsistent dimensions raise."""
-    n_u, n_p, n_m = A.shape[0], B.shape[0], C.shape[0]
-    if (A.shape != (n_u, n_u) or B.shape != (n_p, n_u)
-            or C.shape != (n_m, n_u) or J.shape != (n_m, n_m)
-            or mean.shape != (n_p,) or rhs_u.shape != (n_u,)
-            or z_p.shape != (n_p,) or mass_inv.shape != (n_p, n_p)):
-        raise ValueError("saddle blocks have inconsistent dimensions")
-    return SaddleSystem(*map(sp.csr_matrix, (A, B, C, J)), mean,
-                        np.concatenate([rhs_u, np.zeros(n_p + n_m + 1)]), z_p,
-                        sp.csr_matrix(mass_inv), n_u, n_p, n_m)
+def build_saddle_system(quad: CutQuadrature, vs: VelocitySpace, k_lambda: int,
+                        gamma_n: float, gamma_gp: float, gamma_lambda: float,
+                        f=None) -> SaddleSystem:
+    """The `SaddleSystem` of `vs` on `quad`, on the pressure (degree k - 1) and
+    multiplier (degree k_lambda) spaces it builds, with velocity block A + GP
+    and load (f, v), zero when f is None.  `vs` on another map raises."""
+    sets, mp = quad.sets, quad.mapping
+    if vs.mapping is not mp:
+        raise ValueError("the velocity space and the quadrature live on different maps")
+    ps, ms = PressureSpace(sets, mp, vs.degree - 1), MultiplierSpace(sets, mp, k_lambda)
+    A = assemble_a(quad, vs, gamma_n) + assemble_ghost_penalty(quad, vs, gamma_gp)
+    rhs = np.zeros(vs.n_dofs) if f is None else assemble_rhs(quad, vs, f)
+    return SaddleSystem(A, assemble_b(quad, vs, ps), assemble_c(quad, vs, ms),
+                        assemble_j(quad, ms, gamma_lambda), pressure_mean_vector(quad, ps),
+                        np.concatenate([rhs, np.zeros(ps.n_dofs + ms.n_dofs + 1)]),
+                        pressure_kernel(quad, ps), pressure_mass_inverse(quad, ps),
+                        vs.n_dofs, ps.n_dofs, ms.n_dofs)

@@ -66,7 +66,8 @@ class DiscreteLevelSet:
     def __init__(self, am: AlfeldMesh, vertex_values: np.ndarray):
         vertex_values = np.asarray(vertex_values, dtype=float)
         if vertex_values.shape != (am.vertices.shape[0],):
-            raise ValueError("need one value per Alfeld vertex")
+            raise ValueError(f"need one value per Alfeld vertex ({am.vertices.shape[0]}), "
+                             f"got shape {vertex_values.shape}")
         self.am = am
         self.vertex_values = snap_values(vertex_values, am.macro.h)
 

@@ -14,18 +14,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .forms import (assemble_a, assemble_b, assemble_c,
-                    assemble_ghost_penalty, assemble_j, assemble_rhs,
-                    build_saddle_system, pressure_kernel,
-                    pressure_mass_inverse, pressure_mean_vector)
+from .forms import build_saddle_system
 from .geometry import (REF_VERTS, CutQuadrature, IsoDeformation, LevelSet,
                        build_deformation, build_quadratures, interpolate_p1)
 from .meshing import alfeld_split, build_background_mesh, classify_elements
 from .postprocess import recover_pressure
 from .reference import lattice
 from .solver import PenaltyFactor, condition_estimate, solve_saddle
-from .spaces import (MultiplierSpace, PressureSpace, ScalarField, VelocityField,
-                     VelocitySpace)
+from .spaces import ScalarField, VelocityField, VelocitySpace
 
 __all__ = [
     "ExactCase", "StudyConfig", "ResultRow", "LevelState",
@@ -206,10 +202,9 @@ class StudyConfig:
                           ("gamma_gp", 0), ("gamma_lambda", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.h0 <= 0:
-            raise ValueError("h0 must be positive")
-        if self.gamma_n <= 0:
-            raise ValueError(f"gamma_n must be positive, got {self.gamma_n}")
+        for name in ("h0", "gamma_n"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.vtk and not self.out:
             raise ValueError("vtk needs an output directory, but out is empty")
 
@@ -244,8 +239,6 @@ class LevelState:
 
     exact: ExactCase
     quad: CutQuadrature
-    ps: PressureSpace
-    ms: MultiplierSpace
     system: object
     sol: object
     uh: VelocityField
@@ -267,22 +260,11 @@ def build_geometry(cfg: StudyConfig, ls: LevelSet, h: float) -> CutQuadrature:
 
 
 def assemble_level(cfg: StudyConfig, quad: CutQuadrature, f=None):
-    """Velocity, pressure and multiplier spaces on `quad` and the saddle
-    system with velocity block A + GP; the velocity load is (f, v), or zero
-    when f is None.  Returns (vs, ps, ms, system)."""
-    sets, mp = quad.sets, quad.mapping
-    vs = VelocitySpace(sets, mp, cfg.k)
-    ps = PressureSpace(sets, mp, cfg.k - 1)
-    ms = MultiplierSpace(sets, mp, cfg.k_lambda)
-    A = assemble_a(quad, vs, cfg.gamma_n) + assemble_ghost_penalty(quad, vs, cfg.gamma_gp)
-    B = assemble_b(quad, vs, ps)
-    C = assemble_c(quad, vs, ms)
-    J = assemble_j(quad, ms, cfg.gamma_lambda)
-    m = pressure_mean_vector(quad, ps)
-    rhs = np.zeros(vs.n_dofs) if f is None else assemble_rhs(quad, vs, f)
-    system = build_saddle_system(A, B, C, J, m, rhs, pressure_kernel(quad, ps),
-                                 pressure_mass_inverse(quad, ps))
-    return vs, ps, ms, system
+    """The velocity space on `quad` and the saddle system that `build_saddle_system`
+    assembles on it with cfg's settings and the load f.  Returns (vs, system)."""
+    vs = VelocitySpace(quad.sets, quad.mapping, cfg.k)
+    return vs, build_saddle_system(quad, vs, cfg.k_lambda, cfg.gamma_n, cfg.gamma_gp,
+                                   cfg.gamma_lambda, f)
 
 
 def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
@@ -290,7 +272,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
     if exact is None:
         exact = _EXAMPLES[cfg.example]()
     quad = build_geometry(cfg, exact.levelset, cfg.h0 / 2 ** lvl)
-    vs, ps, ms, system = assemble_level(cfg, quad, exact.f)
+    vs, system = assemble_level(cfg, quad, exact.f)
     factor = PenaltyFactor(system)
     sol = solve_saddle(factor)
     cond = condition_estimate(factor) if cfg.with_condest else float("nan")
@@ -298,7 +280,7 @@ def solve_level(cfg: StudyConfig, lvl: int, exact: ExactCase | None = None):
 
     uh = VelocityField(vs, sol.u)
     pstar = recover_pressure(quad, uh, exact.f, cfg.gamma_gp)
-    state = LevelState(exact, quad, ps, ms, system, sol, uh, pstar)
+    state = LevelState(exact, quad, system, sol, uh, pstar)
     row = ResultRow(lvl=lvl, h=quad.am.macro.h, cond_estimate=cond,
                     **compute_errors(state))
     return row, state
@@ -372,12 +354,12 @@ def _sweep_one(args) -> tuple[int, float, float]:
     x0 = -0.2 + 0.4 * i / n
     ls, s = exact_example1().levelset, np.array([x0, 0.0])
     shifted = LevelSet(lambda p: ls.value(p - s), lambda p: ls.gradient(p - s))
-    system = assemble_level(cfg, build_geometry(cfg, shifted, h))[3]
+    _, system = assemble_level(cfg, build_geometry(cfg, shifted, h))
     kappa = condition_estimate(PenaltyFactor(system))
     return i, x0, kappa
 
 
-def run_interface_sweep(cfg: StudyConfig, h: float = 0.1, n: int = 100):
+def run_interface_sweep(cfg: StudyConfig, h: float, n: int):
     """Condition numbers for n+1 horizontal shifts of the quartic interface.
 
     Returns the list of (index, shift, kappa) tuples ordered by index; the

@@ -104,9 +104,9 @@ def build_background_mesh(box: tuple[float, float, float, float], h: float) -> M
     """
     xmin, xmax, ymin, ymax = box
     if not (xmax > xmin and ymax > ymin):
-        raise ValueError("degenerate box")
+        raise ValueError(f"degenerate box (xmin, xmax, ymin, ymax) = {box}")
     if not np.isfinite(h) or h <= 0:
-        raise ValueError("mesh size must be positive")
+        raise ValueError(f"mesh size must be positive and finite, got {h}")
     nx = max(2, int(np.ceil((xmax - xmin) / h)))
     ny = max(2, int(np.ceil((ymax - ymin) / h)))
     xs = np.linspace(xmin, xmax, nx + 1)

@@ -114,8 +114,10 @@ class IterationError(RuntimeError):
 
 
 def _splu(M: sp.csc_matrix, what: str, **options):
-    if not np.isfinite(M.data).all():
-        raise ValueError(f"{what} has non-finite entries")
+    bad = np.flatnonzero(~np.isfinite(M.data))[:1]
+    if bad.size:
+        i, j = M.indices[bad[0]], np.searchsorted(M.indptr, bad[0], side="right") - 1
+        raise ValueError(f"{what} has non-finite entries, the first {M.data[bad[0]]} at ({i}, {j})")
     try:
         return spla.splu(M, **options)
     except RuntimeError as err:
@@ -228,7 +230,7 @@ def solve_direct(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve Mx = b by SuperLU and iterative refinement."""
     b = np.asarray(b, dtype=float)
     if M.shape[0] != M.shape[1] or b.shape != (M.shape[0],):
-        raise ValueError("matrix and right-hand side dimensions disagree")
+        raise ValueError(f"matrix {M.shape} and right-hand side {b.shape} disagree in shape")
     M = sp.csc_matrix(M)
     return _refine(M, _splu(M, "system").solve, b)[0]
 

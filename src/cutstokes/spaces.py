@@ -117,12 +117,11 @@ class VelocitySpace(_NodalScalarSpace):
         smax = np.sqrt(0.5 * (fro2 + disc))
         smin = np.sqrt(np.maximum(0.5 * (fro2 - disc), 1e-300))
         cond = smax.max(axis=1) / smin.min(axis=1)
-        self.max_local_condition = float(cond.max())
-        if self.max_local_condition > 1e12:
-            bad = self.elements[int(np.argmax(cond))]
+        worst = int(np.argmax(cond))
+        if cond[worst] > 1e12:
             raise GeometryError(
-                f"nodal Piola blocks nearly singular on element {bad} "
-                f"(condition {self.max_local_condition:.2e})")
+                f"nodal Piola blocks nearly singular on element {self.elements[worst]} "
+                f"(condition {cond[worst]:.2e})")
 
 
 def _jacobians(mapping: IsoDeformation, elems: np.ndarray, xhat: np.ndarray,

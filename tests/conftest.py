@@ -4,12 +4,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutstokes.meshing import alfeld_split, build_background_mesh, classify_elements
-from cutstokes.forms import _affine_coords, _csr, _extensions, _scatter, _sym
+from cutstokes.forms import (SaddleSystem, _affine_coords, _csr, _extensions, _scatter,
+                             _sym, assemble_a, assemble_b, assemble_c,
+                             assemble_ghost_penalty, assemble_j, assemble_rhs,
+                             pressure_kernel, pressure_mass_inverse,
+                             pressure_mean_vector)
 from cutstokes.geometry import (ROOT_MAX_ITER, ROOT_TOL, GeometryError, LevelSet,
                                 _damped_deformation, _pointwise, interpolate_p1,
                                 build_deformation, build_quadratures)
 from cutstokes.reference import reference_element, reference_nodes
-from cutstokes.spaces import PressureSpace, VelocitySpace, velocity_tables
+from cutstokes.spaces import MultiplierSpace, PressureSpace, VelocitySpace, velocity_tables
 from cutstokes.harness import (StudyConfig, _config_items, build_geometry, exact_example1,
                                solve_level)
 
@@ -129,6 +133,24 @@ def pinned_factor(system):
     r = -M[:n, [i]].toarray().ravel()
     r[i] = 1.0
     return lu, lu.solve(r)
+
+
+def hand_wired_system(cfg: StudyConfig, quad, f=None) -> SaddleSystem:
+    """The saddle system of `cfg` on `quad` wired stage by stage, each space
+    and block built and glued here: the oracle for `build_saddle_system`."""
+    sets, mp = quad.sets, quad.mapping
+    vs = VelocitySpace(sets, mp, cfg.k)
+    ps = PressureSpace(sets, mp, cfg.k - 1)
+    ms = MultiplierSpace(sets, mp, cfg.k_lambda)
+    A = assemble_a(quad, vs, cfg.gamma_n) + assemble_ghost_penalty(quad, vs, cfg.gamma_gp)
+    B = assemble_b(quad, vs, ps)
+    C = assemble_c(quad, vs, ms)
+    J = assemble_j(quad, ms, cfg.gamma_lambda)
+    m = pressure_mean_vector(quad, ps)
+    rhs = np.zeros(vs.n_dofs) if f is None else assemble_rhs(quad, vs, f)
+    return SaddleSystem(A, B, C, J, m, np.concatenate([rhs, np.zeros(ps.n_dofs + ms.n_dofs + 1)]),
+                        pressure_kernel(quad, ps), pressure_mass_inverse(quad, ps),
+                        vs.n_dofs, ps.n_dofs, ms.n_dofs)
 
 
 def add_at_sum(blocks, shape) -> np.ndarray:

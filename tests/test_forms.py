@@ -6,14 +6,15 @@ from cutstokes.forms import (_csr, _sym, assemble_a, assemble_b, assemble_c,
                              assemble_ghost_penalty, assemble_j, assemble_rhs,
                              build_saddle_system, pressure_mean_vector)
 from cutstokes.geometry import IsoDeformation, build_quadratures
-from cutstokes.harness import StudyConfig, exact_example1, solve_level
+from cutstokes.harness import (StudyConfig, build_geometry, exact_example1,
+                               exact_example2, solve_level)
 from cutstokes.postprocess import pressure_gp_facets
 from cutstokes.spaces import (ContinuousPressureSpace, MultiplierSpace,
                               PressureSpace, VelocitySpace,
                               VelocityField)
 from cutstokes.reference import triangle_rule
 from tests.conftest import (add_at_sum, boundary_dofs, build_case, circle_levelset,
-                            divergence_table, fit_rate,
+                            divergence_table, fit_rate, hand_wired_system,
                             interpolate_scalar, interpolate_velocity,
                             per_facet_ghost_penalty, pinned_factor,
                             quartic_levelset, rhs_by_tables)
@@ -235,8 +236,9 @@ def test_c_tangential_field(case):
 def test_c_solved_flux_is_zero(case, solved_lvl0):
     # c_h(1, u_h) = 0 is one row of the solved system
     _, st = solved_lvl0
-    C = assemble_c(st.quad, st.uh.space, st.ms)
-    assert abs(np.ones(st.ms.n_dofs) @ (C @ st.sol.u)) <= 1e-10
+    ms = MultiplierSpace(st.quad.sets, st.quad.mapping, 1)
+    C = assemble_c(st.quad, st.uh.space, ms)
+    assert abs(np.ones(ms.n_dofs) @ (C @ st.sol.u)) <= 1e-10
 
 
 def test_gp_global_polynomial_zero(quartic_case_h03):
@@ -438,7 +440,9 @@ def test_saddle_layout(case, solved_lvl0):
     M = system.matrix
     D = (M - M.T).tocoo()
     assert D.nnz == 0 or np.abs(D.data).max() == 0.0
-    assert M.shape[0] == st.uh.space.n_dofs + st.ps.n_dofs + st.ms.n_dofs + 1
+    sets, mp = st.quad.sets, st.quad.mapping
+    n_p, n_m = PressureSpace(sets, mp, 1).n_dofs, MultiplierSpace(sets, mp, 1).n_dofs
+    assert M.shape[0] == st.uh.space.n_dofs + n_p + n_m + 1
     # each documented block of the glued matrix is the stored block, bit for
     # bit, and every other block is empty
     m = sp.csr_matrix(system.mean.reshape(-1, 1))
@@ -455,19 +459,37 @@ def test_saddle_layout(case, solved_lvl0):
                 assert np.array_equal(got.toarray(), want.toarray())
 
 
-def test_saddle_dimension_mismatch(case):
-    vs, ps, ms, A, G, B, C, J = case[4:]
-    with pytest.raises(ValueError, match="dimensions"):
-        build_saddle_system(A + G, B, C, J, np.ones(ps.n_dofs + 1),
-                            np.zeros(vs.n_dofs), np.ones(ps.n_dofs),
-                            sp.eye(ps.n_dofs, format="csr"))
+@pytest.mark.parametrize("cfg", [StudyConfig(), StudyConfig(geom="p1"),
+                                 StudyConfig(example=2, h0=0.15)],
+                         ids=["ex1-ho", "ex1-p1", "ex2-h0.15"])
+def test_build_saddle_system_matches_hand_wiring(cfg):
+    # level 0: every array of the built system equals the stage-by-stage
+    # oracle's bit for bit, and a velocity space on another map is refused
+    exact = (exact_example1 if cfg.example == 1 else exact_example2)()
+    quad = build_geometry(cfg, exact.levelset, cfg.h0)
+    vs = VelocitySpace(quad.sets, quad.mapping, cfg.k)
+    got = build_saddle_system(quad, vs, cfg.k_lambda, cfg.gamma_n, cfg.gamma_gp,
+                              cfg.gamma_lambda, exact.f)
+    want = hand_wired_system(cfg, quad, exact.f)
+    assert (got.n_u, got.n_p, got.n_m) == (want.n_u, want.n_p, want.n_m)
+    for name in ("A", "B", "C", "J", "mass_inv"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g, part), getattr(w, part)), (name, part)
+    for name in ("mean", "z_p", "rhs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    other = VelocitySpace(quad.sets, IsoDeformation.identity(quad.am, cfg.k), cfg.k)
+    with pytest.raises(ValueError, match="different maps"):
+        build_saddle_system(quad, other, cfg.k_lambda, cfg.gamma_n, cfg.gamma_gp,
+                            cfg.gamma_lambda)
 
 
 def test_pressure_kernel_and_mass(solved_lvl0):
     # the pinned direct factor finds z from the matrix alone; the assembled
     # z_p must be the same null vector, 1 on inside children
     _, st = solved_lvl0
-    system, ps = st.system, st.ps
+    system, ps = st.system, PressureSpace(st.quad.sets, st.quad.mapping, 1)
     z = pinned_factor(system)[1][system.n_u:system.n_u + system.n_p]
     assert np.abs(system.z_p - z).max() <= 1e-10
     inside = ps.elem_dofs[ps.element_row[st.quad.inside_elems]]

@@ -455,6 +455,14 @@ def test_quadrature_rejects_level_set_of_another_mesh():
         build_quadratures(classify_elements(phi), phi, IsoDeformation.identity(am, 2))
 
 
+def test_discrete_level_set_names_its_shape():
+    am = alfeld_split(build_background_mesh((-1, 1, -1, 1), 1.0))
+    n = am.vertices.shape[0]
+    with pytest.raises(ValueError, match=rf"^need one value per Alfeld vertex \({n}\), "
+                                         rf"got shape \({n - 1},\)$"):
+        DiscreteLevelSet(am, np.ones(n - 1))
+
+
 def test_quadrature_monomial_exactness():
     m = build_background_mesh((-1, 1, -1, 1), 0.5)
     am = alfeld_split(m)

@@ -163,7 +163,7 @@ def test_config_validation():
         StudyConfig(geom="quadratic")
     with pytest.raises(ValueError):
         StudyConfig(levels=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^h0 must be positive, got -0.1$"):
         StudyConfig(h0=-0.1)
     with pytest.raises(ValueError, match="gamma_n must be positive, got 0"):
         StudyConfig(gamma_n=0)

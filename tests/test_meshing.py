@@ -55,9 +55,10 @@ def test_background_mesh_orientation_and_area(box, h):
 
 
 def test_degenerate_box_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^degenerate box \(xmin, xmax, ymin, ymax\) = \(0, 0, 0, 1\)$"):
         build_background_mesh((0, 0, 0, 1), 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mesh size must be positive and finite, got -0.1$"):
         build_background_mesh((0, 1, 0, 1), -0.1)
 
 

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutstokes import solver
-from cutstokes.forms import SaddleSystem, build_saddle_system
+from cutstokes.forms import SaddleSystem
 from cutstokes.harness import StudyConfig, solve_level
 from cutstokes.solver import (IterationError, PenaltyFactor,
                               SingularSystemError, condition_estimate,
@@ -35,6 +35,16 @@ def test_spd_against_dense():
     x = solve_direct(sp.csr_matrix(M), b)
     ref = np.linalg.solve(M, b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_solve_direct_names_bad_input():
+    # the first non-finite entry in column order, and both shapes
+    M = sp.csr_matrix(np.array([[1.0, np.inf], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match=r"^system has non-finite entries, the first nan at \(1, 0\)$"):
+        solve_direct(M, np.ones(2))
+    with pytest.raises(ValueError, match=r"^matrix \(3, 3\) and right-hand side \(2,\) "
+                                         r"disagree in shape$"):
+        solve_direct(sp.eye(3, format="csr"), np.ones(2))
 
 
 def test_singular_raises():
@@ -101,10 +111,11 @@ def test_saddle_factor_null_vector(ex1_level0):
 
 def _bordered(A, B, C, J, mean, z_p=None):
     csr = [sp.csr_matrix(np.array(X, dtype=float)) for X in (A, B, C, J)]
-    n_p = len(B)
+    n_u, n_p, n_m = len(A), len(B), len(C)
     z_p = np.zeros(n_p) if z_p is None else np.array(z_p, dtype=float)
-    return build_saddle_system(*csr, np.array(mean, dtype=float),
-                               np.ones(len(A)), z_p, sp.eye(n_p, format="csr"))
+    rhs = np.concatenate([np.ones(n_u), np.zeros(n_p + n_m + 1)])
+    return SaddleSystem(*csr, np.array(mean, dtype=float), rhs, z_p,
+                        sp.eye(n_p, format="csr"), n_u, n_p, n_m)
 
 
 def test_penalty_rejects_kernel_on_zero_columns():
